@@ -2,7 +2,8 @@
 
 Subcommands: run, theory-check, toy, partition-stats. Exit codes are stable
 across subcommands: 0 success, 1 failed verification, 2 configuration error,
-3 runtime divergence.
+3 numeric failure (a diverged client or a non-finite or unsolvable
+computation).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import PartitionSpec, partition_dirichlet, write_partition_summary
-from .errors import ConfigurationError, DivergedClientError
+from .errors import ConfigurationError, NumericError
 from .experiment import (
     build_population,
     run_algorithm,
@@ -276,8 +277,8 @@ def main(argv=None) -> int:
     except ConfigurationError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except DivergedClientError as exc:
-        print(f"divergence: {exc}", file=sys.stderr)
+    except NumericError as exc:
+        print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
 
 

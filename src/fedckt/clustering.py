@@ -3,15 +3,12 @@ seeding and deterministic tie-breaking."""
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError
 from .rng import substream
-
-_CENTROID_MAGIC = b"FKCS"
 
 
 @dataclass(frozen=True)
@@ -57,14 +54,6 @@ class CentroidSet:
         return self.centroids.shape[0]
 
 
-@dataclass(frozen=True)
-class ClusterAssignment:
-    by_client: dict[int, int]
-
-    def __getitem__(self, client_id: int) -> int:
-        return self.by_client[client_id]
-
-
 def _sq_dists(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     """(m, c) squared euclidean distances via the expanded form."""
     p2 = np.einsum("ij,ij->i", points, points)[:, None]
@@ -95,8 +84,9 @@ def cmeans_fit(
     max_iters: int = 100,
     tol: float = 1e-8,
     seed: int = 0,
-) -> tuple[CentroidSet, ClusterAssignment]:
-    """Lloyd's iterations from k-means++ seeding.
+) -> tuple[CentroidSet, np.ndarray]:
+    """Lloyd's iterations from k-means++ seeding; returns the centroids and
+    each stack row's cluster index (int64, in stack row order).
 
     Stops when the largest centroid shift is <= tol or after max_iters.
     Empty clusters are repaired by reassigning the point farthest from its
@@ -141,8 +131,7 @@ def cmeans_fit(
         member_counts=tuple(int(x) for x in counts),
         objective_trace=tuple(trace),
     )
-    mapping = {cid: int(assign[i]) for i, cid in enumerate(stack.client_ids)}
-    return centroid_set, ClusterAssignment(by_client=mapping)
+    return centroid_set, assign
 
 
 def assign_nearest(logit_vec: np.ndarray, centroids: CentroidSet) -> int:
@@ -159,31 +148,8 @@ def _objective(points: np.ndarray, centroids: np.ndarray, assign: np.ndarray) ->
     return float(np.einsum("ij,ij->", diffs, diffs))
 
 
-def kmeans_objective(
-    stack: LogitStack, centroids: CentroidSet, assignment: ClusterAssignment
-) -> float:
-    """Sum of squared distances from each vector to its assigned centroid."""
-    assign = np.array([assignment[cid] for cid in stack.client_ids], dtype=np.int64)
+def kmeans_objective(stack: LogitStack, centroids: CentroidSet, assignment: np.ndarray) -> float:
+    """Sum of squared distances from each vector to its assigned centroid;
+    `assignment` holds one cluster index per stack row."""
+    assign = np.asarray(assignment, dtype=np.int64)
     return _objective(stack.vectors, centroids.centroids, assign)
-
-
-def save_centroids(path, centroids: CentroidSet) -> None:
-    """Binary dump in the parameter-checkpoint format: 16-byte header
-    (magic, cluster count, total f64 count) then little-endian values."""
-    values = np.ascontiguousarray(centroids.centroids, dtype="<f8")
-    header = _CENTROID_MAGIC + struct.pack("<IQ", centroids.num_clusters, values.size)
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(values.tobytes())
-
-
-def load_centroids(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        header = fh.read(16)
-        if len(header) != 16 or header[:4] != _CENTROID_MAGIC:
-            raise ConfigurationError(f"{path} is not a centroid dump")
-        c, count = struct.unpack("<IQ", header[4:])
-        values = np.frombuffer(fh.read(8 * count), dtype="<f8")
-        if values.size != count or (c and count % c):
-            raise ConfigurationError(f"{path} is truncated")
-    return values.reshape(c, count // c).astype(np.float64)

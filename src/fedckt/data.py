@@ -267,15 +267,6 @@ def mean_label_entropy(shards: list[RawDataset]) -> float:
     return float(np.mean([label_entropy(s) for s in populated])) if populated else 0.0
 
 
-def dataset_to_csv(data: RawDataset, path) -> None:
-    """Columnar CSV with header f0..f{d-1},label."""
-    header = ",".join([f"f{i}" for i in range(data.dim)] + ["label"])
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for row, label in zip(data.inputs, data.labels):
-            fh.write(",".join(repr(float(v)) for v in row) + f",{int(label)}\n")
-
-
 def partition_summary(shards: list[RawDataset]) -> dict:
     """Per-client label histograms plus imbalance metrics, JSON-ready."""
     sizes = np.array([len(s) for s in shards], dtype=np.int64)

@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -307,8 +309,24 @@ def load_checkpoints(directory) -> dict[int, np.ndarray]:
 METRICS_HEADER = "round,mean_acc,std_acc,grad_norm,uplink,downlink"
 
 
+@contextmanager
+def _atomic_open(path):
+    """Text file handle whose contents appear at `path` only once the block
+    finishes; on any error the partial temp file is removed and `path` keeps
+    whatever it held before."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        with open(tmp, "w") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_metrics_csv(path, metrics: list[RoundMetrics]) -> None:
-    with open(path, "w") as fh:
+    with _atomic_open(path) as fh:
         fh.write(METRICS_HEADER + "\n")
         for row in metrics:
             fh.write(
@@ -341,6 +359,6 @@ def summarize_run(result: RunResult, config_echo: dict) -> dict:
 
 
 def write_summary_json(path, summary: dict) -> None:
-    with open(path, "w") as fh:
+    with _atomic_open(path) as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -5,25 +5,18 @@ Randomness contract: every stochastic quantity draws from a named substream
 of the master seed — client selection from ("select", t), clustering from
 ("cluster-seed", t), private batches from ("batch", client, t), and public
 batches from ("public", client, t). Clients therefore share no streams, so
-parallel and sequential execution of a round are bitwise identical, and
-algorithms that skip a quantity (e.g. local SGD never touching public
-batches) still consume identical private streams.
+a client's trajectory does not depend on which other clients run in the
+same round, and algorithms that skip a quantity (e.g. local SGD never
+touching public batches) still consume identical private streams.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .clustering import (
-    CentroidSet,
-    LogitStack,
-    assign_nearest,
-    cmeans_fit,
-    stack_from_logits,
-)
+from .clustering import assign_nearest, cmeans_fit, stack_from_logits
 from .data import ClientDataBundle, PublicPool, minibatch
 from .errors import ConfigurationError, DivergedClientError, NumericError
 from .models import (
@@ -55,7 +48,6 @@ class FederationConfig:
     num_selected: int | None = None
     selected_fraction: float | None = None
     eval_interval: int = 1
-    parallel: bool = False
     kmeans_max_iters: int = 100
     kmeans_tol: float = 1e-8
 
@@ -112,35 +104,10 @@ class CommLedger:
 
 
 @dataclass(frozen=True)
-class CommEvent:
-    kind: str  # logit_uplink | centroid_downlink | param_uplink | param_downlink
-    clients: int = 1
-    clusters: int = 1
-    pool_rows: int = 0
-    num_classes: int = 0
-    n_params: int = 0
-
-
-def account_comm(ledger: CommLedger, event: CommEvent) -> CommLedger:
-    if event.kind == "logit_uplink":
-        ledger.uplink_scalars += event.clients * event.pool_rows * event.num_classes
-    elif event.kind == "centroid_downlink":
-        ledger.downlink_scalars += (
-            event.clients * event.clusters * event.pool_rows * event.num_classes
-        )
-    elif event.kind == "param_uplink":
-        ledger.uplink_scalars += event.clients * event.n_params
-    elif event.kind == "param_downlink":
-        ledger.downlink_scalars += event.clients * event.n_params
-    else:
-        raise ConfigurationError(f"unknown communication event {event.kind!r}")
-    return ledger
-
-
-@dataclass(frozen=True)
 class RoundMetrics:
-    """Snapshot emitted on eval rounds: accuracy of the post-round models,
-    gradient norms of the start-of-round state (the monitored quantity)."""
+    """Snapshot emitted on eval rounds: accuracy of the post-round models and
+    gradient norms of the monitored state, which is the start-of-round state
+    under perfed_ckt and the post-round state under FedAvg and local-only."""
 
     round_index: int
     mean_accuracy: float
@@ -153,18 +120,9 @@ class RoundMetrics:
 
 
 @dataclass
-class ServerState:
-    round_index: int
-    stack: LogitStack
-    centroids: CentroidSet | None
-    selected: tuple[int, ...]
-
-
-@dataclass
 class RunResult:
     metrics: list[RoundMetrics]
     ledger: CommLedger
-    server: ServerState | None = None
     global_params: np.ndarray | None = None
     diverged: list[tuple[int, int]] = field(default_factory=list)  # (client, round)
 
@@ -318,24 +276,6 @@ def _metrics_row(round_index, accuracies, grad_norms, ledger) -> RoundMetrics:
     )
 
 
-def _run_selected(records, worker, parallel: bool) -> dict[int, object]:
-    """Run `worker` over records (possibly in threads); exceptions from
-    diverging clients are captured as values. Results keyed by client id."""
-
-    def safe(rec):
-        try:
-            return worker(rec)
-        except DivergedClientError as exc:
-            return exc
-
-    if parallel and len(records) > 1:
-        with ThreadPoolExecutor(max_workers=min(8, len(records))) as pool:
-            outputs = list(pool.map(safe, records))
-    else:
-        outputs = [safe(rec) for rec in records]
-    return {rec.id: out for rec, out in zip(records, outputs)}
-
-
 def run_perfed_ckt(
     records: list[ClientRecord],
     pool: PublicPool,
@@ -375,7 +315,6 @@ def run_perfed_ckt(
     ledger = CommLedger()
     metrics: list[RoundMetrics] = []
     diverged: list[tuple[int, int]] = []
-    server = ServerState(round_index=-1, stack=stack, centroids=None, selected=())
 
     for t in range(config.rounds):
         c_eff = min(config.num_clusters, len(stack))
@@ -388,16 +327,7 @@ def run_perfed_ckt(
         )
         positions = sample_clients(weights, m, substream(config.seed, "select", t))
         selected = sorted(active[p].id for p in positions)
-        account_comm(
-            ledger,
-            CommEvent(
-                "centroid_downlink",
-                clients=len(selected),
-                clusters=c_eff,
-                pool_rows=pool_rows,
-                num_classes=n_classes,
-            ),
-        )
+        ledger.downlink_scalars += len(selected) * c_eff * pool_rows * n_classes
 
         eval_round = t % config.eval_interval == 0 or t == config.rounds - 1
         if eval_round:
@@ -405,43 +335,27 @@ def run_perfed_ckt(
                 _monitor_with_centroids(rec, pool, centroids, config) for rec in active
             ]
 
-        def worker(rec, _centroids=centroids, _t=t):
-            own = forward_logits(rec.spec, rec.params, pool.inputs)
-            pick = assign_nearest(own.ravel(), _centroids)
-            sbar = _centroids.centroids[pick].reshape(pool_rows, rec.spec.out_width)
-            return client_local_round(rec, sbar, pool, config, _t)
-
-        outcomes = _run_selected([by_id[i] for i in selected], worker, config.parallel)
         uploaded: dict[int, np.ndarray] = {}
         for cid in selected:
             rec = by_id[cid]
-            out = outcomes[cid]
-            if isinstance(out, DivergedClientError):
+            own = forward_logits(rec.spec, rec.params, pool.inputs)
+            pick = assign_nearest(own.ravel(), centroids)
+            sbar = centroids.centroids[pick].reshape(pool_rows, rec.spec.out_width)
+            try:
+                rec.params, uploaded[cid] = client_local_round(rec, sbar, pool, config, t)
+            except DivergedClientError:
                 diverged.append((cid, t))
                 rec.params = init_params(rec.spec, derive_seed(config.seed, "reinit", cid, t))
             else:
-                rec.params, logits = out
                 rec.last_selected_round = t
-                uploaded[cid] = logits
-        account_comm(
-            ledger,
-            CommEvent(
-                "logit_uplink",
-                clients=len(uploaded),
-                pool_rows=pool_rows,
-                num_classes=n_classes,
-            ),
-        )
+        ledger.uplink_scalars += len(uploaded) * pool_rows * n_classes
         if uploaded:
             stack = stack_from_logits(uploaded)
-        server = ServerState(
-            round_index=t, stack=stack, centroids=centroids, selected=tuple(selected)
-        )
 
         if eval_round:
             metrics.append(_metrics_row(t, evaluate_clients(active), grad_norms, ledger))
 
-    return RunResult(metrics=metrics, ledger=ledger, server=server, diverged=diverged)
+    return RunResult(metrics=metrics, ledger=ledger, diverged=diverged)
 
 
 def _monitor_with_centroids(rec, pool, centroids, config) -> float:
@@ -481,23 +395,21 @@ def run_fedavg(records: list[ClientRecord], config: FederationConfig) -> RunResu
     for t in range(config.rounds):
         positions = sample_clients(weights, m, substream(config.seed, "select", t))
         selected = sorted(active[p].id for p in positions)
-        account_comm(ledger, CommEvent("param_downlink", clients=len(selected), n_params=n_par))
+        ledger.downlink_scalars += len(selected) * n_par
 
-        def worker(rec, _t=t):
+        returned: list[tuple[float, np.ndarray]] = []
+        for cid in selected:
+            rec = by_id[cid]
             staged = ClientRecord(
                 id=rec.id, spec=rec.spec, params=global_params, bundle=rec.bundle
             )
-            return _local_sgd_steps(staged, config, _t, lr_at(config, _t))
-
-        outcomes = _run_selected([by_id[i] for i in selected], worker, config.parallel)
-        returned: list[tuple[float, np.ndarray]] = []
-        for cid in selected:
-            out = outcomes[cid]
-            if isinstance(out, DivergedClientError):
+            try:
+                returned.append(
+                    (rec.bundle.p_k, _local_sgd_steps(staged, config, t, lr_at(config, t)))
+                )
+            except DivergedClientError:
                 diverged.append((cid, t))
-            else:
-                returned.append((by_id[cid].bundle.p_k, out))
-        account_comm(ledger, CommEvent("param_uplink", clients=len(returned), n_params=n_par))
+        ledger.uplink_scalars += len(returned) * n_par
         if len(returned) == 1:
             global_params = returned[0][1]
         elif returned:
@@ -529,18 +441,12 @@ def run_local_only(records: list[ClientRecord], config: FederationConfig) -> Run
     metrics: list[RoundMetrics] = []
     diverged: list[tuple[int, int]] = []
     for t in range(config.rounds):
-
-        def worker(rec, _t=t):
-            return _local_sgd_steps(rec, config, _t, lr_at(config, _t))
-
-        outcomes = _run_selected(active, worker, config.parallel)
         for rec in active:
-            out = outcomes[rec.id]
-            if isinstance(out, DivergedClientError):
+            try:
+                rec.params = _local_sgd_steps(rec, config, t, lr_at(config, t))
+            except DivergedClientError:
                 diverged.append((rec.id, t))
                 rec.params = init_params(rec.spec, derive_seed(config.seed, "reinit", rec.id, t))
-            else:
-                rec.params = out
         if t % config.eval_interval == 0 or t == config.rounds - 1:
             accs = evaluate_clients(active)
             norms = [grad_norm_monitor(r, None, None, 0.0) for r in active]

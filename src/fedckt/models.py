@@ -269,7 +269,3 @@ def load_params(path) -> tuple[int, np.ndarray]:
         if values.size != count:
             raise ConfigurationError(f"{path} is truncated")
     return tag, values.astype(np.float64)
-
-
-def arch_tag(spec: ModelSpec) -> int:
-    return _ARCH_TAGS[spec.arch]

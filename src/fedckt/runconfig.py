@@ -10,7 +10,9 @@ summary can be re-fed verbatim.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
+from typing import get_args, get_type_hints
 
 from .errors import ConfigurationError
 from .experiment import ALGORITHMS, DataConfig, ModelConfig
@@ -173,6 +175,24 @@ class RunConfig:
             raise ConfigurationError("theory_check needs at least one [theory.task*]")
 
 
+def _check_type(name: str, key: str, value, hint) -> None:
+    """Integer fields take ints only (never bools or floats); float fields
+    take finite ints or floats. `X | None` fields also take None."""
+    allowed = get_args(hint) or (hint,)
+    if value is None and type(None) in allowed:
+        return
+    if int in allowed:
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ConfigurationError(f"[{name}]: {key} must be an integer, got {value!r}")
+    elif float in allowed:
+        if (
+            isinstance(value, bool)
+            or not isinstance(value, (int, float))
+            or not math.isfinite(value)
+        ):
+            raise ConfigurationError(f"[{name}]: {key} must be a finite number, got {value!r}")
+
+
 def _build(cls, section: dict, name: str, **overrides):
     known = set(cls.__dataclass_fields__)
     for key in section:
@@ -180,7 +200,9 @@ def _build(cls, section: dict, name: str, **overrides):
             raise ConfigurationError(f"[{name}]: unknown key {key!r}")
     merged = dict(section)
     merged.update(overrides)
+    hints = get_type_hints(cls)
     for key, value in merged.items():
+        _check_type(name, key, value, hints[key])
         if isinstance(value, list):
             merged[key] = tuple(value)
     try:

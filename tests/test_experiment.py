@@ -11,7 +11,10 @@ from fedckt.experiment import (
     build_population,
     load_checkpoints,
     write_checkpoints,
+    write_metrics_csv,
+    write_summary_json,
 )
+from fedckt.federation import RoundMetrics
 from fedckt.models import ARCH_MLP, ARCH_SOFTMAX, param_count
 from fedckt.rng import derive_seed
 
@@ -132,3 +135,28 @@ class TestCheckpoints:
         (tmp_path / "ckpt/manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(ConfigurationError):
             load_checkpoints(tmp_path / "ckpt")
+
+
+class TestAtomicOutputs:
+    ROW = RoundMetrics(0, 0.5, 0.1, 1.0, 1.0, 2.0, 3, 4)
+
+    def test_metrics_failure_mid_write_leaves_nothing(self, tmp_path):
+        # the header and first row are written before the second row raises
+        with pytest.raises(AttributeError):
+            write_metrics_csv(tmp_path / "metrics.csv", [self.ROW, None])
+        assert list(tmp_path.iterdir()) == []
+
+    def test_summary_failure_mid_write_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "summary.json"
+        write_summary_json(path, {"run": 1})
+        before = path.read_bytes()
+        with pytest.raises(TypeError):
+            write_summary_json(path, {"a": list(range(100)), "b": object()})
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_success_writes_only_the_target(self, tmp_path):
+        write_metrics_csv(tmp_path / "metrics.csv", [self.ROW])
+        assert [p.name for p in tmp_path.iterdir()] == ["metrics.csv"]
+        lines = (tmp_path / "metrics.csv").read_text().splitlines()
+        assert lines[1] == "0,0.5,0.1,1.0,3,4"

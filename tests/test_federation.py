@@ -11,10 +11,7 @@ from fedckt.data import (
 from fedckt.errors import ConfigurationError
 from fedckt.federation import (
     ClientRecord,
-    CommEvent,
-    CommLedger,
     FederationConfig,
-    account_comm,
     accuracy_on,
     client_local_round,
     evaluate_clients,
@@ -129,36 +126,6 @@ class TestLrSchedule:
     def test_constant_mode(self):
         cfg = config(lr=0.001)
         assert lr_at(cfg, 0) == lr_at(cfg, 999) == 0.001
-
-
-class TestCommLedger:
-    def test_logit_uplink_arithmetic(self):
-        ledger = CommLedger()
-        account_comm(
-            ledger, CommEvent("logit_uplink", clients=10, pool_rows=2000, num_classes=10)
-        )
-        assert ledger.uplink_scalars == 200_000
-
-    def test_full_round_arithmetic(self):
-        ledger = CommLedger()
-        account_comm(
-            ledger,
-            CommEvent("centroid_downlink", clients=10, clusters=3, pool_rows=2000, num_classes=10),
-        )
-        account_comm(
-            ledger, CommEvent("logit_uplink", clients=10, pool_rows=2000, num_classes=10)
-        )
-        assert ledger.total_scalars == 200_000 + 600_000 == 800_000
-
-    def test_param_events(self):
-        ledger = CommLedger()
-        account_comm(ledger, CommEvent("param_downlink", clients=4, n_params=110))
-        account_comm(ledger, CommEvent("param_uplink", clients=4, n_params=110))
-        assert ledger.total_scalars == 2 * 4 * 110
-
-    def test_unknown_event_rejected(self):
-        with pytest.raises(ConfigurationError):
-            account_comm(CommLedger(), CommEvent("smoke_signal"))
 
 
 class TestClientLocalRound:
@@ -344,7 +311,7 @@ class TestPersistence:
     def test_reselected_client_resumes_exactly(self):
         records, pool = make_population(num_clients=2, seed=9)
         cfg = config(rounds=6, num_selected=1, num_clusters=1, seed=21)
-        result = run_perfed_ckt(records, pool, cfg)
+        run_perfed_ckt(records, pool, cfg)
         # replay: a client's params change only on rounds it was selected and
         # resume from its own last state
         records_replay, _ = make_population(num_clients=2, seed=9)
@@ -378,18 +345,9 @@ class TestPersistence:
 
         for orig, replay in zip(records, records_replay):
             assert np.array_equal(orig.params, replay.params)
-        assert result.server.round_index == cfg.rounds - 1
 
 
 class TestLedgers:
-    def test_server_state_invariants(self):
-        records, pool = make_population(num_clients=4)
-        cfg = config(rounds=3, num_selected=2, num_clusters=2)
-        result = run_perfed_ckt(records, pool, cfg)
-        assert len(result.server.selected) == 2
-        assert set(result.server.stack.client_ids) <= set(result.server.selected)
-        assert result.server.centroids.num_clusters == 2
-
     def test_perfed_ledger_matches_closed_form(self):
         records, pool = make_population(num_clients=4)
         cfg = config(rounds=5, num_selected=3, num_clusters=2)
@@ -441,17 +399,6 @@ class TestDeterminismAndParallel:
         cfg = config(rounds=4, num_selected=2)
         fp_a = self.metrics_fingerprint(run_perfed_ckt(records_a, pool, cfg))
         fp_b = self.metrics_fingerprint(run_perfed_ckt(records_b, pool, cfg))
-        assert fp_a == fp_b
-        for a, b in zip(records_a, records_b):
-            assert np.array_equal(a.params, b.params)
-
-    def test_parallel_equals_sequential(self):
-        records_a, pool = make_population(num_clients=5, seed=32)
-        records_b, _ = make_population(num_clients=5, seed=32)
-        cfg_seq = config(rounds=3, num_selected=4, parallel=False)
-        cfg_par = config(rounds=3, num_selected=4, parallel=True)
-        fp_a = self.metrics_fingerprint(run_perfed_ckt(records_a, pool, cfg_seq))
-        fp_b = self.metrics_fingerprint(run_perfed_ckt(records_b, pool, cfg_par))
         assert fp_a == fp_b
         for a, b in zip(records_a, records_b):
             assert np.array_equal(a.params, b.params)
