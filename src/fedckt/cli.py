@@ -67,10 +67,6 @@ def cmd_run(args) -> int:
     result = run_algorithm(cfg.algorithm, records, pool, cfg.federation)
     write_metrics_csv(out / "metrics.csv", result.metrics)
     write_summary_json(out / "summary.json", summarize_run(result, config_to_sections(cfg)))
-    if result.global_params is not None:
-        # under parameter averaging every client deploys the shared model
-        for rec in records:
-            rec.params = result.global_params
     write_checkpoints([r for r in records if r.bundle.active], out / "checkpoints")
     print(f"wrote {out / 'metrics.csv'}, {out / 'summary.json'} and {out / 'checkpoints'}")
     if result.diverged:
@@ -206,6 +202,8 @@ def _run_toy(start_seed: int, num_seeds: int, out: Path) -> dict:
 
 
 def cmd_toy(args) -> int:
+    if args.num_seeds < 1:
+        raise ConfigurationError(f"--num-seeds must be >= 1, got {args.num_seeds}")
     out = _out_dir(args)
     _run_toy(args.seed if args.seed is not None else 0, args.num_seeds, out)
     return EXIT_OK

@@ -31,9 +31,7 @@ from .federation import (
     FederationConfig,
     RoundMetrics,
     RunResult,
-    run_fedavg,
-    run_local_only,
-    run_perfed_ckt,
+    run_rounds,
 )
 from .models import (
     ARCH_MLP,
@@ -72,6 +70,10 @@ class DataConfig:
                 raise ConfigurationError(
                     "two_group needs an even class count and client count"
                 )
+        if self.num_classes < 2:
+            raise ConfigurationError("num_classes must be >= 2")
+        if self.dim < 1 or self.samples_per_class < 1:
+            raise ConfigurationError("dim and samples_per_class must be >= 1")
         if self.num_clients < 1:
             raise ConfigurationError("num_clients must be >= 1")
         if self.public_pool_size < 1:
@@ -255,13 +257,9 @@ def run_algorithm(
     pool: PublicPool,
     fed_cfg: FederationConfig,
 ) -> RunResult:
-    if algorithm == "perfed_ckt":
-        return run_perfed_ckt(records, pool, fed_cfg)
-    if algorithm == "fedavg":
-        return run_fedavg(records, fed_cfg)
-    if algorithm == "local":
-        return run_local_only(records, fed_cfg)
-    raise ConfigurationError(f"unknown algorithm {algorithm!r}")
+    if algorithm not in ALGORITHMS:
+        raise ConfigurationError(f"unknown algorithm {algorithm!r}")
+    return run_rounds(algorithm, records, pool, fed_cfg)
 
 
 def write_checkpoints(records: list[ClientRecord], directory) -> None:

@@ -1,5 +1,7 @@
-"""Round orchestration: the clustered co-distillation algorithm, FedAvg and
-local-only baselines, communication accounting, and convergence monitoring.
+"""Round orchestration: one round loop for the clustered co-distillation
+algorithm and its FedAvg and local-only baselines, which differ only in the
+server step (cluster uploaded logits, average parameters, or nothing), plus
+communication accounting and convergence monitoring.
 
 Randomness contract: every stochastic quantity draws from a named substream
 of the master seed — client selection from ("select", t), clustering from
@@ -123,7 +125,6 @@ class RoundMetrics:
 class RunResult:
     metrics: list[RoundMetrics]
     ledger: CommLedger
-    global_params: np.ndarray | None = None
     diverged: list[tuple[int, int]] = field(default_factory=list)  # (client, round)
 
 
@@ -192,8 +193,6 @@ def _local_sgd_steps(
                 )
             else:
                 grad = grad_local(record.spec, w, xb, yb)
-        except DivergedClientError:
-            raise
         except NumericError as exc:
             # an exploding trajectory can overflow in the forward pass one
             # step before the parameters themselves go non-finite
@@ -276,179 +275,135 @@ def _metrics_row(round_index, accuracies, grad_norms, ledger) -> RoundMetrics:
     )
 
 
-def run_perfed_ckt(
-    records: list[ClientRecord],
-    pool: PublicPool,
-    config: FederationConfig,
-) -> RunResult:
-    """The clustered co-distillation loop.
-
-    Per round: cluster the previous round's uploaded logits, sample clients
-    by data share, send centroids (charged downlink), let each selected
-    client pick its nearest centroid as the frozen distillation target and
-    run tau local steps, then upload fresh full-pool logits (charged uplink).
-    Round 0 bootstraps the stack from the initial models of a bootstrap
-    sample, with no communication charged.
-    """
-    active = [r for r in records if r.bundle.active]
-    if not active:
-        raise ConfigurationError("no active clients")
-    widths = {r.spec.out_width for r in active}
-    if len(widths) != 1:
-        raise ConfigurationError("all clients must share the output width")
-    n_classes = widths.pop()
-    weights = np.array([r.bundle.p_k for r in active])
-    by_id = {r.id: r for r in active}
-    m = _resolve_num_selected(config, len(records), len(active))
-    if config.num_clusters > m:
-        raise ConfigurationError("num_clusters must not exceed selected clients")
-    pool_rows = len(pool)
-
-    boot = sample_clients(weights, m, substream(config.seed, "select", "bootstrap"))
-    stack = stack_from_logits(
-        {
-            active[p].id: forward_logits(active[p].spec, active[p].params, pool.inputs)
-            for p in boot
-        }
-    )
-
-    ledger = CommLedger()
-    metrics: list[RoundMetrics] = []
-    diverged: list[tuple[int, int]] = []
-
-    for t in range(config.rounds):
-        c_eff = min(config.num_clusters, len(stack))
-        centroids, _ = cmeans_fit(
-            stack,
-            c_eff,
-            max_iters=config.kmeans_max_iters,
-            tol=config.kmeans_tol,
-            seed=derive_seed(config.seed, "cluster-seed", t),
-        )
-        positions = sample_clients(weights, m, substream(config.seed, "select", t))
-        selected = sorted(active[p].id for p in positions)
-        ledger.downlink_scalars += len(selected) * c_eff * pool_rows * n_classes
-
-        eval_round = t % config.eval_interval == 0 or t == config.rounds - 1
-        if eval_round:
-            grad_norms = [
-                _monitor_with_centroids(rec, pool, centroids, config) for rec in active
-            ]
-
-        uploaded: dict[int, np.ndarray] = {}
-        for cid in selected:
-            rec = by_id[cid]
-            own = forward_logits(rec.spec, rec.params, pool.inputs)
-            pick = assign_nearest(own.ravel(), centroids)
-            sbar = centroids.centroids[pick].reshape(pool_rows, rec.spec.out_width)
-            try:
-                rec.params, uploaded[cid] = client_local_round(rec, sbar, pool, config, t)
-            except DivergedClientError:
-                diverged.append((cid, t))
-                rec.params = init_params(rec.spec, derive_seed(config.seed, "reinit", cid, t))
-            else:
-                rec.last_selected_round = t
-        ledger.uplink_scalars += len(uploaded) * pool_rows * n_classes
-        if uploaded:
-            stack = stack_from_logits(uploaded)
-
-        if eval_round:
-            metrics.append(_metrics_row(t, evaluate_clients(active), grad_norms, ledger))
-
-    return RunResult(metrics=metrics, ledger=ledger, diverged=diverged)
-
-
-def _monitor_with_centroids(rec, pool, centroids, config) -> float:
+def _nearest_centroid(rec, pool, centroids) -> np.ndarray:
+    """The centroid nearest the client's own full-pool logits, as target rows."""
     own = forward_logits(rec.spec, rec.params, pool.inputs)
     pick = assign_nearest(own.ravel(), centroids)
-    sbar = centroids.centroids[pick].reshape(len(pool), rec.spec.out_width)
-    return grad_norm_monitor(rec, pool, sbar, config.distill_weight)
+    return centroids.centroids[pick].reshape(len(pool), rec.spec.out_width)
 
 
-def run_fedavg(records: list[ClientRecord], config: FederationConfig) -> RunResult:
-    """Weighted parameter averaging over selected clients each round; needs a
-    homogeneous model spec. Ledger counts params down and up per selected
-    client per round."""
+def _broadcast_average(active, coeffs, vectors) -> None:
+    """Set every active record to sum(c * v), accumulated left to right; a
+    lone vector passes through unscaled."""
+    mixed = vectors[0]
+    if len(vectors) > 1:
+        mixed = np.zeros(mixed.size)
+        for c, v in zip(coeffs, vectors):
+            mixed = mixed + c * v
+    for r in active:
+        r.params = mixed
+
+
+def run_rounds(
+    algorithm: str,
+    records: list[ClientRecord],
+    pool: PublicPool | None,
+    config: FederationConfig,
+) -> RunResult:
+    """One loop for the three algorithms. Per round: select clients (local
+    takes every active one, the others sample by data share), charge the
+    downlink, run tau local steps per selected client, charge the uplink of
+    those that did not diverge, then the server step:
+
+    - perfed_ckt clusters the uploaded full-pool logits; next round each
+      client distils toward its nearest centroid. Round 0 clusters a
+      bootstrap sample's initial models, uncharged.
+    - fedavg averages the returned parameters by data share and broadcasts
+      them: every active record holds the global model throughout.
+    - local does nothing and charges nothing.
+
+    A diverged client is dropped from the round and re-initialised, except
+    under fedavg, where its record still holds the intact global model.
+    """
+    perfed, fedavg = algorithm == "perfed_ckt", algorithm == "fedavg"
     active = [r for r in records if r.bundle.active]
     if not active:
         raise ConfigurationError("no active clients")
-    specs = {r.spec for r in active}
-    if len(specs) != 1:
-        raise ConfigurationError("fedavg requires a homogeneous model spec")
-    spec = specs.pop()
-    n_par = param_count(spec)
     weights = np.array([r.bundle.p_k for r in active])
-    by_id = {r.id: r for r in active}
-    m = _resolve_num_selected(config, len(records), len(active))
-
-    if len(active) == 1:
-        global_params = active[0].params.copy()
-    else:
-        global_params = np.zeros(n_par)
-        for r, w in zip(active, weights):
-            global_params = global_params + w * r.params
+    # scalars per uploaded or downloaded matrix; matrices sent down per client
+    payload, models_down = 0, 1
+    if perfed:
+        widths = {r.spec.out_width for r in active}
+        if len(widths) != 1:
+            raise ConfigurationError("all clients must share the output width")
+        payload = len(pool) * widths.pop()
+        m = _resolve_num_selected(config, len(records), len(active))
+        if config.num_clusters > m:
+            raise ConfigurationError("num_clusters must not exceed selected clients")
+        boot = sample_clients(weights, m, substream(config.seed, "select", "bootstrap"))
+        stack = stack_from_logits(
+            {
+                active[p].id: forward_logits(active[p].spec, active[p].params, pool.inputs)
+                for p in boot
+            }
+        )
+    elif fedavg:
+        specs = {r.spec for r in active}
+        if len(specs) != 1:
+            raise ConfigurationError("fedavg requires a homogeneous model spec")
+        payload = param_count(specs.pop())
+        m = _resolve_num_selected(config, len(records), len(active))
+        _broadcast_average(active, weights, [r.params for r in active])
 
     ledger = CommLedger()
     metrics: list[RoundMetrics] = []
     diverged: list[tuple[int, int]] = []
 
     for t in range(config.rounds):
-        positions = sample_clients(weights, m, substream(config.seed, "select", t))
-        selected = sorted(active[p].id for p in positions)
-        ledger.downlink_scalars += len(selected) * n_par
-
-        returned: list[tuple[float, np.ndarray]] = []
-        for cid in selected:
-            rec = by_id[cid]
-            staged = ClientRecord(
-                id=rec.id, spec=rec.spec, params=global_params, bundle=rec.bundle
+        eval_round = t % config.eval_interval == 0 or t == config.rounds - 1
+        if perfed:
+            models_down = min(config.num_clusters, len(stack))
+            centroids, _ = cmeans_fit(
+                stack,
+                models_down,
+                max_iters=config.kmeans_max_iters,
+                tol=config.kmeans_tol,
+                seed=derive_seed(config.seed, "cluster-seed", t),
             )
-            try:
-                returned.append(
-                    (rec.bundle.p_k, _local_sgd_steps(staged, config, t, lr_at(config, t)))
-                )
-            except DivergedClientError:
-                diverged.append((cid, t))
-        ledger.uplink_scalars += len(returned) * n_par
-        if len(returned) == 1:
-            global_params = returned[0][1]
-        elif returned:
-            total = sum(p for p, _ in returned)
-            mixed = np.zeros(n_par)
-            for p, w in returned:
-                mixed = mixed + (p / total) * w
-            global_params = mixed
+        if algorithm == "local":
+            selected = active
+        else:
+            positions = sample_clients(weights, m, substream(config.seed, "select", t))
+            selected = sorted((active[p] for p in positions), key=lambda r: r.id)
+        ledger.downlink_scalars += len(selected) * models_down * payload
 
-        if t % config.eval_interval == 0 or t == config.rounds - 1:
-            accs = np.array([accuracy_on(spec, global_params, r.bundle.test) for r in active])
-            staged = [
-                ClientRecord(id=r.id, spec=spec, params=global_params, bundle=r.bundle)
+        if eval_round and perfed:  # perfed monitors the start-of-round state
+            grad_norms = [
+                grad_norm_monitor(
+                    r, pool, _nearest_centroid(r, pool, centroids), config.distill_weight
+                )
                 for r in active
             ]
-            norms = [grad_norm_monitor(s, None, None, 0.0) for s in staged]
-            metrics.append(_metrics_row(t, accs, norms, ledger))
 
-    return RunResult(metrics=metrics, ledger=ledger, global_params=global_params, diverged=diverged)
-
-
-def run_local_only(records: list[ClientRecord], config: FederationConfig) -> RunResult:
-    """Every active client runs rounds x tau steps on its own split; the
-    communication ledger never moves."""
-    active = [r for r in records if r.bundle.active]
-    if not active:
-        raise ConfigurationError("no active clients")
-    ledger = CommLedger()
-    metrics: list[RoundMetrics] = []
-    diverged: list[tuple[int, int]] = []
-    for t in range(config.rounds):
-        for rec in active:
+        uploaded: list[tuple[ClientRecord, np.ndarray]] = []
+        for rec in selected:
             try:
-                rec.params = _local_sgd_steps(rec, config, t, lr_at(config, t))
+                if perfed:
+                    sbar = _nearest_centroid(rec, pool, centroids)
+                    rec.params, upload = client_local_round(rec, sbar, pool, config, t)
+                else:
+                    rec.params = upload = _local_sgd_steps(rec, config, t, lr_at(config, t))
             except DivergedClientError:
                 diverged.append((rec.id, t))
-                rec.params = init_params(rec.spec, derive_seed(config.seed, "reinit", rec.id, t))
-        if t % config.eval_interval == 0 or t == config.rounds - 1:
-            accs = evaluate_clients(active)
-            norms = [grad_norm_monitor(r, None, None, 0.0) for r in active]
-            metrics.append(_metrics_row(t, accs, norms, ledger))
+                if not fedavg:
+                    rec.params = init_params(rec.spec, derive_seed(config.seed, "reinit", rec.id, t))
+            else:
+                uploaded.append((rec, upload))
+                if perfed:
+                    rec.last_selected_round = t
+        ledger.uplink_scalars += len(uploaded) * payload
+
+        if perfed and uploaded:
+            stack = stack_from_logits({r.id: logits for r, logits in uploaded})
+        elif fedavg and uploaded:
+            total = sum(r.bundle.p_k for r, _ in uploaded)
+            _broadcast_average(
+                active, [r.bundle.p_k / total for r, _ in uploaded], [w for _, w in uploaded]
+            )
+
+        if eval_round:
+            if not perfed:
+                grad_norms = [grad_norm_monitor(r, None, None, 0.0) for r in active]
+            metrics.append(_metrics_row(t, evaluate_clients(active), grad_norms, ledger))
+
     return RunResult(metrics=metrics, ledger=ledger, diverged=diverged)

@@ -15,6 +15,7 @@ with "logits" meaning raw predictions.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -48,6 +49,8 @@ class ModelSpec:
             raise ConfigurationError("classification needs num_classes >= 2")
         if self.arch == ARCH_MLP and self.hidden < 1:
             raise ConfigurationError("mlp needs hidden >= 1")
+        if not (self.init_scale >= 0 and math.isfinite(2 * self.init_scale)):
+            raise ConfigurationError("init_scale must be >= 0 with 2*init_scale finite")
 
     @property
     def out_width(self) -> int:

@@ -218,6 +218,7 @@ def config_from_sections(sections: dict, seed_override: int | None = None) -> Ru
     if algorithm is None:
         raise ConfigurationError("[run]: missing required key 'algorithm'")
     seed = run.pop("seed", 0)
+    _check_type("run", "seed", seed, int)
     if seed_override is not None:
         seed = seed_override
     out_dir = run.pop("out_dir", None)
@@ -248,6 +249,9 @@ def config_from_sections(sections: dict, seed_override: int | None = None) -> Ru
 
     toy = sections.pop("toy", {})
     toy_num_seeds = toy.pop("num_seeds", 10)
+    _check_type("toy", "num_seeds", toy_num_seeds, int)
+    if toy_num_seeds < 1:
+        raise ConfigurationError(f"[toy]: num_seeds must be >= 1, got {toy_num_seeds}")
     for key in toy:
         raise ConfigurationError(f"[toy]: unknown key {key!r}")
 

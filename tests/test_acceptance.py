@@ -23,9 +23,7 @@ from fedckt.experiment import (
 from fedckt.federation import (
     ClientRecord,
     FederationConfig,
-    run_fedavg,
-    run_local_only,
-    run_perfed_ckt,
+    run_rounds,
     sample_clients,
     client_local_round,
 )
@@ -200,7 +198,7 @@ def test_criterion_4_theorem1_convergence():
         num_selected=k_clients,
         eval_interval=1,
     )
-    result = run_perfed_ckt(records, pool, cfg)
+    result = run_rounds("perfed_ckt", records, pool, cfg)
     final_max = result.metrics[-1].grad_norm_max
     medians = np.array([m.grad_norm_median for m in result.metrics])
     windows = [float(np.median(medians[i : i + 200])) for i in range(0, 2000, 200)]
@@ -241,8 +239,8 @@ def _two_group_accuracy(seed, clusters, algorithm="perfed"):
         eval_interval=40,
     )
     if algorithm == "fedavg":
-        return run_fedavg(records, cfg).metrics[-1].mean_accuracy
-    return run_perfed_ckt(records, pool, cfg).metrics[-1].mean_accuracy
+        return run_rounds("fedavg", records, None, cfg).metrics[-1].mean_accuracy
+    return run_rounds("perfed_ckt", records, pool, cfg).metrics[-1].mean_accuracy
 
 
 def test_criterion_5_clustering_helps():
@@ -298,7 +296,7 @@ def test_criterion_6_communication_accounting():
         seed=9,
         num_selected=m,
     )
-    perfed = run_perfed_ckt(records, pool, cfg)
+    perfed = run_rounds("perfed_ckt", records, pool, cfg)
     perfed_expected = t * m * len(pool) * n_classes * (1 + c)
     assert perfed.ledger.total_scalars == perfed_expected
     assert perfed.ledger.uplink_scalars == t * m * len(pool) * n_classes
@@ -307,7 +305,7 @@ def test_criterion_6_communication_accounting():
         ClientRecord(id=i, spec=spec, params=init_params(spec, seed=40 + i), bundle=b)
         for i, b in enumerate(bundles)
     ]
-    fedavg = run_fedavg(records_avg, cfg)
+    fedavg = run_rounds("fedavg", records_avg, None, cfg)
     assert fedavg.ledger.total_scalars == t * 2 * m * param_count(spec)
 
     # directional match at the stated scales: |P|=2000, N=10, big model
@@ -380,17 +378,12 @@ def test_criterion_8_reduction_identities_bitwise():
     recs_a, pool = _single_client_population()
     recs_b, _ = _single_client_population()
     recs_c, _ = _single_client_population()
-    run_perfed_ckt(
-        recs_a, pool, FederationConfig(distill_weight=0.0, num_clusters=1, num_selected=1, **base)
-    )
-    run_local_only(
-        recs_b, FederationConfig(distill_weight=0.0, num_clusters=1, num_selected=1, **base)
-    )
-    fedavg = run_fedavg(
-        recs_c, FederationConfig(distill_weight=0.0, num_clusters=1, num_selected=1, **base)
-    )
+    single = FederationConfig(distill_weight=0.0, num_clusters=1, num_selected=1, **base)
+    run_rounds("perfed_ckt", recs_a, pool, single)
+    run_rounds("local", recs_b, None, single)
+    run_rounds("fedavg", recs_c, None, single)
     perfed_eq = np.array_equal(recs_a[0].params, recs_b[0].params)
-    fedavg_eq = np.array_equal(fedavg.global_params, recs_b[0].params)
+    fedavg_eq = np.array_equal(recs_c[0].params, recs_b[0].params)
 
     # c=1 vs an explicit uniform-average reference
     def population(seed=8, k=3):
@@ -409,7 +402,7 @@ def test_criterion_8_reduction_identities_bitwise():
     recs_run, pool3 = population()
     recs_ref, _ = population()
     cfg3 = FederationConfig(distill_weight=1.0, num_clusters=1, num_selected=3, **base)
-    run_perfed_ckt(recs_run, pool3, cfg3)
+    run_rounds("perfed_ckt", recs_run, pool3, cfg3)
 
     weights = np.array([r.bundle.p_k for r in recs_ref])
     boot = sample_clients(weights, 3, substream(cfg3.seed, "select", "bootstrap"))
@@ -468,7 +461,7 @@ def test_criterion_9_determinism_byte_identical(tmp_path):
             seed=13,
             num_selected=4,
         )
-        return run_perfed_ckt(records, pool, cfg)
+        return run_rounds("perfed_ckt", records, pool, cfg)
 
     paths = {}
     for name in ("run1", "run2"):

@@ -1,7 +1,12 @@
 import json
+import re
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fedckt.cli import main
 from fedckt.runconfig import config_from_sections, load_config, parse_flat_toml
@@ -37,6 +42,8 @@ distill_weight = 0.5
 num_clusters = 1
 lr = 0.05
 """
+
+SMOKE_FILE = Path(__file__).resolve().parents[1] / "configs/smoke.toml"
 
 THEORY_TOML = """
 [run]
@@ -208,6 +215,11 @@ class TestRunCommand:
             ("lr = 0.05", "lr = false"),
             ("num_clusters = 1", "num_clusters = 1.5"),
             ("alpha = 10.0", "alpha = true"),
+            ("init_scale = 0.05", "init_scale = -1.0"),
+            ("init_scale = 0.05", "init_scale = 1e308"),
+            ("seed = 42", "seed = 1.5"),
+            ("lr = 0.05", 'lr = 0.05\n[toy]\nnum_seeds = "x"'),
+            ("lr = 0.05", "lr = 0.05\n[toy]\nnum_seeds = 0"),
         ],
     )
     def test_mistyped_field_exits_2(self, tmp_path, capsys, old, new):
@@ -215,9 +227,31 @@ class TestRunCommand:
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:")
-        assert new.split(" = ")[0] in err
+        assert new.splitlines()[-1].split(" = ")[0] in err
         assert "Traceback" not in err
         assert not (tmp_path / "out" / "metrics.csv").exists()
+
+    def test_mistyped_seed_rejected_in_every_mode(self, tmp_path, capsys):
+        text = THEORY_TOML.format(extra="").replace("seed = 5", "seed = 1.5")
+        cfg = write(tmp_path, "seed.toml", text)
+        assert main(["theory-check", "--config", str(cfg), "--out", str(tmp_path / "t")]) == 2
+        assert "[run]: seed must be an integer" in capsys.readouterr().err
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        key=st.sampled_from(re.findall(r"^(\w+) = ", SMOKE_FILE.read_text(), re.M)),
+        value=st.sampled_from(["7", "0.5", "true", '"x"', "0", "-1", "-1.5", "1e308", "-1e308"]),
+    )
+    def test_single_key_mutation_never_escapes(self, key, value):
+        # "huge" means a huge float: a huge integer count or round number asks
+        # for unbounded memory or time rather than being malformed
+        text = re.sub(rf"^{key} = .*$", f"{key} = {value}", SMOKE_FILE.read_text(), flags=re.M)
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = write(Path(tmp), "mutated.toml", text)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                code = main(["run", "--config", str(cfg), "--out", str(Path(tmp) / "out")])
+        assert code in (0, 2, 3)
 
     def test_int_accepted_for_float_field(self, tmp_path):
         cfg = write(tmp_path, "intlr.toml", SMOKE_TOML.replace("lr = 0.05", "lr = 0"))
@@ -289,6 +323,10 @@ class TestToyCommand:
         assert kinds == {"true", "fedavg", "uniform_kt", "clustered_kt"}
         # float cells parse cleanly
         float(lines[1].split(",")[3])
+
+    def test_nonpositive_num_seeds_exits_2(self, tmp_path, capsys):
+        assert main(["toy", "--num-seeds", "0", "--out", str(tmp_path / "toy")]) == 2
+        assert "config error: --num-seeds" in capsys.readouterr().err
 
 
 class TestShippedConfigs:

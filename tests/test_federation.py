@@ -17,9 +17,7 @@ from fedckt.federation import (
     evaluate_clients,
     grad_norm_monitor,
     lr_at,
-    run_fedavg,
-    run_local_only,
-    run_perfed_ckt,
+    run_rounds,
     sample_clients,
 )
 from fedckt.models import (
@@ -231,24 +229,24 @@ class TestReductions:
             rounds=4, num_selected=1, num_clusters=1, distill_weight=0.0, seed=3
         )
         cfg_local = config(rounds=4, num_selected=1, num_clusters=1, seed=3)
-        run_perfed_ckt(records_a, pool, cfg_perfed)
-        run_local_only(records_b, cfg_local)
+        run_rounds("perfed_ckt", records_a, pool, cfg_perfed)
+        run_rounds("local", records_b, None, cfg_local)
         assert np.array_equal(records_a[0].params, records_b[0].params)
 
     def test_fedavg_single_client_equals_local_sgd(self):
         records_a, _ = self.single_client_setup()
         records_b, _ = self.single_client_setup()
         cfg = config(rounds=4, num_selected=1, seed=3)
-        result = run_fedavg(records_a, cfg)
-        run_local_only(records_b, cfg)
-        assert np.array_equal(result.global_params, records_b[0].params)
+        run_rounds("fedavg", records_a, None, cfg)
+        run_rounds("local", records_b, None, cfg)
+        assert np.array_equal(records_a[0].params, records_b[0].params)
 
     def test_single_centroid_equals_uniform_logit_average(self):
         records_a, pool = make_population(num_clients=3, seed=5)
         records_b, _ = make_population(num_clients=3, seed=5)
         cfg = config(rounds=3, num_selected=3, num_clusters=1, distill_weight=1.0, seed=11)
 
-        run_perfed_ckt(records_a, pool, cfg)
+        run_rounds("perfed_ckt", records_a, pool, cfg)
 
         # reference: same loop with the distillation target hard-coded to the
         # uniform average of the previous round's logits
@@ -293,7 +291,7 @@ class TestReductions:
             for i, b in enumerate(bundles)
         ]
         cfg = config(rounds=1, local_iters=1, num_selected=2, seed=13, lr=0.2, batch_size=6)
-        result = run_fedavg(records, cfg)
+        run_rounds("fedavg", records, None, cfg)
 
         w = init_params(spec, seed=50)
         grads = []
@@ -304,14 +302,14 @@ class TestReductions:
                 grad_local(spec, w, rec.bundle.train.inputs[idx], rec.bundle.train.labels[idx])
             )
         centralized = w - cfg.lr * np.mean(grads, axis=0)
-        assert np.allclose(result.global_params, centralized, atol=1e-12)
+        assert np.allclose(records[0].params, centralized, atol=1e-12)
 
 
 class TestPersistence:
     def test_reselected_client_resumes_exactly(self):
         records, pool = make_population(num_clients=2, seed=9)
         cfg = config(rounds=6, num_selected=1, num_clusters=1, seed=21)
-        run_perfed_ckt(records, pool, cfg)
+        run_rounds("perfed_ckt", records, pool, cfg)
         # replay: a client's params change only on rounds it was selected and
         # resume from its own last state
         records_replay, _ = make_population(num_clients=2, seed=9)
@@ -351,7 +349,7 @@ class TestLedgers:
     def test_perfed_ledger_matches_closed_form(self):
         records, pool = make_population(num_clients=4)
         cfg = config(rounds=5, num_selected=3, num_clusters=2)
-        result = run_perfed_ckt(records, pool, cfg)
+        result = run_rounds("perfed_ckt", records, pool, cfg)
         n = records[0].spec.num_classes
         p = len(pool)
         t, m, c = cfg.rounds, 3, 2
@@ -362,13 +360,13 @@ class TestLedgers:
     def test_fedavg_ledger_matches_closed_form(self):
         records, _ = make_population(num_clients=4)
         cfg = config(rounds=5, num_selected=3)
-        result = run_fedavg(records, cfg)
+        result = run_rounds("fedavg", records, None, cfg)
         n_par = param_count(records[0].spec)
         assert result.ledger.total_scalars == cfg.rounds * 2 * 3 * n_par
 
     def test_local_only_never_communicates(self):
         records, _ = make_population(num_clients=3)
-        result = run_local_only(records, config(rounds=4, num_selected=3))
+        result = run_rounds("local", records, None, config(rounds=4, num_selected=3))
         assert result.ledger.total_scalars == 0
 
     def test_heterogeneous_specs_rejected_by_fedavg(self):
@@ -376,7 +374,7 @@ class TestLedgers:
         records[1].spec = ModelSpec(ARCH_SOFTMAX, dim=2, num_classes=3, init_scale=0.2)
         records[1].params = init_params(records[1].spec, seed=0)
         with pytest.raises(ConfigurationError):
-            run_fedavg(records, config(num_selected=2))
+            run_rounds("fedavg", records, None, config(num_selected=2))
 
 
 class TestDeterminismAndParallel:
@@ -397,8 +395,8 @@ class TestDeterminismAndParallel:
         records_a, pool = make_population(num_clients=4, seed=31)
         records_b, _ = make_population(num_clients=4, seed=31)
         cfg = config(rounds=4, num_selected=2)
-        fp_a = self.metrics_fingerprint(run_perfed_ckt(records_a, pool, cfg))
-        fp_b = self.metrics_fingerprint(run_perfed_ckt(records_b, pool, cfg))
+        fp_a = self.metrics_fingerprint(run_rounds("perfed_ckt", records_a, pool, cfg))
+        fp_b = self.metrics_fingerprint(run_rounds("perfed_ckt", records_b, pool, cfg))
         assert fp_a == fp_b
         for a, b in zip(records_a, records_b):
             assert np.array_equal(a.params, b.params)
@@ -481,7 +479,7 @@ class TestGradNormMonitor:
             lr_decay=0.01,
             eval_interval=1,
         )
-        result = run_perfed_ckt(records, pool, cfg)
+        result = run_rounds("perfed_ckt", records, pool, cfg)
         medians = np.array([m.grad_norm_median for m in result.metrics])
         assert np.median(medians[-15:]) < np.median(medians[:15])
 
@@ -517,6 +515,6 @@ class TestDivergence:
         records = [ClientRecord(id=0, spec=spec, params=np.array([1.0, 1.0]), bundle=bundle)]
         cfg = config(rounds=2, num_selected=1, lr=1e200, batch_size=16, distill_weight=0.0)
         with np.errstate(over="ignore"):
-            result = run_local_only(records, cfg)
+            result = run_rounds("local", records, None, cfg)
         assert result.diverged, "exploding step size must be detected"
         assert np.all(np.isfinite(records[0].params))
