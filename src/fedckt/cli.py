@@ -1,9 +1,10 @@
 """Command-line entry point.
 
-Subcommands: run, theory-check, toy, partition-stats. Exit codes are stable
-across subcommands: 0 success, 1 failed verification, 2 configuration error,
-3 numeric failure (a diverged client or a non-finite or unsolvable
-computation).
+Subcommands: run, toy, and theory-check and partition-stats, which are `run`
+with `[run] algorithm` forced to theory_check or partition_stats. Exit codes
+are stable across subcommands: 0 success, 1 failed verification, 2
+configuration error, 3 numeric failure (a diverged client or a non-finite or
+unsolvable computation).
 """
 
 from __future__ import annotations
@@ -11,18 +12,20 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from .data import PartitionSpec, partition_dirichlet, write_partition_summary
 from .errors import ConfigurationError, NumericError
 from .experiment import (
+    _atomic_open,
     build_population,
     run_algorithm,
     summarize_run,
     write_checkpoints,
     write_metrics_csv,
+    write_partition_stats,
     write_summary_json,
 )
 from .rng import derive_seed
@@ -55,6 +58,8 @@ def _out_dir(args, cfg: RunConfig | None = None) -> Path:
 
 def cmd_run(args) -> int:
     cfg = load_config(args.config, seed_override=args.seed)
+    if args.algorithm is not None:
+        cfg = replace(cfg, algorithm=args.algorithm)
     out = _out_dir(args, cfg)
     if cfg.algorithm == "theory_check":
         return _theory_check(cfg.theory, cfg.seed, out)
@@ -62,7 +67,9 @@ def cmd_run(args) -> int:
         _run_toy(cfg.seed, cfg.toy_num_seeds, out)
         return EXIT_OK
     if cfg.algorithm == "partition_stats":
-        return _partition_stats(cfg, out)
+        write_partition_stats(out / "partition_stats.json", cfg.data, cfg.seed)
+        print(f"wrote {out / 'partition_stats.json'}")
+        return EXIT_OK
     records, pool = build_population(cfg.data, cfg.models, cfg.seed)
     result = run_algorithm(cfg.algorithm, records, pool, cfg.federation)
     write_metrics_csv(out / "metrics.csv", result.metrics)
@@ -148,17 +155,10 @@ def _theory_check(theory: TheoryConfig, master_seed: int, out: Path) -> int:
             f"(closed {closed_loss:.6f} vs best {oracle.best_loss:.6f}, "
             f"gap {gap:+.4%}, tol {theory.tolerance:.2%})"
         )
-    with open(out / "theory_report.json", "w") as fh:
+    with _atomic_open(out / "theory_report.json") as fh:
         json.dump({"tasks": reports, "all_passed": bool(all_pass)}, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return EXIT_OK if all_pass else EXIT_CHECK_FAILED
-
-
-def cmd_theory_check(args) -> int:
-    cfg = load_config(args.config, seed_override=args.seed)
-    if cfg.theory is None or not cfg.theory.tasks:
-        raise ConfigurationError("theory-check needs [theory.task*] sections")
-    return _theory_check(cfg.theory, cfg.seed, _out_dir(args, cfg))
 
 
 TOY_CSV_HEADER = "seed,client,kind,w0,w1,dist_to_true"
@@ -184,7 +184,7 @@ def _run_toy(start_seed: int, num_seeds: int, out: Path) -> dict:
                 wins[client] += 1
         if reports[2].distance("uniform_kt") < reports[2].distance("fedavg"):
             uniform_beats_fedavg_client2 += 1
-    with open(out / "toy.csv", "w") as fh:
+    with _atomic_open(out / "toy.csv") as fh:
         fh.write(TOY_CSV_HEADER + "\n")
         fh.write("\n".join(rows) + "\n")
     summary = {
@@ -209,31 +209,6 @@ def cmd_toy(args) -> int:
     return EXIT_OK
 
 
-def _partition_stats(cfg: RunConfig, out: Path) -> int:
-    from .data import class_means, sample_blobs
-
-    data_seed = derive_seed(cfg.seed, "data")
-    source = sample_blobs(
-        class_means(cfg.data.num_classes, cfg.data.dim, cfg.data.class_separation, data_seed),
-        cfg.data.samples_per_class,
-        cfg.data.num_classes,
-        data_seed,
-    )
-    shards = partition_dirichlet(
-        source,
-        PartitionSpec(cfg.data.num_clients, cfg.data.alpha, derive_seed(cfg.seed, "partition")),
-    )
-    path = out / "partition_stats.json"
-    write_partition_summary(shards, path)
-    print(f"wrote {path}")
-    return EXIT_OK
-
-
-def cmd_partition_stats(args) -> int:
-    cfg = load_config(args.config, seed_override=args.seed)
-    return _partition_stats(cfg, _out_dir(args, cfg))
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fedckt",
@@ -241,29 +216,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", help="run the algorithm selected by the config")
-    run.add_argument("--config", required=True)
-    run.add_argument("--out", default=None)
-    run.add_argument("--seed", type=int, default=None, help="overrides the config seed")
-    run.set_defaults(func=cmd_run)
-
-    theory = sub.add_parser("theory-check", help="closed form vs grid-search oracle")
-    theory.add_argument("--config", required=True)
-    theory.add_argument("--out", default=None)
-    theory.add_argument("--seed", type=int, default=None)
-    theory.set_defaults(func=cmd_theory_check)
+    for name, help_text, algorithm in (
+        ("run", "run the algorithm selected by the config", None),
+        ("theory-check", "closed form vs grid-search oracle", "theory_check"),
+        ("partition-stats", "partition skew diagnostics", "partition_stats"),
+    ):
+        command = sub.add_parser(name, help=help_text)
+        command.add_argument("--config", required=True)
+        command.add_argument("--out", default=None)
+        command.add_argument("--seed", type=int, default=None, help="overrides the config seed")
+        command.set_defaults(func=cmd_run, algorithm=algorithm)
 
     toy = sub.add_parser("toy", help="three-client linear-regression toy")
     toy.add_argument("--seed", type=int, default=0)
     toy.add_argument("--out", default=None)
     toy.add_argument("--num-seeds", type=int, default=10)
     toy.set_defaults(func=cmd_toy)
-
-    stats = sub.add_parser("partition-stats", help="partition skew diagnostics")
-    stats.add_argument("--config", required=True)
-    stats.add_argument("--out", default=None)
-    stats.add_argument("--seed", type=int, default=None)
-    stats.set_defaults(func=cmd_partition_stats)
 
     return parser
 

@@ -6,7 +6,6 @@ Everything here is a pure function of (inputs, seed); no global RNG state.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 
@@ -125,26 +124,6 @@ def sample_blobs(
     labels = np.repeat(np.arange(means.shape[0], dtype=np.int64), samples_per_class)
     inputs = means[labels] + rng.normal(size=(labels.size, dim))
     return RawDataset(inputs, labels, num_classes)
-
-
-def generate_synthetic_classification(
-    num_classes: int,
-    dim: int,
-    samples_per_class: int,
-    class_separation: float,
-    seed: int,
-) -> RawDataset:
-    """Gaussian-blob classification data with balanced labels."""
-    if num_classes < 2:
-        raise ConfigurationError("num_classes must be >= 2")
-    if dim < 2:
-        raise ConfigurationError("dim must be >= 2")
-    if samples_per_class < 1:
-        raise ConfigurationError("samples_per_class must be >= 1")
-    if not class_separation > 0:
-        raise ConfigurationError("class_separation must be > 0")
-    means = class_means(num_classes, dim, class_separation, seed)
-    return sample_blobs(means, samples_per_class, num_classes, seed)
 
 
 def partition_dirichlet(data: RawDataset, spec: PartitionSpec) -> list[RawDataset]:
@@ -290,9 +269,3 @@ def partition_summary(shards: list[RawDataset]) -> dict:
         "median_label_entropy": float(np.median(entropies)) if entropies else 0.0,
         "empty_shards": int((sizes == 0).sum()),
     }
-
-
-def write_partition_summary(shards: list[RawDataset], path) -> None:
-    with open(path, "w") as fh:
-        json.dump(partition_summary(shards), fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -22,6 +22,7 @@ from .data import (
     class_means,
     draw_public_pool,
     partition_dirichlet,
+    partition_summary,
     sample_blobs,
     split_train_val_test,
 )
@@ -48,6 +49,10 @@ POPULATION_DIRICHLET = "dirichlet"
 POPULATION_TWO_GROUP = "two_group"
 
 MODEL_KINDS = ("softmax_linear", "mlp", "heterogeneous")
+
+# float64 elements allowed in any one array a DataConfig implies: far above
+# every shipped config, far below what numpy fails to allocate
+MAX_ELEMENTS = 10**8
 
 
 @dataclass(frozen=True)
@@ -80,6 +85,20 @@ class DataConfig:
             raise ConfigurationError("public_pool_size must be >= 1")
         if not self.alpha > 0:
             raise ConfigurationError("alpha must be > 0")
+        sizes = {
+            "num_classes * samples_per_class * dim": (
+                self.num_classes * self.samples_per_class * self.dim
+            ),
+            "public_pool_size * dim": self.public_pool_size * self.dim,
+            "num_clients * public_pool_size * num_classes": (
+                self.num_clients * self.public_pool_size * self.num_classes
+            ),
+        }
+        for name, size in sizes.items():
+            if size > MAX_ELEMENTS:
+                raise ConfigurationError(
+                    f"{name} = {size} exceeds the budget of {MAX_ELEMENTS} elements"
+                )
 
 
 @dataclass(frozen=True)
@@ -101,7 +120,8 @@ def _empty_like(num_classes: int, dim: int) -> RawDataset:
 def _split_shards(shards: list[RawDataset], partition_seed: int, master_seed: int):
     """Per-client splits; the train-fraction draw consumes one stream from the
     partition seed, in client-index order, so the fractions are independent of
-    shard contents."""
+    shard contents. Split seeds follow the shard's index within its group;
+    p_k is left for assign_data_fractions over the whole population."""
     frac_rng = substream(partition_seed, "train-fraction")
     picks = frac_rng.integers(len(TRAIN_FRACTIONS), size=len(shards))
     bundles = []
@@ -120,7 +140,7 @@ def _split_shards(shards: list[RawDataset], partition_seed: int, master_seed: in
                     shard, derive_seed(master_seed, "split", idx), train_fraction=fraction
                 )
             )
-    return assign_data_fractions(bundles)
+    return bundles
 
 
 def _assign_specs(bundles, model_cfg: ModelConfig, dim: int, num_classes: int):
@@ -154,29 +174,52 @@ def _assign_specs(bundles, model_cfg: ModelConfig, dim: int, num_classes: int):
     return specs
 
 
+def _population_shards(data_cfg: DataConfig, master_seed: int):
+    """The population's private shards and the public pool's class means.
+
+    Returns a list of (shards, partition seed) per group, in client order,
+    and the pool means. `dirichlet` is one group over the whole source.
+    `two_group` is two groups with disjoint label supports over shared blob
+    locations: group A labels [0, N/2) and group B labels [N/2, N) occupy
+    the same input regions, so no single model can satisfy both groups
+    while within-group personalization can.
+
+    The pool is drawn around the private means shifted by a constant offset
+    (domain-shifted relatives of the private data, never the private rows
+    themselves).
+    """
+    n_cls, per_class = data_cfg.num_classes, data_cfg.samples_per_class
+    data_seed = derive_seed(master_seed, "data")
+    if data_cfg.population == POPULATION_TWO_GROUP:
+        half_cls = n_cls // 2
+        locations = class_means(half_cls, data_cfg.dim, data_cfg.class_separation, data_seed)
+        group_a = sample_blobs(locations, per_class, n_cls, data_seed, tag="group-a")
+        raw_b = sample_blobs(locations, per_class, n_cls, data_seed, tag="group-b")
+        group_b = RawDataset(raw_b.inputs, raw_b.labels + half_cls, n_cls)
+        sources = [(("partition", "a"), group_a), (("partition", "b"), group_b)]
+        group_clients = data_cfg.num_clients // 2
+    else:
+        locations = class_means(n_cls, data_cfg.dim, data_cfg.class_separation, data_seed)
+        sources = [(("partition",), sample_blobs(locations, per_class, n_cls, data_seed))]
+        group_clients = data_cfg.num_clients
+    groups = []
+    for path, source in sources:
+        partition_seed = derive_seed(master_seed, *path)
+        shards = partition_dirichlet(
+            source, PartitionSpec(group_clients, data_cfg.alpha, partition_seed)
+        )
+        groups.append((shards, partition_seed))
+    return groups, locations + data_cfg.public_offset
+
+
 def build_population(
     data_cfg: DataConfig, model_cfg: ModelConfig, master_seed: int
 ) -> tuple[list[ClientRecord], PublicPool]:
-    """Clients plus the shared unlabeled pool.
-
-    The pool is drawn from a held-out source whose class means are the
-    private means shifted by a constant offset (domain-shifted relatives of
-    the private data, never the private rows themselves).
-    """
-    if data_cfg.population == POPULATION_TWO_GROUP:
-        return _build_two_group(data_cfg, model_cfg, master_seed)
-    data_seed = derive_seed(master_seed, "data")
-    source = sample_blobs(
-        class_means(data_cfg.num_classes, data_cfg.dim, data_cfg.class_separation, data_seed),
-        data_cfg.samples_per_class,
-        data_cfg.num_classes,
-        data_seed,
+    """Clients plus the shared unlabeled pool."""
+    groups, pool_means = _population_shards(data_cfg, master_seed)
+    bundles = assign_data_fractions(
+        [b for shards, seed in groups for b in _split_shards(shards, seed, master_seed)]
     )
-    partition_seed = derive_seed(master_seed, "partition")
-    shards = partition_dirichlet(
-        source, PartitionSpec(data_cfg.num_clients, data_cfg.alpha, partition_seed)
-    )
-    bundles = _split_shards(shards, partition_seed, master_seed)
     specs = _assign_specs(bundles, model_cfg, data_cfg.dim, data_cfg.num_classes)
     records = [
         ClientRecord(
@@ -187,16 +230,6 @@ def build_population(
         )
         for i, (spec, bundle) in enumerate(zip(specs, bundles))
     ]
-    pool = _draw_pool(
-        class_means(data_cfg.num_classes, data_cfg.dim, data_cfg.class_separation, data_seed)
-        + data_cfg.public_offset,
-        data_cfg,
-        master_seed,
-    )
-    return records, pool
-
-
-def _draw_pool(pool_means: np.ndarray, data_cfg: DataConfig, master_seed: int) -> PublicPool:
     per_class = math.ceil(data_cfg.public_pool_size / pool_means.shape[0])
     pool_source = sample_blobs(
         pool_means,
@@ -205,47 +238,20 @@ def _draw_pool(pool_means: np.ndarray, data_cfg: DataConfig, master_seed: int) -
         derive_seed(master_seed, "pool-source"),
         tag="public-blob-samples",
     )
-    return draw_public_pool(
+    pool = draw_public_pool(
         pool_source, data_cfg.public_pool_size, derive_seed(master_seed, "pool-draw")
     )
-
-
-def _build_two_group(data_cfg: DataConfig, model_cfg: ModelConfig, master_seed: int):
-    """Two groups with disjoint label supports over shared blob locations:
-    group A labels [0, N/2) and group B labels [N/2, N) occupy the same
-    input regions, so no single model can satisfy both groups while
-    within-group personalization can."""
-    n_cls = data_cfg.num_classes
-    half_cls = n_cls // 2
-    half_clients = data_cfg.num_clients // 2
-    data_seed = derive_seed(master_seed, "data")
-    locations = class_means(half_cls, data_cfg.dim, data_cfg.class_separation, data_seed)
-
-    group_a = sample_blobs(locations, data_cfg.samples_per_class, n_cls, data_seed, tag="group-a")
-    raw_b = sample_blobs(locations, data_cfg.samples_per_class, n_cls, data_seed, tag="group-b")
-    group_b = RawDataset(raw_b.inputs, raw_b.labels + half_cls, n_cls)
-
-    bundles = []
-    for tag, group in (("a", group_a), ("b", group_b)):
-        partition_seed = derive_seed(master_seed, "partition", tag)
-        shards = partition_dirichlet(
-            group, PartitionSpec(half_clients, data_cfg.alpha, partition_seed)
-        )
-        bundles.extend(_split_shards(shards, partition_seed, master_seed))
-    # p_k was normalized per group; renormalize across the full population
-    bundles = assign_data_fractions(bundles)
-    specs = _assign_specs(bundles, model_cfg, data_cfg.dim, n_cls)
-    records = [
-        ClientRecord(
-            id=i,
-            spec=spec,
-            params=init_params(spec, derive_seed(master_seed, "init", i)),
-            bundle=bundle,
-        )
-        for i, (spec, bundle) in enumerate(zip(specs, bundles))
-    ]
-    pool = _draw_pool(locations + data_cfg.public_offset, data_cfg, master_seed)
     return records, pool
+
+
+def write_partition_stats(path, data_cfg: DataConfig, master_seed: int) -> None:
+    """Label histograms and skew metrics of the shards build_population
+    splits, one entry per client in client order."""
+    groups, _ = _population_shards(data_cfg, master_seed)
+    summary = partition_summary([s for shards, _ in groups for s in shards])
+    with _atomic_open(path) as fh:
+        json.dump(summary, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 ALGORITHMS = ("perfed_ckt", "fedavg", "local")

@@ -389,8 +389,7 @@ def run_rounds(
                     rec.params = init_params(rec.spec, derive_seed(config.seed, "reinit", rec.id, t))
             else:
                 uploaded.append((rec, upload))
-                if perfed:
-                    rec.last_selected_round = t
+                rec.last_selected_round = t
         ledger.uplink_scalars += len(uploaded) * payload
 
         if perfed and uploaded:

@@ -264,15 +264,6 @@ def posterior_moments_matrix(
     return mean, post_cov
 
 
-def bayes_optimal_wk(
-    task: BayesLinRegTask, k: int, what_all: np.ndarray | None = None
-) -> tuple[np.ndarray, float]:
-    """Posterior mean and scalar posterior variance of w_k."""
-    if what_all is None:
-        what_all = all_ols(task)
-    return posterior_moments_scalar(task, k, what_all)
-
-
 def _mc_noise(num_samples: int, dim: int, seed: int) -> np.ndarray:
     return substream(seed, "mc-noise").normal(size=(num_samples, dim))
 

@@ -1,10 +1,19 @@
 """Shared independent oracles for the test suite: finite differences,
 exhaustive scans, and brute-force Gaussian conditioning. These stay
-deliberately naive and separate from the implementation paths they check."""
+deliberately naive and separate from the implementation paths they check.
+Also the Gaussian-blob data the tests train on."""
 
 import itertools
 
 import numpy as np
+
+from fedckt.data import class_means, sample_blobs
+
+
+def blobs(num_classes, dim, samples_per_class, class_separation, seed):
+    """Balanced blobs around class means drawn from the same seed."""
+    means = class_means(num_classes, dim, class_separation, seed)
+    return sample_blobs(means, samples_per_class, num_classes, seed)
 
 
 def finite_difference_gradient(func, params, h=1e-5):

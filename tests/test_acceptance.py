@@ -12,7 +12,6 @@ from fedckt.data import (
     ClientDataBundle,
     PublicPool,
     assign_data_fractions,
-    generate_synthetic_classification,
 )
 from fedckt.experiment import (
     DataConfig,
@@ -48,7 +47,7 @@ from fedckt.theory import (
     simplex_grid,
 )
 
-from helpers import finite_difference_gradient, max_relative_error
+from helpers import blobs, finite_difference_gradient, max_relative_error
 
 
 def report(criterion: str, passed: bool, detail: str) -> None:
@@ -57,9 +56,7 @@ def report(criterion: str, passed: bool, detail: str) -> None:
 
 
 def make_client(i, spec, n_classes, dim, train, sep, data_seed, extra_test=40):
-    data = generate_synthetic_classification(
-        n_classes, dim, (train + extra_test) // n_classes, sep, seed=data_seed
-    )
+    data = blobs(n_classes, dim, (train + extra_test) // n_classes, sep, seed=data_seed)
     order = substream(7000 + i).permutation(len(data))
     val_end = train + max(1, extra_test // 4)
     return ClientDataBundle(
@@ -181,9 +178,7 @@ def test_criterion_4_theorem1_convergence():
         ClientRecord(id=i, spec=spec, params=init_params(spec, seed=300 + i), bundle=b)
         for i, b in enumerate(bundles)
     ]
-    pool = PublicPool(
-        generate_synthetic_classification(n_classes, dim, 30, 10.0, seed=655).inputs
-    )
+    pool = PublicPool(blobs(n_classes, dim, 30, 10.0, seed=655).inputs)
     cfg = FederationConfig(
         rounds=2000,
         local_iters=1,
@@ -283,7 +278,7 @@ def test_criterion_6_communication_accounting():
         ClientRecord(id=i, spec=spec, params=init_params(spec, seed=40 + i), bundle=b)
         for i, b in enumerate(bundles)
     ]
-    pool = PublicPool(generate_synthetic_classification(n_classes, dim, 20, 4.0, seed=41).inputs)
+    pool = PublicPool(blobs(n_classes, dim, 20, 4.0, seed=41).inputs)
     t, m, c = 6, 3, 2
     cfg = FederationConfig(
         rounds=t,
@@ -366,7 +361,7 @@ def _single_client_population(seed=3):
     )
     return (
         [ClientRecord(id=0, spec=spec, params=init_params(spec, seed=601), bundle=bundles[0])],
-        PublicPool(generate_synthetic_classification(n_classes, dim, 20, 4.0, seed=602).inputs),
+        PublicPool(blobs(n_classes, dim, 20, 4.0, seed=602).inputs),
     )
 
 
@@ -396,7 +391,7 @@ def test_criterion_8_reduction_identities_bitwise():
             ClientRecord(id=i, spec=spec, params=init_params(spec, seed=710 + i), bundle=b)
             for i, b in enumerate(bundles)
         ]
-        pool = PublicPool(generate_synthetic_classification(n_classes, dim, 20, 4.0, seed=720).inputs)
+        pool = PublicPool(blobs(n_classes, dim, 20, 4.0, seed=720).inputs)
         return recs, pool
 
     recs_run, pool3 = population()

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fedckt.cli import main
+from fedckt.experiment import build_population
 from fedckt.runconfig import config_from_sections, load_config, parse_flat_toml
 from fedckt.errors import ConfigurationError
 
@@ -218,6 +219,9 @@ class TestRunCommand:
             ("init_scale = 0.05", "init_scale = -1.0"),
             ("init_scale = 0.05", "init_scale = 1e308"),
             ("seed = 42", "seed = 1.5"),
+            ("num_classes = 3", "num_classes = 1"),
+            ("dim = 2", "dim = 0"),
+            ("samples_per_class = 60", "samples_per_class = 0"),
             ("lr = 0.05", 'lr = 0.05\n[toy]\nnum_seeds = "x"'),
             ("lr = 0.05", "lr = 0.05\n[toy]\nnum_seeds = 0"),
         ],
@@ -243,8 +247,9 @@ class TestRunCommand:
         value=st.sampled_from(["7", "0.5", "true", '"x"', "0", "-1", "-1.5", "1e308", "-1e308"]),
     )
     def test_single_key_mutation_never_escapes(self, key, value):
-        # "huge" means a huge float: a huge integer count or round number asks
-        # for unbounded memory or time rather than being malformed
+        # "huge" means a huge float: a huge round or step count asks for
+        # unbounded time rather than being malformed; huge data sizes are
+        # covered by test_huge_size_exits_2_before_allocating
         text = re.sub(rf"^{key} = .*$", f"{key} = {value}", SMOKE_FILE.read_text(), flags=re.M)
         with tempfile.TemporaryDirectory() as tmp:
             cfg = write(Path(tmp), "mutated.toml", text)
@@ -252,6 +257,17 @@ class TestRunCommand:
                 warnings.simplefilter("ignore", RuntimeWarning)
                 code = main(["run", "--config", str(cfg), "--out", str(Path(tmp) / "out")])
         assert code in (0, 2, 3)
+
+    @pytest.mark.parametrize(
+        "key", ["num_classes", "dim", "samples_per_class", "public_pool_size", "num_clients"]
+    )
+    def test_huge_size_exits_2_before_allocating(self, tmp_path, capsys, key):
+        text = re.sub(rf"^{key} = .*$", f"{key} = {10**18}", SMOKE_FILE.read_text(), flags=re.M)
+        cfg = write(tmp_path, "huge.toml", text)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert key in err and "budget" in err
 
     def test_int_accepted_for_float_field(self, tmp_path):
         cfg = write(tmp_path, "intlr.toml", SMOKE_TOML.replace("lr = 0.05", "lr = 0"))
@@ -265,6 +281,16 @@ class TestRunCommand:
         assert len(manifest["clients"]) == 2
         blob = (out / "checkpoints" / manifest["clients"][0]["file"]).read_bytes()
         assert blob[:4] == b"FKPV"
+
+    @pytest.mark.parametrize("algorithm", ["fedavg", "local"])
+    def test_manifest_records_last_round_for_baselines(self, tmp_path, algorithm):
+        # smoke selects both clients every round
+        text = SMOKE_TOML.replace("perfed_ckt", algorithm).replace("rounds = 1", "rounds = 3")
+        cfg = write(tmp_path, "base.toml", text)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        manifest = json.loads((out / "checkpoints/manifest.json").read_text())
+        assert [c["last_selected_round"] for c in manifest["clients"]] == [2, 2]
 
     def test_cluster_sweep_comm_totals_follow_downlink_formula(self, tmp_path):
         totals = {}
@@ -308,6 +334,12 @@ class TestTheoryCheckCommand:
         assert "FAIL" in capsys.readouterr().out
         report = json.loads((out / "theory_report.json").read_text())
         assert report["all_passed"] is False
+
+
+    def test_config_without_tasks_exits_2(self, tmp_path, capsys):
+        cfg = write(tmp_path, "smoke.toml", SMOKE_TOML)
+        assert main(["theory-check", "--config", str(cfg), "--out", str(tmp_path / "t")]) == 2
+        assert "theory_check needs at least one" in capsys.readouterr().err
 
 
 class TestToyCommand:
@@ -383,3 +415,26 @@ class TestPartitionStatsCommand:
     def test_json_has_one_entry_per_client(self, tmp_path):
         stats = self.stats(tmp_path, alpha=1.0, clients=7)
         assert len(stats["clients"]) == 7
+
+    @pytest.mark.parametrize("population", ["dirichlet", "two_group"])
+    def test_describes_the_shards_run_trains_on(self, tmp_path, population):
+        text = (
+            SMOKE_TOML.replace('"dirichlet"', f'"{population}"')
+            .replace("alpha = 10.0", "alpha = 0.5")
+            .replace("num_clients = 2", "num_clients = 6")
+            .replace("num_classes = 3", "num_classes = 4")
+        )
+        cfg = write(tmp_path, "pop.toml", text)
+        out = tmp_path / "stats"
+        assert main(["partition-stats", "--config", str(cfg), "--out", str(out), "--seed", "3"]) == 0
+        stats = json.loads((out / "partition_stats.json").read_text())
+        run_cfg = load_config(cfg, seed_override=3)
+        records, _ = build_population(run_cfg.data, run_cfg.models, run_cfg.seed)
+        assert len(stats["clients"]) == len(records)
+        active = [r for r in records if r.bundle.active]
+        assert len(active) >= 4
+        for rec in active:
+            bundle = rec.bundle
+            labels = np.concatenate([bundle.train.labels, bundle.val.labels, bundle.test.labels])
+            histogram = np.bincount(labels, minlength=4).tolist()
+            assert stats["clients"][rec.id]["histogram"] == histogram

@@ -10,7 +10,6 @@ from fedckt.data import (
     RawDataset,
     assign_data_fractions,
     draw_public_pool,
-    generate_synthetic_classification,
     label_entropy,
     label_histogram,
     mean_label_entropy,
@@ -22,6 +21,7 @@ from fedckt.data import (
 from fedckt.errors import ConfigurationError
 from fedckt.models import ARCH_SOFTMAX, ModelSpec, grad_local, init_params, forward_logits
 from fedckt.rng import substream
+from helpers import blobs
 
 
 def sorted_rows(data: RawDataset) -> np.ndarray:
@@ -32,25 +32,25 @@ def sorted_rows(data: RawDataset) -> np.ndarray:
 
 class TestGenerate:
     def test_size_is_classes_times_samples(self):
-        data = generate_synthetic_classification(5, 3, 17, 2.0, seed=0)
+        data = blobs(5, 3, 17, 2.0, seed=0)
         assert len(data) == 5 * 17
         assert np.all(label_histogram(data) == 17)
 
     def test_same_seed_bit_identical(self):
-        a = generate_synthetic_classification(4, 6, 20, 3.0, seed=9)
-        b = generate_synthetic_classification(4, 6, 20, 3.0, seed=9)
+        a = blobs(4, 6, 20, 3.0, seed=9)
+        b = blobs(4, 6, 20, 3.0, seed=9)
         assert np.array_equal(a.inputs, b.inputs)
         assert np.array_equal(a.labels, b.labels)
 
     def test_different_seed_differs(self):
-        a = generate_synthetic_classification(4, 6, 20, 3.0, seed=9)
-        b = generate_synthetic_classification(4, 6, 20, 3.0, seed=10)
+        a = blobs(4, 6, 20, 3.0, seed=9)
+        b = blobs(4, 6, 20, 3.0, seed=10)
         assert not np.array_equal(a.inputs, b.inputs)
 
     def test_wide_separation_is_linearly_separable(self):
         # independent check: a softmax classifier trained by plain gradient
         # descent reaches >= 99% train accuracy on far-apart blobs
-        data = generate_synthetic_classification(2, 2, 100, 100.0, seed=3)
+        data = blobs(2, 2, 100, 100.0, seed=3)
         spec = ModelSpec(ARCH_SOFTMAX, dim=2, num_classes=2, init_scale=0.0)
         params = init_params(spec, seed=0)
         for _ in range(300):
@@ -58,23 +58,10 @@ class TestGenerate:
         preds = forward_logits(spec, params, data.inputs).argmax(axis=1)
         assert (preds == data.labels).mean() >= 0.99
 
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            dict(num_classes=1, dim=2, samples_per_class=5, class_separation=1.0),
-            dict(num_classes=2, dim=1, samples_per_class=5, class_separation=1.0),
-            dict(num_classes=2, dim=2, samples_per_class=0, class_separation=1.0),
-            dict(num_classes=2, dim=2, samples_per_class=5, class_separation=0.0),
-        ],
-    )
-    def test_invalid_sizes_rejected(self, kwargs):
-        with pytest.raises(ConfigurationError):
-            generate_synthetic_classification(seed=0, **kwargs)
-
 
 class TestPartition:
     def test_huge_alpha_near_uniform(self):
-        data = generate_synthetic_classification(5, 2, 400, 2.0, seed=1)
+        data = blobs(5, 2, 400, 2.0, seed=1)
         shards = partition_dirichlet(data, PartitionSpec(4, 1e6, seed=2))
         for shard in shards:
             hist = label_histogram(shard)
@@ -82,7 +69,7 @@ class TestPartition:
 
     def test_small_alpha_concentrates_labels(self):
         # alpha = 0.01: median client holds >= 80% of its samples in <= 2 classes
-        data = generate_synthetic_classification(10, 2, 500, 2.0, seed=1)
+        data = blobs(10, 2, 500, 2.0, seed=1)
         shards = partition_dirichlet(data, PartitionSpec(100, 0.01, seed=7))
         top2 = []
         for shard in shards:
@@ -93,12 +80,12 @@ class TestPartition:
         assert np.median(top2) >= 0.8
 
     def test_single_client_gets_everything(self):
-        data = generate_synthetic_classification(3, 2, 10, 2.0, seed=1)
+        data = blobs(3, 2, 10, 2.0, seed=1)
         (shard,) = partition_dirichlet(data, PartitionSpec(1, 0.5, seed=0))
         assert np.array_equal(sorted_rows(shard), sorted_rows(data))
 
     def test_conservation_exact(self):
-        data = generate_synthetic_classification(7, 3, 83, 2.0, seed=5)
+        data = blobs(7, 3, 83, 2.0, seed=5)
         shards = partition_dirichlet(data, PartitionSpec(13, 0.05, seed=11))
         merged = RawDataset(
             np.vstack([s.inputs for s in shards]),
@@ -116,7 +103,7 @@ class TestPartition:
     )
     @settings(max_examples=40, deadline=None)
     def test_conservation_property(self, num_classes, per_class, clients, alpha, seed):
-        data = generate_synthetic_classification(num_classes, 2, per_class, 1.0, seed=seed)
+        data = blobs(num_classes, 2, per_class, 1.0, seed=seed)
         shards = partition_dirichlet(data, PartitionSpec(clients, alpha, seed=seed))
         assert sum(len(s) for s in shards) == len(data)
         total = sum(label_histogram(s) for s in shards)
@@ -124,7 +111,7 @@ class TestPartition:
 
     def test_entropy_monotone_in_alpha(self):
         # label skew grows (entropy falls) as alpha shrinks, averaged over seeds
-        data = generate_synthetic_classification(10, 2, 200, 2.0, seed=2)
+        data = blobs(10, 2, 200, 2.0, seed=2)
         by_alpha = []
         for alpha in (10.0, 1.0, 0.1, 0.01):
             values = [
@@ -135,7 +122,7 @@ class TestPartition:
         assert all(a >= b for a, b in zip(by_alpha, by_alpha[1:]))
 
     def test_deterministic(self):
-        data = generate_synthetic_classification(4, 2, 50, 2.0, seed=2)
+        data = blobs(4, 2, 50, 2.0, seed=2)
         a = partition_dirichlet(data, PartitionSpec(6, 0.3, seed=4))
         b = partition_dirichlet(data, PartitionSpec(6, 0.3, seed=4))
         for x, y in zip(a, b):
@@ -144,7 +131,7 @@ class TestPartition:
 
 class TestSplit:
     def shard(self, n, seed=0):
-        data = generate_synthetic_classification(2, 2, (n + 1) // 2, 2.0, seed=seed)
+        data = blobs(2, 2, (n + 1) // 2, 2.0, seed=seed)
         return data.take(np.arange(n))
 
     def test_sizes_at_train_04(self):
@@ -191,7 +178,7 @@ class TestSplit:
 
 class TestPublicPool:
     def test_full_draw_is_permutation(self):
-        source = generate_synthetic_classification(3, 2, 10, 2.0, seed=0)
+        source = blobs(3, 2, 10, 2.0, seed=0)
         pool = draw_public_pool(source, len(source), seed=5)
         assert np.array_equal(
             np.sort(pool.inputs, axis=0), np.sort(source.inputs, axis=0)
@@ -199,43 +186,43 @@ class TestPublicPool:
         assert not np.array_equal(pool.inputs, source.inputs)
 
     def test_requested_size(self):
-        source = generate_synthetic_classification(10, 4, 1000, 2.0, seed=0)
+        source = blobs(10, 4, 1000, 2.0, seed=0)
         pool = draw_public_pool(source, 2000, seed=5)
         assert len(pool) == 2000
 
     def test_same_seed_identical(self):
-        source = generate_synthetic_classification(3, 2, 50, 2.0, seed=0)
+        source = blobs(3, 2, 50, 2.0, seed=0)
         a = draw_public_pool(source, 40, seed=3)
         b = draw_public_pool(source, 40, seed=3)
         assert np.array_equal(a.inputs, b.inputs)
 
     def test_oversized_request_rejected(self):
-        source = generate_synthetic_classification(3, 2, 5, 2.0, seed=0)
+        source = blobs(3, 2, 5, 2.0, seed=0)
         with pytest.raises(ConfigurationError):
             draw_public_pool(source, 16, seed=0)
 
 
 class TestMinibatch:
     def test_full_batch_is_permutation(self):
-        data = generate_synthetic_classification(2, 2, 8, 2.0, seed=0)
+        data = blobs(2, 2, 8, 2.0, seed=0)
         idx = minibatch(data, len(data), substream(0))
         assert np.array_equal(np.sort(idx), np.arange(len(data)))
 
     def test_single_draw(self):
-        data = generate_synthetic_classification(2, 2, 8, 2.0, seed=0)
+        data = blobs(2, 2, 8, 2.0, seed=0)
         idx = minibatch(data, 1, substream(1))
         assert idx.shape == (1,)
         assert 0 <= idx[0] < len(data)
 
     def test_oversized_batch_uses_replacement(self):
-        data = generate_synthetic_classification(2, 2, 3, 2.0, seed=0)
+        data = blobs(2, 2, 3, 2.0, seed=0)
         idx = minibatch(data, 20, substream(2))
         assert idx.shape == (20,)
         assert idx.max() < len(data)
 
     def test_inclusion_frequency_uniform(self):
         # each index appears with frequency batch/n across many draws
-        data = generate_synthetic_classification(2, 2, 10, 2.0, seed=0)
+        data = blobs(2, 2, 10, 2.0, seed=0)
         n, batch, trials = len(data), 5, 10_000
         rng = substream(7)
         counts = np.zeros(n)
@@ -248,7 +235,7 @@ class TestMinibatch:
 
 class TestSerialization:
     def test_partition_summary_json(self):
-        data = generate_synthetic_classification(4, 2, 100, 2.0, seed=0)
+        data = blobs(4, 2, 100, 2.0, seed=0)
         shards = partition_dirichlet(data, PartitionSpec(7, 0.1, seed=1))
         summary = partition_summary(shards)
         parsed = json.loads(json.dumps(summary))
@@ -258,7 +245,7 @@ class TestSerialization:
 
 
 def test_label_entropy_limits():
-    balanced = generate_synthetic_classification(4, 2, 25, 2.0, seed=0)
+    balanced = blobs(4, 2, 25, 2.0, seed=0)
     assert abs(label_entropy(balanced) - np.log(4)) < 1e-12
     single = balanced.take(np.flatnonzero(balanced.labels == 0))
     assert label_entropy(single) == 0.0

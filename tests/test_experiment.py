@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import fedckt.experiment
 from fedckt.data import class_means
 from fedckt.errors import ConfigurationError
 from fedckt.experiment import (
@@ -12,6 +13,7 @@ from fedckt.experiment import (
     load_checkpoints,
     write_checkpoints,
     write_metrics_csv,
+    write_partition_stats,
     write_summary_json,
 )
 from fedckt.federation import RoundMetrics
@@ -160,3 +162,15 @@ class TestAtomicOutputs:
         assert [p.name for p in tmp_path.iterdir()] == ["metrics.csv"]
         lines = (tmp_path / "metrics.csv").read_text().splitlines()
         assert lines[1] == "0,0.5,0.1,1.0,3,4"
+
+    def test_partition_stats_failure_mid_write_keeps_previous_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "partition_stats.json"
+        write_partition_stats(path, small_data_cfg(), master_seed=1)
+        before = path.read_bytes()
+        monkeypatch.setattr(
+            fedckt.experiment, "partition_summary", lambda shards: {"a": [0] * 100, "b": object()}
+        )
+        with pytest.raises(TypeError):
+            write_partition_stats(path, small_data_cfg(), master_seed=1)
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]

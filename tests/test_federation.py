@@ -6,7 +6,6 @@ from fedckt.data import (
     ClientDataBundle,
     PublicPool,
     assign_data_fractions,
-    generate_synthetic_classification,
 )
 from fedckt.errors import ConfigurationError
 from fedckt.federation import (
@@ -31,13 +30,11 @@ from fedckt.models import (
 )
 from fedckt.rng import substream
 
-from helpers import finite_difference_gradient
+from helpers import blobs, finite_difference_gradient
 
 
 def make_bundle(num_classes=3, dim=2, train=30, val=6, test=30, seed=0, separation=4.0):
-    data = generate_synthetic_classification(
-        num_classes, dim, (train + val + test) // num_classes + 1, separation, seed=seed
-    )
+    data = blobs(num_classes, dim, (train + val + test) // num_classes + 1, separation, seed=seed)
     rng = substream(seed, "bundle-order")
     order = rng.permutation(len(data))
     return ClientDataBundle(
@@ -57,7 +54,7 @@ def make_population(num_clients=4, num_classes=3, dim=2, seed=0, train=30, arch=
         ClientRecord(id=i, spec=spec, params=init_params(spec, seed=100 + i), bundle=b)
         for i, b in enumerate(bundles)
     ]
-    pool_src = generate_synthetic_classification(num_classes, dim, 40, 4.0, seed=seed + 991)
+    pool_src = blobs(num_classes, dim, 40, 4.0, seed=seed + 991)
     pool = PublicPool(pool_src.inputs)
     return records, pool
 
@@ -417,7 +414,7 @@ class TestEvaluation:
 
     def test_chance_level_for_uniform_predictor(self):
         spec = ModelSpec(ARCH_SOFTMAX, dim=2, num_classes=10, init_scale=0.0)
-        data = generate_synthetic_classification(10, 2, 200, 0.01, seed=1)
+        data = blobs(10, 2, 200, 0.01, seed=1)
         bundle = ClientDataBundle(train=data, val=data, test=data, p_k=1.0)
         rec = ClientRecord(id=0, spec=spec, params=init_params(spec, 0), bundle=bundle)
         acc = accuracy_on(spec, rec.params, data)

@@ -6,7 +6,6 @@ from fedckt.rng import substream
 from fedckt.theory import (
     BayesLinRegTask,
     all_ols,
-    bayes_optimal_wk,
     closed_form_lambda_alpha,
     expected_loss_mc,
     gen_task,
@@ -75,14 +74,11 @@ class TestGenTask:
     def test_spread_matches_upsilon(self):
         # empirical Var(w_k - theta) per coordinate over many redraws
         upsilon = np.array([0.5, 2.0])
-        draws = np.stack(
-            [
-                small_task(seed=s, upsilon=tuple(upsilon), d=2, n=2).true_w
-                - small_task(seed=s, upsilon=tuple(upsilon), d=2, n=2).theta
-                for s in range(10_000)
-            ]
-        )
-        var = draws.var(axis=0).mean(axis=1)  # (K,)
+        draws = []
+        for s in range(10_000):
+            task = small_task(seed=s, upsilon=tuple(upsilon), d=2, n=2)
+            draws.append(task.true_w - task.theta)
+        var = np.stack(draws).var(axis=0).mean(axis=1)  # (K,)
         assert np.all(np.abs(var / upsilon**2 - 1.0) <= 0.05)
 
     def test_underdetermined_rejected(self):
@@ -172,13 +168,13 @@ class TestPosterior:
         # upsilon_k huge: no borrowing from the others
         task = small_task(seed=10, upsilon=(1e9, 1.0, 1.0))
         what = all_ols(task)
-        mean, _ = bayes_optimal_wk(task, 0, what)
+        mean, _ = posterior_moments_scalar(task, 0, what)
         assert np.allclose(mean, what[0], rtol=1e-9)
 
     def test_noiseless_limit_keeps_own_estimate(self):
         task = small_task(seed=11, upsilon=(1.0, 1.0, 1.0), sigma=1e-6)
         what = all_ols(task)
-        mean, _ = bayes_optimal_wk(task, 2, what)
+        mean, _ = posterior_moments_scalar(task, 2, what)
         assert np.allclose(mean, what[2], atol=1e-6)
 
 
