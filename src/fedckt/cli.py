@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +29,7 @@ from .experiment import (
     write_summary_json,
 )
 from .rng import derive_seed
-from .runconfig import RunConfig, TheoryConfig, config_to_sections, load_config
+from .runconfig import TheoryConfig, config_to_sections, load_config
 from .theory import (
     closed_form_lambda_alpha,
     expected_loss_mc,
@@ -46,9 +46,8 @@ EXIT_CONFIG = 2
 EXIT_DIVERGED = 3
 
 
-def _out_dir(args, cfg: RunConfig | None = None) -> Path:
-    out = args.out or (cfg.out_dir if cfg else None) or "."
-    path = Path(out)
+def _out_dir(args) -> Path:
+    path = Path(args.out or ".")
     try:
         path.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -60,12 +59,9 @@ def cmd_run(args) -> int:
     cfg = load_config(args.config, seed_override=args.seed)
     if args.algorithm is not None:
         cfg = replace(cfg, algorithm=args.algorithm)
-    out = _out_dir(args, cfg)
+    out = _out_dir(args)
     if cfg.algorithm == "theory_check":
         return _theory_check(cfg.theory, cfg.seed, out)
-    if cfg.algorithm == "toy":
-        _run_toy(cfg.seed, cfg.toy_num_seeds, out)
-        return EXIT_OK
     if cfg.algorithm == "partition_stats":
         write_partition_stats(out / "partition_stats.json", cfg.data, cfg.seed)
         print(f"wrote {out / 'partition_stats.json'}")
@@ -78,6 +74,9 @@ def cmd_run(args) -> int:
     print(f"wrote {out / 'metrics.csv'}, {out / 'summary.json'} and {out / 'checkpoints'}")
     if result.diverged:
         print(f"diverged clients (client, round): {result.diverged}", file=sys.stderr)
+    if result.error is not None:
+        raise result.error
+    if result.diverged:
         return EXIT_DIVERGED
     return EXIT_OK
 
@@ -122,16 +121,7 @@ def _theory_check(theory: TheoryConfig, master_seed: int, out: Path) -> int:
         reports.append(
             {
                 "task": index,
-                "inputs": {
-                    "num_clients": task_cfg.num_clients,
-                    "dim": task_cfg.dim,
-                    "sigma": task_cfg.sigma,
-                    "beta": task_cfg.beta,
-                    "nu": task_cfg.nu,
-                    "upsilon": list(task_cfg.upsilon),
-                    "n_samples": task_cfg.n_samples,
-                    "client": k,
-                },
+                "inputs": asdict(task_cfg),
                 "closed_form": {
                     "lambda_star": closed.lambda_star,
                     "alpha_star": [float(a) for a in closed.alpha_star],
@@ -164,7 +154,11 @@ def _theory_check(theory: TheoryConfig, master_seed: int, out: Path) -> int:
 TOY_CSV_HEADER = "seed,client,kind,w0,w1,dist_to_true"
 
 
-def _run_toy(start_seed: int, num_seeds: int, out: Path) -> dict:
+def cmd_toy(args) -> int:
+    start_seed, num_seeds = args.seed, args.num_seeds
+    if num_seeds < 1:
+        raise ConfigurationError(f"--num-seeds must be >= 1, got {num_seeds}")
+    out = _out_dir(args)
     rows = []
     wins = {0: 0, 1: 0}
     uniform_beats_fedavg_client2 = 0
@@ -187,25 +181,12 @@ def _run_toy(start_seed: int, num_seeds: int, out: Path) -> dict:
     with _atomic_open(out / "toy.csv") as fh:
         fh.write(TOY_CSV_HEADER + "\n")
         fh.write("\n".join(rows) + "\n")
-    summary = {
-        "num_seeds": num_seeds,
-        "clustered_beats_uniform": {c: wins[c] / num_seeds for c in wins},
-        "uniform_beats_fedavg_client2": uniform_beats_fedavg_client2 / num_seeds,
-    }
     print(
-        f"clustered-vs-uniform win rate: client0 {summary['clustered_beats_uniform'][0]:.2f}, "
-        f"client1 {summary['clustered_beats_uniform'][1]:.2f}; "
-        f"uniform-vs-fedavg (client2): {summary['uniform_beats_fedavg_client2']:.2f} "
+        f"clustered-vs-uniform win rate: client0 {wins[0] / num_seeds:.2f}, "
+        f"client1 {wins[1] / num_seeds:.2f}; "
+        f"uniform-vs-fedavg (client2): {uniform_beats_fedavg_client2 / num_seeds:.2f} "
         f"over {num_seeds} seeds"
     )
-    return summary
-
-
-def cmd_toy(args) -> int:
-    if args.num_seeds < 1:
-        raise ConfigurationError(f"--num-seeds must be >= 1, got {args.num_seeds}")
-    out = _out_dir(args)
-    _run_toy(args.seed if args.seed is not None else 0, args.num_seeds, out)
     return EXIT_OK
 
 

@@ -10,6 +10,9 @@ import numpy as np
 from .errors import ConfigurationError
 from .rng import substream
 
+LLOYD_MAX_ITERS = 100
+LLOYD_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class LogitStack:
@@ -78,17 +81,12 @@ def _kmeanspp_init(points: np.ndarray, c: int, rng: np.random.Generator) -> np.n
     return points[chosen].copy()
 
 
-def cmeans_fit(
-    stack: LogitStack,
-    c: int,
-    max_iters: int = 100,
-    tol: float = 1e-8,
-    seed: int = 0,
-) -> tuple[CentroidSet, np.ndarray]:
+def cmeans_fit(stack: LogitStack, c: int, seed: int = 0) -> tuple[CentroidSet, np.ndarray]:
     """Lloyd's iterations from k-means++ seeding; returns the centroids and
     each stack row's cluster index (int64, in stack row order).
 
-    Stops when the largest centroid shift is <= tol or after max_iters.
+    Stops when the largest centroid shift is <= LLOYD_TOL or after
+    LLOYD_MAX_ITERS iterations.
     Empty clusters are repaired by reassigning the point farthest from its
     own centroid (drawn from a cluster with at least two members), which
     keeps the objective non-increasing across iterations.
@@ -96,15 +94,13 @@ def cmeans_fit(
     m = len(stack)
     if not 1 <= c <= m:
         raise ConfigurationError(f"need 1 <= c <= {m}, got c={c}")
-    if max_iters < 1:
-        raise ConfigurationError("max_iters must be >= 1")
     points = stack.vectors
     rng = substream(seed, "cmeans")
     centroids = _kmeanspp_init(points, c, rng)
 
     assign = np.zeros(m, dtype=np.int64)
     trace: list[float] = []
-    for _ in range(max_iters):
+    for _ in range(LLOYD_MAX_ITERS):
         d2 = _sq_dists(points, centroids)
         assign = d2.argmin(axis=1)  # ties resolve to the lowest index
         counts = np.bincount(assign, minlength=c)
@@ -122,7 +118,7 @@ def cmeans_fit(
         move = float(np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max())
         centroids = new_centroids
         trace.append(float(_objective(points, centroids, assign)))
-        if move <= tol:
+        if move <= LLOYD_TOL:
             break
 
     counts = np.bincount(assign, minlength=c)

@@ -50,9 +50,19 @@ POPULATION_TWO_GROUP = "two_group"
 
 MODEL_KINDS = ("softmax_linear", "mlp", "heterogeneous")
 
-# float64 elements allowed in any one array a DataConfig implies: far above
+# float64 elements allowed in any one array a config implies: far above
 # every shipped config, far below what numpy fails to allocate
 MAX_ELEMENTS = 10**8
+
+
+def check_budget(sizes: dict[str, int]) -> None:
+    """Refuses a config whose named array sizes exceed MAX_ELEMENTS, before
+    anything is allocated."""
+    for name, size in sizes.items():
+        if size > MAX_ELEMENTS:
+            raise ConfigurationError(
+                f"{name} = {size} exceeds the budget of {MAX_ELEMENTS} elements"
+            )
 
 
 @dataclass(frozen=True)
@@ -85,20 +95,17 @@ class DataConfig:
             raise ConfigurationError("public_pool_size must be >= 1")
         if not self.alpha > 0:
             raise ConfigurationError("alpha must be > 0")
-        sizes = {
-            "num_classes * samples_per_class * dim": (
-                self.num_classes * self.samples_per_class * self.dim
-            ),
-            "public_pool_size * dim": self.public_pool_size * self.dim,
-            "num_clients * public_pool_size * num_classes": (
-                self.num_clients * self.public_pool_size * self.num_classes
-            ),
-        }
-        for name, size in sizes.items():
-            if size > MAX_ELEMENTS:
-                raise ConfigurationError(
-                    f"{name} = {size} exceeds the budget of {MAX_ELEMENTS} elements"
-                )
+        check_budget(
+            {
+                "num_classes * samples_per_class * dim": (
+                    self.num_classes * self.samples_per_class * self.dim
+                ),
+                "public_pool_size * dim": self.public_pool_size * self.dim,
+                "num_clients * public_pool_size * num_classes": (
+                    self.num_clients * self.public_pool_size * self.num_classes
+                ),
+            }
+        )
 
 
 @dataclass(frozen=True)

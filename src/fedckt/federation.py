@@ -44,14 +44,11 @@ class FederationConfig:
     distill_weight: float
     num_clusters: int
     lr: float
+    num_selected: int
     lr_mode: str = LR_CONSTANT
     lr_decay: float = 0.0
     seed: int = 0
-    num_selected: int | None = None
-    selected_fraction: float | None = None
     eval_interval: int = 1
-    kmeans_max_iters: int = 100
-    kmeans_tol: float = 1e-8
 
     def __post_init__(self):
         if self.rounds < 1:
@@ -64,14 +61,14 @@ class FederationConfig:
             raise ConfigurationError("distill_weight must be >= 0")
         if self.num_clusters < 1:
             raise ConfigurationError("num_clusters must be >= 1")
+        if self.num_selected < 1:
+            raise ConfigurationError("num_selected must be >= 1")
         if self.lr < 0:
             raise ConfigurationError("lr must be >= 0")
         if self.lr_mode not in (LR_CONSTANT, LR_ROBBINS_MONRO):
             raise ConfigurationError(f"unknown lr_mode {self.lr_mode!r}")
         if self.lr_mode == LR_ROBBINS_MONRO and not self.lr_decay > 0:
             raise ConfigurationError("robbins_monro needs lr_decay > 0")
-        if self.num_selected is None and self.selected_fraction is None:
-            raise ConfigurationError("set num_selected or selected_fraction")
         if self.eval_interval < 1:
             raise ConfigurationError("eval_interval must be >= 1")
 
@@ -126,6 +123,7 @@ class RunResult:
     metrics: list[RoundMetrics]
     ledger: CommLedger
     diverged: list[tuple[int, int]] = field(default_factory=list)  # (client, round)
+    error: NumericError | None = None  # the monitor or evaluation failure that ended the run
 
 
 def sample_clients(weights: np.ndarray, m: int, rng: np.random.Generator) -> list[int]:
@@ -150,18 +148,6 @@ def sample_clients(weights: np.ndarray, m: int, rng: np.random.Generator) -> lis
         chosen.append(pick)
         weights[pick] = 0.0
     return chosen
-
-
-def _resolve_num_selected(config: FederationConfig, num_clients: int, num_active: int) -> int:
-    if config.num_selected is not None:
-        m = config.num_selected
-    else:
-        m = int(round(config.selected_fraction * num_clients))
-    if not 1 <= m <= num_active:
-        raise ConfigurationError(
-            f"need 1 <= m <= {num_active} active clients, got m={m}"
-        )
-    return m
 
 
 def _local_sgd_steps(
@@ -254,11 +240,23 @@ def accuracy_on(spec: ModelSpec, params: np.ndarray, dataset) -> float:
     return float((probs.argmax(axis=1) == dataset.labels).mean())
 
 
+def _per_client(fn, records: list[ClientRecord]) -> list:
+    """[fn(r) for r in records]; a NumericError leaves with the failing
+    client's id set as its `client_id`."""
+    values = []
+    for r in records:
+        try:
+            values.append(fn(r))
+        except NumericError as exc:
+            exc.client_id = r.id
+            raise
+    return values
+
+
 def evaluate_clients(records: list[ClientRecord]) -> np.ndarray:
     """Per-client test accuracy of each client's own model (active clients)."""
-    return np.array(
-        [accuracy_on(r.spec, r.params, r.bundle.test) for r in records if r.bundle.active]
-    )
+    active = [r for r in records if r.bundle.active]
+    return np.array(_per_client(lambda r: accuracy_on(r.spec, r.params, r.bundle.test), active))
 
 
 def _metrics_row(round_index, accuracies, grad_norms, ledger) -> RoundMetrics:
@@ -313,13 +311,16 @@ def run_rounds(
     - local does nothing and charges nothing.
 
     A diverged client is dropped from the round and re-initialised, except
-    under fedavg, where its record still holds the intact global model.
+    under fedavg, where its record still holds the intact global model. A
+    NumericError in a client's monitor or evaluation records it as diverged
+    and ends the run, keeping the error and the metrics of earlier rounds.
     """
     perfed, fedavg = algorithm == "perfed_ckt", algorithm == "fedavg"
     active = [r for r in records if r.bundle.active]
     if not active:
         raise ConfigurationError("no active clients")
     weights = np.array([r.bundle.p_k for r in active])
+    m = config.num_selected  # sample_clients refuses more than the active clients
     # scalars per uploaded or downloaded matrix; matrices sent down per client
     payload, models_down = 0, 1
     if perfed:
@@ -327,7 +328,6 @@ def run_rounds(
         if len(widths) != 1:
             raise ConfigurationError("all clients must share the output width")
         payload = len(pool) * widths.pop()
-        m = _resolve_num_selected(config, len(records), len(active))
         if config.num_clusters > m:
             raise ConfigurationError("num_clusters must not exceed selected clients")
         boot = sample_clients(weights, m, substream(config.seed, "select", "bootstrap"))
@@ -342,7 +342,6 @@ def run_rounds(
         if len(specs) != 1:
             raise ConfigurationError("fedavg requires a homogeneous model spec")
         payload = param_count(specs.pop())
-        m = _resolve_num_selected(config, len(records), len(active))
         _broadcast_average(active, weights, [r.params for r in active])
 
     ledger = CommLedger()
@@ -354,11 +353,7 @@ def run_rounds(
         if perfed:
             models_down = min(config.num_clusters, len(stack))
             centroids, _ = cmeans_fit(
-                stack,
-                models_down,
-                max_iters=config.kmeans_max_iters,
-                tol=config.kmeans_tol,
-                seed=derive_seed(config.seed, "cluster-seed", t),
+                stack, models_down, seed=derive_seed(config.seed, "cluster-seed", t)
             )
         if algorithm == "local":
             selected = active
@@ -368,12 +363,16 @@ def run_rounds(
         ledger.downlink_scalars += len(selected) * models_down * payload
 
         if eval_round and perfed:  # perfed monitors the start-of-round state
-            grad_norms = [
-                grad_norm_monitor(
-                    r, pool, _nearest_centroid(r, pool, centroids), config.distill_weight
+            try:
+                grad_norms = _per_client(
+                    lambda r: grad_norm_monitor(
+                        r, pool, _nearest_centroid(r, pool, centroids), config.distill_weight
+                    ),
+                    active,
                 )
-                for r in active
-            ]
+            except NumericError as exc:
+                diverged.append((exc.client_id, t))
+                return RunResult(metrics, ledger, diverged, error=exc)
 
         uploaded: list[tuple[ClientRecord, np.ndarray]] = []
         for rec in selected:
@@ -401,8 +400,13 @@ def run_rounds(
             )
 
         if eval_round:
-            if not perfed:
-                grad_norms = [grad_norm_monitor(r, None, None, 0.0) for r in active]
-            metrics.append(_metrics_row(t, evaluate_clients(active), grad_norms, ledger))
+            try:
+                if not perfed:
+                    grad_norms = _per_client(lambda r: grad_norm_monitor(r, None, None, 0.0), active)
+                accuracies = evaluate_clients(active)
+            except NumericError as exc:
+                diverged.append((exc.client_id, t))
+                return RunResult(metrics, ledger, diverged, error=exc)
+            metrics.append(_metrics_row(t, accuracies, grad_norms, ledger))
 
     return RunResult(metrics=metrics, ledger=ledger, diverged=diverged)

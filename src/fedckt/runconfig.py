@@ -12,13 +12,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, field
-from typing import get_args, get_type_hints
+from typing import get_origin, get_type_hints
 
 from .errors import ConfigurationError
-from .experiment import ALGORITHMS, DataConfig, ModelConfig
+from .experiment import ALGORITHMS, DataConfig, ModelConfig, check_budget
 from .federation import FederationConfig
 
-RUN_MODES = ALGORITHMS + ("theory_check", "toy", "partition_stats")
+RUN_MODES = ALGORITHMS + ("theory_check", "partition_stats")
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +123,7 @@ class TheoryTaskConfig:
     sigma: float = 1.0
     beta: float = 1.0
     nu: float = 1.0
-    upsilon: tuple = (0.5, 1.0, 2.0)
+    upsilon: tuple[float, ...] = (0.5, 1.0, 2.0)
     n_samples: int = 8
     client: int = 0
 
@@ -132,6 +132,7 @@ class TheoryTaskConfig:
             raise ConfigurationError("upsilon must list one value per client")
         if not 0 <= self.client < self.num_clients:
             raise ConfigurationError("client index out of range")
+        check_budget({"num_clients * n_samples * dim": self.num_clients * self.n_samples * self.dim})
 
 
 @dataclass(frozen=True)
@@ -149,18 +150,18 @@ class TheoryConfig:
             raise ConfigurationError("theory grid sizes must be >= 1")
         if not self.tolerance > 0:
             raise ConfigurationError("tolerance must be > 0")
+        max_dim = max((t.dim for t in self.tasks), default=1)
+        check_budget({"num_samples * dim": self.num_samples * max_dim})
 
 
 @dataclass(frozen=True)
 class RunConfig:
     algorithm: str
     seed: int = 0
-    out_dir: str | None = None
     data: DataConfig = field(default_factory=DataConfig)
     models: ModelConfig = field(default_factory=ModelConfig)
     federation: FederationConfig | None = None
     theory: TheoryConfig | None = None
-    toy_num_seeds: int = 10
 
     def __post_init__(self):
         if self.algorithm not in RUN_MODES:
@@ -173,18 +174,32 @@ class RunConfig:
             self.theory is None or not self.theory.tasks
         ):
             raise ConfigurationError("theory_check needs at least one [theory.task*]")
+        d, m = self.data, self.models
+        sizes = {
+            "dim * hidden": d.dim * m.hidden,
+            "hidden * num_classes": m.hidden * d.num_classes,
+            "dim * hidden_small": d.dim * m.hidden_small,
+            "hidden_small * num_classes": m.hidden_small * d.num_classes,
+        }
+        if self.federation is not None:
+            sizes["batch_size * dim"] = self.federation.batch_size * d.dim
+            sizes["public_batch_size * dim"] = self.federation.public_batch_size * d.dim
+        check_budget(sizes)
 
 
 def _check_type(name: str, key: str, value, hint) -> None:
     """Integer fields take ints only (never bools or floats); float fields
-    take finite ints or floats. `X | None` fields also take None."""
-    allowed = get_args(hint) or (hint,)
-    if value is None and type(None) in allowed:
-        return
-    if int in allowed:
+    take finite ints or floats; `tuple[float, ...]` fields take arrays of
+    those."""
+    if get_origin(hint) is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise ConfigurationError(f"[{name}]: {key} must be an array, got {value!r}")
+        for item in value:
+            _check_type(name, key, item, float)
+    elif hint is int:
         if isinstance(value, bool) or not isinstance(value, int):
             raise ConfigurationError(f"[{name}]: {key} must be an integer, got {value!r}")
-    elif float in allowed:
+    elif hint is float:
         if (
             isinstance(value, bool)
             or not isinstance(value, (int, float))
@@ -194,17 +209,16 @@ def _check_type(name: str, key: str, value, hint) -> None:
 
 
 def _build(cls, section: dict, name: str, **overrides):
-    known = set(cls.__dataclass_fields__)
-    for key in section:
+    """`cls` from a config section; keys in `overrides` are set by the loader
+    and are not accepted from the section."""
+    known = set(cls.__dataclass_fields__) - set(overrides)
+    hints = get_type_hints(cls)
+    merged = dict(overrides)
+    for key, value in section.items():
         if key not in known:
             raise ConfigurationError(f"[{name}]: unknown key {key!r}")
-    merged = dict(section)
-    merged.update(overrides)
-    hints = get_type_hints(cls)
-    for key, value in merged.items():
         _check_type(name, key, value, hints[key])
-        if isinstance(value, list):
-            merged[key] = tuple(value)
+        merged[key] = tuple(value) if isinstance(value, list) else value
     try:
         return cls(**merged)
     except TypeError as exc:
@@ -212,6 +226,9 @@ def _build(cls, section: dict, name: str, **overrides):
 
 
 def config_from_sections(sections: dict, seed_override: int | None = None) -> RunConfig:
+    for name, body in sections.items():
+        if not isinstance(body, dict):
+            raise ConfigurationError(f"[{name}] must be a table of keys, got {body!r}")
     sections = {name: dict(body) for name, body in sections.items()}
     run = sections.pop("run", {})
     algorithm = run.pop("algorithm", None)
@@ -221,7 +238,6 @@ def config_from_sections(sections: dict, seed_override: int | None = None) -> Ru
     _check_type("run", "seed", seed, int)
     if seed_override is not None:
         seed = seed_override
-    out_dir = run.pop("out_dir", None)
     for key in run:
         raise ConfigurationError(f"[run]: unknown key {key!r}")
 
@@ -240,20 +256,14 @@ def config_from_sections(sections: dict, seed_override: int | None = None) -> Ru
     if theory_body is not None or task_sections:
         theory_body = dict(theory_body or {})
         tasks = theory_body.pop("tasks", [])
-        task_cfgs = [_build(TheoryTaskConfig, dict(t), "theory.tasks") for t in tasks]
+        if not isinstance(tasks, list) or not all(isinstance(t, dict) for t in tasks):
+            raise ConfigurationError(f"[theory]: tasks must be a list of tables, got {tasks!r}")
+        task_cfgs = [_build(TheoryTaskConfig, t, "theory.tasks") for t in tasks]
         for name in task_sections:
             task_cfgs.append(_build(TheoryTaskConfig, sections.pop(name), name))
         theory = _build(
             TheoryConfig, theory_body, "theory", tasks=tuple(task_cfgs)
         )
-
-    toy = sections.pop("toy", {})
-    toy_num_seeds = toy.pop("num_seeds", 10)
-    _check_type("toy", "num_seeds", toy_num_seeds, int)
-    if toy_num_seeds < 1:
-        raise ConfigurationError(f"[toy]: num_seeds must be >= 1, got {toy_num_seeds}")
-    for key in toy:
-        raise ConfigurationError(f"[toy]: unknown key {key!r}")
 
     for name in sections:
         raise ConfigurationError(f"unknown section [{name}]")
@@ -261,12 +271,10 @@ def config_from_sections(sections: dict, seed_override: int | None = None) -> Ru
     return RunConfig(
         algorithm=algorithm,
         seed=seed,
-        out_dir=out_dir,
         data=data,
         models=models,
         federation=federation,
         theory=theory,
-        toy_num_seeds=toy_num_seeds,
     )
 
 
@@ -297,8 +305,6 @@ def config_to_sections(cfg: RunConfig) -> dict:
         "data": asdict(cfg.data),
         "models": asdict(cfg.models),
     }
-    if cfg.out_dir is not None:
-        sections["run"]["out_dir"] = cfg.out_dir
     if cfg.federation is not None:
         fed = asdict(cfg.federation)
         fed.pop("seed")  # the master seed in [run] is authoritative
@@ -307,5 +313,4 @@ def config_to_sections(cfg: RunConfig) -> dict:
         body = asdict(cfg.theory)
         body["tasks"] = [dict(t, upsilon=list(t["upsilon"])) for t in body.pop("tasks")]
         sections["theory"] = body
-    sections["toy"] = {"num_seeds": cfg.toy_num_seeds}
     return sections

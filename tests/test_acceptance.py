@@ -230,7 +230,7 @@ def _two_group_accuracy(seed, clusters, algorithm="perfed"):
         num_clusters=clusters,
         lr=0.1,
         seed=seed,
-        selected_fraction=0.5,
+        num_selected=10,
         eval_interval=40,
     )
     if algorithm == "fedavg":

@@ -45,6 +45,7 @@ lr = 0.05
 """
 
 SMOKE_FILE = Path(__file__).resolve().parents[1] / "configs/smoke.toml"
+THEORY_FILE = Path(__file__).resolve().parents[1] / "configs/theory_check.toml"
 
 THEORY_TOML = """
 [run]
@@ -206,6 +207,30 @@ class TestRunCommand:
         assert "non-finite probabilities" in err
         assert "Traceback" not in err
 
+    def test_eval_overflow_keeps_outputs(self, tmp_path, capsys):
+        # local SGD at the float ceiling leaves finite MLP weights whose
+        # test-set forward pass overflows; the rounds before it, the event
+        # and the checkpoints are still written
+        text = (
+            SMOKE_TOML.replace("perfed_ckt", "local")
+            .replace('kind = "softmax_linear"', 'kind = "mlp"')
+            .replace("lr = 0.05", "lr = 1e308")
+            .replace("rounds = 1", "rounds = 3")
+        )
+        cfg = write(tmp_path, "overflow.toml", text)
+        out = tmp_path / "out"
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["run", "--config", str(cfg), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "numeric error: non-finite model output" in err
+        assert "Traceback" not in err
+        summary = json.loads((out / "summary.json").read_text())
+        rows = (out / "metrics.csv").read_text().strip().splitlines()
+        last = summary["diverged_events"][-1][1]  # the round whose evaluation failed
+        assert [int(row.split(",")[0]) for row in rows[1:]] == list(range(last))
+        manifest = json.loads((out / "checkpoints/manifest.json").read_text())
+        assert len(manifest["clients"]) == 2
+
     @pytest.mark.parametrize(
         "old,new",
         [
@@ -222,8 +247,6 @@ class TestRunCommand:
             ("num_classes = 3", "num_classes = 1"),
             ("dim = 2", "dim = 0"),
             ("samples_per_class = 60", "samples_per_class = 0"),
-            ("lr = 0.05", 'lr = 0.05\n[toy]\nnum_seeds = "x"'),
-            ("lr = 0.05", "lr = 0.05\n[toy]\nnum_seeds = 0"),
         ],
     )
     def test_mistyped_field_exits_2(self, tmp_path, capsys, old, new):
@@ -234,6 +257,62 @@ class TestRunCommand:
         assert new.splitlines()[-1].split(" = ")[0] in err
         assert "Traceback" not in err
         assert not (tmp_path / "out" / "metrics.csv").exists()
+
+    @pytest.mark.parametrize(
+        "old,new,named",
+        [
+            ("seed = 42", 'seed = 42\nout_dir = "elsewhere"', "out_dir"),
+            ('algorithm = "perfed_ckt"', 'algorithm = "toy"', "algorithm"),
+            ("lr = 0.05", "lr = 0.05\n[toy]\nnum_seeds = 3", "[toy]"),
+            ("num_selected = 2", "selected_fraction = 1.0", "selected_fraction"),
+            ("lr = 0.05", "lr = 0.05\nkmeans_max_iters = 5", "kmeans_max_iters"),
+            ("lr = 0.05", "lr = 0.05\nkmeans_tol = 0.1", "kmeans_tol"),
+            ("lr = 0.05", "lr = 0.05\nseed = 999", "[federation]: unknown key 'seed'"),
+        ],
+        ids=[
+            "out_dir",
+            "toy_mode",
+            "toy_section",
+            "selected_fraction",
+            "kmeans_max_iters",
+            "kmeans_tol",
+            "federation_seed",
+        ],
+    )
+    def test_deleted_spelling_exits_2(self, tmp_path, capsys, old, new, named):
+        # each setting has one spelling: --out, `fedckt toy`, num_selected,
+        # the clustering defaults and [run] seed
+        cfg = write(tmp_path, "spelling.toml", SMOKE_TOML.replace(old, new))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert named in err
+        assert not (tmp_path / "out" / "metrics.csv").exists()
+
+    @pytest.mark.parametrize(
+        "name,text,named",
+        [
+            ("data.json", '{"run": {"algorithm": "perfed_ckt"}, "data": 5}', "[data]"),
+            (
+                "tasks.json",
+                '{"run": {"algorithm": "theory_check"}, "theory": {"tasks": [5]}}',
+                "[theory]: tasks",
+            ),
+            (
+                "upsilon.toml",
+                THEORY_TOML.format(extra="").replace("[1.0, 1.0, 1.0]", '["a", "b", "c"]'),
+                "[theory.task1]: upsilon",
+            ),
+        ],
+        ids=["data", "tasks", "upsilon"],
+    )
+    def test_malformed_section_exits_2(self, tmp_path, capsys, name, text, named):
+        cfg = write(tmp_path, name, text)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert named in err
+        assert "Traceback" not in err
 
     def test_mistyped_seed_rejected_in_every_mode(self, tmp_path, capsys):
         text = THEORY_TOML.format(extra="").replace("seed = 5", "seed = 1.5")
@@ -259,10 +338,29 @@ class TestRunCommand:
         assert code in (0, 2, 3)
 
     @pytest.mark.parametrize(
-        "key", ["num_classes", "dim", "samples_per_class", "public_pool_size", "num_clients"]
+        "key",
+        [
+            "num_classes",
+            "dim",
+            "samples_per_class",
+            "public_pool_size",
+            "num_clients",
+            "hidden",
+            "hidden_small",
+            "batch_size",
+            "public_batch_size",
+            "num_samples",
+            "n_samples",
+        ],
     )
     def test_huge_size_exits_2_before_allocating(self, tmp_path, capsys, key):
-        text = re.sub(rf"^{key} = .*$", f"{key} = {10**18}", SMOKE_FILE.read_text(), flags=re.M)
+        if key in ("num_samples", "n_samples"):
+            text = THEORY_FILE.read_text()
+        else:
+            text = SMOKE_FILE.read_text().replace(
+                'kind = "softmax_linear"', 'kind = "heterogeneous"\nhidden = 16\nhidden_small = 8'
+            )
+        text = re.sub(rf"^{key} = .*$", f"{key} = {10**18}", text, flags=re.M)
         cfg = write(tmp_path, "huge.toml", text)
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
