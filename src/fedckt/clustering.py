@@ -15,32 +15,6 @@ LLOYD_TOL = 1e-8
 
 
 @dataclass(frozen=True)
-class LogitStack:
-    """Flattened per-client logit vectors, one row per client."""
-
-    client_ids: tuple[int, ...]
-    vectors: np.ndarray  # (m, L)
-
-    def __post_init__(self):
-        vectors = np.ascontiguousarray(self.vectors, dtype=np.float64)
-        if vectors.ndim != 2 or vectors.shape[0] != len(self.client_ids):
-            raise ConfigurationError("one vector row per client id required")
-        object.__setattr__(self, "vectors", vectors)
-        object.__setattr__(self, "client_ids", tuple(int(c) for c in self.client_ids))
-
-    def __len__(self) -> int:
-        return self.vectors.shape[0]
-
-
-def stack_from_logits(logits_by_client: dict[int, np.ndarray]) -> LogitStack:
-    """Build a stack from per-client (|P|, N) logit matrices, flattened
-    row-major; rows ordered by client id for determinism."""
-    ids = sorted(logits_by_client)
-    vectors = np.stack([logits_by_client[i].ravel() for i in ids]) if ids else np.empty((0, 0))
-    return LogitStack(client_ids=tuple(ids), vectors=vectors)
-
-
-@dataclass(frozen=True)
 class CentroidSet:
     centroids: np.ndarray  # (c, L)
     member_counts: tuple[int, ...]
@@ -81,9 +55,10 @@ def _kmeanspp_init(points: np.ndarray, c: int, rng: np.random.Generator) -> np.n
     return points[chosen].copy()
 
 
-def cmeans_fit(stack: LogitStack, c: int, seed: int = 0) -> tuple[CentroidSet, np.ndarray]:
-    """Lloyd's iterations from k-means++ seeding; returns the centroids and
-    each stack row's cluster index (int64, in stack row order).
+def cmeans_fit(points: np.ndarray, c: int, seed: int = 0) -> tuple[CentroidSet, np.ndarray]:
+    """Lloyd's iterations from k-means++ seeding over the (m, L) stack of
+    flattened client logit rows; returns the centroids and each row's
+    cluster index (int64, in row order).
 
     Stops when the largest centroid shift is <= LLOYD_TOL or after
     LLOYD_MAX_ITERS iterations.
@@ -91,10 +66,9 @@ def cmeans_fit(stack: LogitStack, c: int, seed: int = 0) -> tuple[CentroidSet, n
     own centroid (drawn from a cluster with at least two members), which
     keeps the objective non-increasing across iterations.
     """
-    m = len(stack)
+    m = len(points)
     if not 1 <= c <= m:
         raise ConfigurationError(f"need 1 <= c <= {m}, got c={c}")
-    points = stack.vectors
     rng = substream(seed, "cmeans")
     centroids = _kmeanspp_init(points, c, rng)
 
@@ -144,8 +118,8 @@ def _objective(points: np.ndarray, centroids: np.ndarray, assign: np.ndarray) ->
     return float(np.einsum("ij,ij->", diffs, diffs))
 
 
-def kmeans_objective(stack: LogitStack, centroids: CentroidSet, assignment: np.ndarray) -> float:
-    """Sum of squared distances from each vector to its assigned centroid;
-    `assignment` holds one cluster index per stack row."""
+def kmeans_objective(points: np.ndarray, centroids: CentroidSet, assignment: np.ndarray) -> float:
+    """Sum of squared distances from each (m, L) stack row to its assigned
+    centroid; `assignment` holds one cluster index per row."""
     assign = np.asarray(assignment, dtype=np.int64)
-    return _objective(stack.vectors, centroids.centroids, assign)
+    return _objective(points, centroids.centroids, assign)

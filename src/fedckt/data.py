@@ -53,19 +53,6 @@ class RawDataset:
 
 
 @dataclass(frozen=True)
-class PartitionSpec:
-    num_clients: int
-    alpha: float
-    seed: int
-
-    def __post_init__(self):
-        if self.num_clients < 1:
-            raise ConfigurationError("num_clients must be >= 1")
-        if not self.alpha > 0:
-            raise ConfigurationError("alpha must be > 0")
-
-
-@dataclass(frozen=True)
 class ClientDataBundle:
     """One client's train/val/test splits.
 
@@ -126,23 +113,25 @@ def sample_blobs(
     return RawDataset(inputs, labels, num_classes)
 
 
-def partition_dirichlet(data: RawDataset, spec: PartitionSpec) -> list[RawDataset]:
-    """Split each class across clients by a Dir_K(alpha) draw.
+def partition_dirichlet(
+    data: RawDataset, num_clients: int, alpha: float, seed: int
+) -> list[RawDataset]:
+    """Split each class across `num_clients` clients by a Dir_K(alpha) draw.
 
     The multiset union of the returned shards equals the input exactly;
     empty shards are legal and must be handled downstream.
     """
     if len(data) == 0:
         raise ConfigurationError("cannot partition an empty dataset")
-    rng = substream(spec.seed, "dirichlet-partition")
-    k = spec.num_clients
+    rng = substream(seed, "dirichlet-partition")
+    k = num_clients
     per_client: list[list[np.ndarray]] = [[] for _ in range(k)]
     for cls in range(data.num_classes):
         idx = np.flatnonzero(data.labels == cls)
         if idx.size == 0:
             continue
         idx = rng.permutation(idx)
-        proportions = rng.dirichlet(np.full(k, spec.alpha))
+        proportions = rng.dirichlet(np.full(k, alpha))
         # integer cut points conserve the class count exactly
         cuts = np.floor(np.cumsum(proportions) * idx.size).astype(np.int64)[:-1]
         for client, chunk in enumerate(np.split(idx, cuts)):

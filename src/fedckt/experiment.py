@@ -14,7 +14,6 @@ import numpy as np
 
 from .data import (
     ClientDataBundle,
-    PartitionSpec,
     PublicPool,
     RawDataset,
     TRAIN_FRACTIONS,
@@ -212,9 +211,7 @@ def _population_shards(data_cfg: DataConfig, master_seed: int):
     groups = []
     for path, source in sources:
         partition_seed = derive_seed(master_seed, *path)
-        shards = partition_dirichlet(
-            source, PartitionSpec(group_clients, data_cfg.alpha, partition_seed)
-        )
+        shards = partition_dirichlet(source, group_clients, data_cfg.alpha, partition_seed)
         groups.append((shards, partition_seed))
     return groups, locations + data_cfg.public_offset
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .clustering import assign_nearest, cmeans_fit, stack_from_logits
+from .clustering import assign_nearest, cmeans_fit
 from .data import ClientDataBundle, PublicPool, minibatch
 from .errors import ConfigurationError, DivergedClientError, NumericError
 from .models import (
@@ -198,7 +198,7 @@ def client_local_round(
 ) -> tuple[np.ndarray, np.ndarray]:
     """One selected client's round: tau steps against the frozen distillation
     target, then fresh logits of the updated model on the full pool."""
-    if sbar_rows is not None and sbar_rows.shape != (len(pool), record.spec.out_width):
+    if sbar_rows is not None and sbar_rows.shape != (len(pool), record.spec.num_classes):
         raise ConfigurationError("distillation target must cover the full pool")
     params = _local_sgd_steps(
         record, config, round_index, lr_at(config, round_index), pool, sbar_rows
@@ -277,7 +277,7 @@ def _nearest_centroid(rec, pool, centroids) -> np.ndarray:
     """The centroid nearest the client's own full-pool logits, as target rows."""
     own = forward_logits(rec.spec, rec.params, pool.inputs)
     pick = assign_nearest(own.ravel(), centroids)
-    return centroids.centroids[pick].reshape(len(pool), rec.spec.out_width)
+    return centroids.centroids[pick].reshape(len(pool), rec.spec.num_classes)
 
 
 def _broadcast_average(active, coeffs, vectors) -> None:
@@ -324,18 +324,19 @@ def run_rounds(
     # scalars per uploaded or downloaded matrix; matrices sent down per client
     payload, models_down = 0, 1
     if perfed:
-        widths = {r.spec.out_width for r in active}
+        widths = {r.spec.num_classes for r in active}
         if len(widths) != 1:
             raise ConfigurationError("all clients must share the output width")
         payload = len(pool) * widths.pop()
         if config.num_clusters > m:
             raise ConfigurationError("num_clusters must not exceed selected clients")
         boot = sample_clients(weights, m, substream(config.seed, "select", "bootstrap"))
-        stack = stack_from_logits(
-            {
-                active[p].id: forward_logits(active[p].spec, active[p].params, pool.inputs)
-                for p in boot
-            }
+        # one flattened logit row per client, in client-id order
+        stack = np.stack(
+            [
+                forward_logits(r.spec, r.params, pool.inputs).ravel()
+                for r in sorted((active[p] for p in boot), key=lambda r: r.id)
+            ]
         )
     elif fedavg:
         specs = {r.spec for r in active}
@@ -392,7 +393,7 @@ def run_rounds(
         ledger.uplink_scalars += len(uploaded) * payload
 
         if perfed and uploaded:
-            stack = stack_from_logits({r.id: logits for r, logits in uploaded})
+            stack = np.stack([logits.ravel() for _, logits in uploaded])
         elif fedavg and uploaded:
             total = sum(r.bundle.p_k for r, _ in uploaded)
             _broadcast_average(

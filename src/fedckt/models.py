@@ -1,16 +1,15 @@
 """Per-client predictors, the co-distillation objective, and its exact
 stochastic gradient via hand-derived backpropagation.
 
-Three architectures share one flat-parameter interface:
+Two classifier architectures share one flat-parameter interface, both
+trained with cross-entropy:
 
-  linear_regressor(d)      raw predictions X @ w, squared-error loss
-  softmax_linear(d, N)     softmax(X @ W + b), cross-entropy loss
+  softmax_linear(d, N)     softmax(X @ W + b)
   mlp(d, h, N)             softmax(tanh(X @ W1 + b1) @ W2 + b2)
 
 The MLP activation is tanh so every classifier is smooth, matching the
-smoothness the convergence monitor relies on. Classification outputs are
-probability rows on the simplex; regression mode reuses the same interfaces
-with "logits" meaning raw predictions.
+smoothness the convergence monitor relies on. Outputs ("logits" throughout
+the package) are probability rows on the simplex.
 """
 
 from __future__ import annotations
@@ -24,11 +23,10 @@ import numpy as np
 from .errors import ConfigurationError, NumericError
 from .rng import substream
 
-ARCH_LINEAR = "linear_regressor"
 ARCH_SOFTMAX = "softmax_linear"
 ARCH_MLP = "mlp"
 
-_ARCH_TAGS = {ARCH_LINEAR: 1, ARCH_SOFTMAX: 2, ARCH_MLP: 3}
+_ARCH_TAGS = {ARCH_SOFTMAX: 2, ARCH_MLP: 3}  # checkpoint header tags; 1 is not reused
 _PARAM_MAGIC = b"FKPV"
 
 
@@ -36,7 +34,7 @@ _PARAM_MAGIC = b"FKPV"
 class ModelSpec:
     arch: str
     dim: int
-    num_classes: int = 1
+    num_classes: int
     hidden: int = 0
     init_scale: float = 0.1
 
@@ -45,22 +43,16 @@ class ModelSpec:
             raise ConfigurationError(f"unknown architecture {self.arch!r}")
         if self.dim < 1:
             raise ConfigurationError("dim must be >= 1")
-        if self.arch in (ARCH_SOFTMAX, ARCH_MLP) and self.num_classes < 2:
+        if self.num_classes < 2:
             raise ConfigurationError("classification needs num_classes >= 2")
         if self.arch == ARCH_MLP and self.hidden < 1:
             raise ConfigurationError("mlp needs hidden >= 1")
         if not (self.init_scale >= 0 and math.isfinite(2 * self.init_scale)):
             raise ConfigurationError("init_scale must be >= 0 with 2*init_scale finite")
 
-    @property
-    def out_width(self) -> int:
-        return 1 if self.arch == ARCH_LINEAR else self.num_classes
-
 
 def param_count(spec: ModelSpec) -> int:
     d, n, h = spec.dim, spec.num_classes, spec.hidden
-    if spec.arch == ARCH_LINEAR:
-        return d
     if spec.arch == ARCH_SOFTMAX:
         return d * n + n
     return d * h + h + h * n + n
@@ -71,8 +63,6 @@ def init_params(spec: ModelSpec, seed: int) -> np.ndarray:
     rng = substream(seed, "param-init")
     s = spec.init_scale
     d, n, h = spec.dim, spec.num_classes, spec.hidden
-    if spec.arch == ARCH_LINEAR:
-        return rng.uniform(-s, s, d)
     if spec.arch == ARCH_SOFTMAX:
         return np.concatenate([rng.uniform(-s, s, d * n), np.zeros(n)])
     return np.concatenate(
@@ -91,8 +81,6 @@ def _unpack(spec: ModelSpec, params: np.ndarray):
         raise ConfigurationError(
             f"parameter vector length {params.shape} does not match spec"
         )
-    if spec.arch == ARCH_LINEAR:
-        return (params,)
     if spec.arch == ARCH_SOFTMAX:
         return params[: d * n].reshape(d, n), params[d * n :]
     o1 = d * h
@@ -122,9 +110,6 @@ def _forward_parts(spec: ModelSpec, params: np.ndarray, inputs: np.ndarray):
     """Class scores plus the hidden activations needed for backprop."""
     if inputs.shape[1] != spec.dim:
         raise ConfigurationError("input width does not match spec dim")
-    if spec.arch == ARCH_LINEAR:
-        (w,) = _unpack(spec, params)
-        return (inputs @ w)[:, None], None
     if spec.arch == ARCH_SOFTMAX:
         w, b = _unpack(spec, params)
         return inputs @ w + b, None
@@ -134,9 +119,9 @@ def _forward_parts(spec: ModelSpec, params: np.ndarray, inputs: np.ndarray):
 
 
 def forward_logits(spec: ModelSpec, params: np.ndarray, inputs: np.ndarray) -> np.ndarray:
-    """Probability rows over classes; raw predictions for the regressor."""
+    """Probability rows over classes."""
     scores, _ = _forward_parts(spec, params, inputs)
-    out = scores if spec.arch == ARCH_LINEAR else stable_softmax(scores)
+    out = stable_softmax(scores)
     if not np.all(np.isfinite(out)):
         bad = int(np.flatnonzero(~np.isfinite(out).all(axis=1))[0])
         raise NumericError(f"non-finite model output at row {bad}")
@@ -144,21 +129,16 @@ def forward_logits(spec: ModelSpec, params: np.ndarray, inputs: np.ndarray) -> n
 
 
 def local_loss(spec: ModelSpec, params: np.ndarray, inputs: np.ndarray, targets: np.ndarray) -> float:
-    """Mean cross-entropy (classification) or sum of squared errors (regression)."""
+    """Mean cross-entropy."""
     if len(inputs) == 0:
         raise ConfigurationError("batch must be non-empty")
     scores, _ = _forward_parts(spec, params, inputs)
-    if spec.arch == ARCH_LINEAR:
-        resid = scores[:, 0] - targets
-        return float(resid @ resid)
     logp = _log_softmax(scores)
     return float(-logp[np.arange(len(targets)), targets.astype(np.int64)].mean())
 
 
 def _backprop_scores(spec, params, inputs, hidden, score_grad):
     """Chain a gradient at the class scores back to a flat parameter gradient."""
-    if spec.arch == ARCH_LINEAR:
-        return inputs.T @ score_grad[:, 0]
     if spec.arch == ARCH_SOFTMAX:
         return np.concatenate([(inputs.T @ score_grad).ravel(), score_grad.sum(axis=0)])
     _, _, w2, _ = _unpack(spec, params)
@@ -176,21 +156,18 @@ def _backprop_scores(spec, params, inputs, hidden, score_grad):
 def grad_local(spec: ModelSpec, params: np.ndarray, inputs: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """Exact gradient of local_loss."""
     scores, hidden = _forward_parts(spec, params, inputs)
-    if spec.arch == ARCH_LINEAR:
-        score_grad = 2.0 * (scores - targets[:, None])
-    else:
-        probs = stable_softmax(scores)
-        onehot = np.zeros_like(probs)
-        onehot[np.arange(len(targets)), targets.astype(np.int64)] = 1.0
-        score_grad = (probs - onehot) / len(targets)
+    probs = stable_softmax(scores)
+    onehot = np.zeros_like(probs)
+    onehot[np.arange(len(targets)), targets.astype(np.int64)] = 1.0
+    score_grad = (probs - onehot) / len(targets)
     return _backprop_scores(spec, params, inputs, hidden, score_grad)
 
 
 def _check_sbar(spec: ModelSpec, public_inputs: np.ndarray, sbar_rows: np.ndarray) -> None:
-    if sbar_rows.shape != (len(public_inputs), spec.out_width):
+    if sbar_rows.shape != (len(public_inputs), spec.num_classes):
         raise ConfigurationError(
             f"distillation target shape {sbar_rows.shape} does not match "
-            f"public batch ({len(public_inputs)}, {spec.out_width})"
+            f"public batch ({len(public_inputs)}, {spec.num_classes})"
         )
 
 
@@ -238,14 +215,11 @@ def grad_phi_stochastic(
         _check_sbar(spec, public_inputs, sbar_rows)
         scores, hidden = _forward_parts(spec, params, public_inputs)
         scale = 2.0 * lam / len(public_inputs)
-        if spec.arch == ARCH_LINEAR:
-            score_grad = scale * (scores - sbar_rows)
-        else:
-            probs = stable_softmax(scores)
-            diff = probs - sbar_rows
-            # softmax Jacobian applied to diff: diag(p) - p p^T, row-wise
-            inner = (probs * diff).sum(axis=1, keepdims=True)
-            score_grad = scale * probs * (diff - inner)
+        probs = stable_softmax(scores)
+        diff = probs - sbar_rows
+        # softmax Jacobian applied to diff: diag(p) - p p^T, row-wise
+        inner = (probs * diff).sum(axis=1, keepdims=True)
+        score_grad = scale * probs * (diff - inner)
         grad = grad + _backprop_scores(spec, params, public_inputs, hidden, score_grad)
     if not np.all(np.isfinite(grad)):
         raise NumericError("non-finite gradient")

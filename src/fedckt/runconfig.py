@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field
 from typing import get_origin, get_type_hints
 
 from .errors import ConfigurationError
-from .experiment import ALGORITHMS, DataConfig, ModelConfig, check_budget
+from .experiment import ALGORITHMS, MAX_ELEMENTS, DataConfig, ModelConfig, check_budget
 from .federation import FederationConfig
 
 RUN_MODES = ALGORITHMS + ("theory_check", "partition_stats")
@@ -143,7 +143,6 @@ class TheoryConfig:
     lambda_span: float = 4.0
     alpha_resolution: int = 16
     tolerance: float = 0.02
-    corrupt_lambda_factor: float = 1.0
 
     def __post_init__(self):
         if self.num_samples < 1 or self.lambda_points < 1:
@@ -152,6 +151,33 @@ class TheoryConfig:
             raise ConfigurationError("tolerance must be > 0")
         max_dim = max((t.dim for t in self.tasks), default=1)
         check_budget({"num_samples * dim": self.num_samples * max_dim})
+        # the oracle solves once per (lambda, alpha) point and holds the
+        # (comb, K) alpha grid
+        for index, task in enumerate(self.tasks):
+            k = task.num_clients
+            if _over_budget(max(self.lambda_points, k), self.alpha_resolution, k):
+                raise ConfigurationError(
+                    f"theory task {index}: max(lambda_points, K) * comb(alpha_resolution "
+                    f"+ K - 1, K - 1) with K = {k} exceeds the budget of {MAX_ELEMENTS} elements"
+                )
+
+
+def _over_budget(factor: int, resolution: int, parts: int) -> bool:
+    """Whether factor * comb(resolution + parts - 1, parts - 1) exceeds
+    MAX_ELEMENTS; the binomial counts the simplex grid's weight vectors.
+
+    The binomial is built one factor at a time over its smaller side, so the
+    running product at least doubles per factor and passes the budget within
+    a few dozen factors, where math.comb with a huge resolution would build
+    an integer with billions of digits."""
+    top = resolution + parts - 1
+    side = min(resolution, parts - 1)
+    count = factor
+    for j in range(1, side + 1):
+        if count > MAX_ELEMENTS:
+            return True
+        count = count * (top - side + j) // j
+    return count > MAX_ELEMENTS
 
 
 @dataclass(frozen=True)
@@ -225,6 +251,23 @@ def _build(cls, section: dict, name: str, **overrides):
         raise ConfigurationError(f"[{name}]: {exc}") from exc
 
 
+def _task_sections(sections: dict) -> list[str]:
+    """The `theory.taskN` section names, ordered by the integer N (the task
+    index seeds the task's draws, so task10 must follow task2)."""
+    by_number: dict[int, str] = {}
+    for name in sections:
+        if not name.startswith("theory.task"):
+            continue
+        suffix = name[len("theory.task") :]
+        if not (suffix.isascii() and suffix.isdigit()):
+            raise ConfigurationError(f"[{name}]: task sections are named theory.taskN, N an integer")
+        number = int(suffix)
+        if number in by_number:
+            raise ConfigurationError(f"[{name}]: same task number as [{by_number[number]}]")
+        by_number[number] = name
+    return [by_number[n] for n in sorted(by_number)]
+
+
 def config_from_sections(sections: dict, seed_override: int | None = None) -> RunConfig:
     for name, body in sections.items():
         if not isinstance(body, dict):
@@ -250,20 +293,14 @@ def config_from_sections(sections: dict, seed_override: int | None = None) -> Ru
             FederationConfig, sections.pop("federation", {}), "federation", seed=seed
         )
 
-    task_sections = sorted(name for name in sections if name.startswith("theory.task"))
+    task_sections = _task_sections(sections)
     theory_body = sections.pop("theory", None)
     theory = None
     if theory_body is not None or task_sections:
-        theory_body = dict(theory_body or {})
-        tasks = theory_body.pop("tasks", [])
-        if not isinstance(tasks, list) or not all(isinstance(t, dict) for t in tasks):
-            raise ConfigurationError(f"[theory]: tasks must be a list of tables, got {tasks!r}")
-        task_cfgs = [_build(TheoryTaskConfig, t, "theory.tasks") for t in tasks]
-        for name in task_sections:
-            task_cfgs.append(_build(TheoryTaskConfig, sections.pop(name), name))
-        theory = _build(
-            TheoryConfig, theory_body, "theory", tasks=tuple(task_cfgs)
+        tasks = tuple(
+            _build(TheoryTaskConfig, sections.pop(name), name) for name in task_sections
         )
+        theory = _build(TheoryConfig, theory_body or {}, "theory", tasks=tasks)
 
     for name in sections:
         raise ConfigurationError(f"unknown section [{name}]")
@@ -311,6 +348,7 @@ def config_to_sections(cfg: RunConfig) -> dict:
         sections["federation"] = fed
     if cfg.theory is not None:
         body = asdict(cfg.theory)
-        body["tasks"] = [dict(t, upsilon=list(t["upsilon"])) for t in body.pop("tasks")]
         sections["theory"] = body
+        for index, task in enumerate(body.pop("tasks"), start=1):
+            sections[f"theory.task{index}"] = task
     return sections

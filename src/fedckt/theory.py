@@ -53,10 +53,9 @@ class BayesLinRegTask:
     public_design: np.ndarray  # (d, d)
 
     def __post_init__(self):
-        for k in range(self.num_clients):
-            gram = self.designs[k].T @ self.designs[k]
-            if not np.allclose(gram, self.beta * np.eye(self.dim), atol=1e-8):
-                raise ConfigurationError("X_k' X_k must equal beta I")
+        grams = np.matmul(self.designs.transpose(0, 2, 1), self.designs)
+        if not np.allclose(grams, self.beta * np.eye(self.dim), atol=1e-8):
+            raise ConfigurationError("X_k' X_k must equal beta I")
         gram = self.public_design.T @ self.public_design
         if not np.allclose(gram, self.nu * np.eye(self.dim), atol=1e-8):
             raise ConfigurationError("P' P must equal nu I")

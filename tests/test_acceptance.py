@@ -7,7 +7,7 @@ import time
 
 import numpy as np
 
-from fedckt.clustering import cmeans_fit, stack_from_logits
+from fedckt.clustering import cmeans_fit
 from fedckt.data import (
     ClientDataBundle,
     PublicPool,
@@ -27,7 +27,6 @@ from fedckt.federation import (
     client_local_round,
 )
 from fedckt.models import (
-    ARCH_LINEAR,
     ARCH_MLP,
     ARCH_SOFTMAX,
     ModelSpec,
@@ -125,9 +124,8 @@ def test_criterion_2_toy_reproduction():
 
 def test_criterion_3_gradient_correctness():
     """Analytic gradient vs central finite differences (h=1e-5), relative
-    error <= 1e-4, all architectures, 20 instances, lambda in {0, 0.5, 2}."""
+    error <= 1e-4, both architectures, 20 instances, lambda in {0, 0.5, 2}."""
     specs = [
-        ModelSpec(ARCH_LINEAR, dim=3),
         ModelSpec(ARCH_SOFTMAX, dim=5, num_classes=4),
         ModelSpec(ARCH_MLP, dim=4, num_classes=3, hidden=8),
     ]
@@ -140,12 +138,8 @@ def test_criterion_3_gradient_correctness():
             lam = lambdas[instance % len(lambdas)]
             params = rng.normal(0, 0.7, param_count(spec))
             x = rng.normal(size=(6, spec.dim))
-            if spec.arch == ARCH_LINEAR:
-                y = rng.normal(size=6)
-                sbar = rng.normal(size=(5, 1))
-            else:
-                y = rng.integers(spec.num_classes, size=6)
-                sbar = rng.dirichlet(np.ones(spec.num_classes), size=5)
+            y = rng.integers(spec.num_classes, size=6)
+            sbar = rng.dirichlet(np.ones(spec.num_classes), size=5)
             xp = rng.normal(size=(5, spec.dim))
             analytic = grad_phi_stochastic(spec, params, x, y, xp, sbar, lam)
             fd = finite_difference_gradient(
@@ -157,7 +151,7 @@ def test_criterion_3_gradient_correctness():
     report(
         "3 (gradient correctness)",
         passed,
-        f"max relative error {worst:.2e} <= 1e-4 over 3 archs x 20 instances, {elapsed:.1f}s",
+        f"max relative error {worst:.2e} <= 1e-4 over 2 archs x 20 instances, {elapsed:.1f}s",
     )
 
 
@@ -330,9 +324,8 @@ def test_criterion_7_kmeans_properties():
         m = int(rng.integers(2, 14))
         dim = int(rng.integers(1, 6))
         vectors = rng.normal(size=(m, dim)) * rng.uniform(0.5, 4.0)
-        stack = stack_from_logits({i: vectors[i : i + 1] for i in range(m)})
         c = int(rng.integers(1, m + 1))
-        centroids, assignment = cmeans_fit(stack, c, seed=int(rng.integers(2**31)))
+        centroids, assignment = cmeans_fit(vectors, c, seed=int(rng.integers(2**31)))
         trace = centroids.objective_trace
         monotone &= all(a >= b - 1e-12 for a, b in zip(trace, trace[1:]))
         for j in range(c):
@@ -340,10 +333,7 @@ def test_criterion_7_kmeans_properties():
             identity &= bool(
                 np.allclose(centroids.centroids[j], members.mean(axis=0), atol=1e-10)
             )
-    blob_stack = stack_from_logits(
-        {i: np.array([[v]]) for i, v in enumerate([0.0, 0.1, 10.0, 10.1])}
-    )
-    blob_centroids, _ = cmeans_fit(blob_stack, 2, seed=5)
+    blob_centroids, _ = cmeans_fit(np.array([[0.0], [0.1], [10.0], [10.1]]), 2, seed=5)
     blob_ok = np.allclose(sorted(blob_centroids.centroids[:, 0]), [0.05, 10.05], atol=1e-12)
     passed = monotone and identity and blob_ok
     report(
@@ -401,21 +391,22 @@ def test_criterion_8_reduction_identities_bitwise():
 
     weights = np.array([r.bundle.p_k for r in recs_ref])
     boot = sample_clients(weights, 3, substream(cfg3.seed, "select", "bootstrap"))
-    stack = stack_from_logits(
-        {
-            recs_ref[p].id: forward_logits(recs_ref[p].spec, recs_ref[p].params, pool3.inputs)
-            for p in boot
-        }
+    # record ids equal positions; stack rows go in client-id order
+    stack = np.stack(
+        [
+            forward_logits(recs_ref[p].spec, recs_ref[p].params, pool3.inputs).ravel()
+            for p in sorted(boot)
+        ]
     )
     for t in range(cfg3.rounds):
-        sbar = stack.vectors.mean(axis=0).reshape(len(pool3), 3)
+        sbar = stack.mean(axis=0).reshape(len(pool3), 3)
         picks = sample_clients(weights, 3, substream(cfg3.seed, "select", t))
-        uploads = {}
+        uploads = []
         for cid in sorted(recs_ref[p].id for p in picks):
             rec = recs_ref[cid]
             rec.params, logits = client_local_round(rec, sbar, pool3, cfg3, t)
-            uploads[cid] = logits
-        stack = stack_from_logits(uploads)
+            uploads.append(logits.ravel())
+        stack = np.stack(uploads)
     centroid_eq = all(
         np.array_equal(a.params, b.params) for a, b in zip(recs_run, recs_ref)
     )

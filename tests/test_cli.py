@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 import tempfile
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fedckt import theory
 from fedckt.cli import main
 from fedckt.experiment import build_population
 from fedckt.runconfig import config_from_sections, load_config, parse_flat_toml
@@ -137,6 +139,43 @@ class TestConfig:
         rebuilt = config_from_sections(json.loads(json.dumps(echoed)))
         assert rebuilt == cfg
 
+    def test_theory_json_roundtrip_preserves_config(self):
+        from fedckt.runconfig import config_to_sections
+
+        cfg = load_config(THEORY_FILE)
+        echoed = config_to_sections(cfg)
+        assert [name for name in echoed if name.startswith("theory.task")] == [
+            "theory.task1",
+            "theory.task2",
+            "theory.task3",
+        ]
+        assert config_from_sections(json.loads(json.dumps(echoed))) == cfg
+
+    def test_theory_tasks_ordered_by_number(self, tmp_path):
+        # the task index seeds its draws, so task10 must come after task2
+        text = THEORY_TOML.format(extra="")
+        for number, n_samples in ((10, 9), (2, 7)):
+            text += f"[theory.task{number}]\nn_samples = {n_samples}\n"
+        cfg = load_config(write(tmp_path, "theory.toml", text))
+        assert [t.n_samples for t in cfg.theory.tasks] == [6, 7, 9]
+
+    @pytest.mark.parametrize(
+        "sections,named",
+        [
+            ("[theory.taskfoo]\n", "[theory.taskfoo]"),
+            ("[theory.task]\n", "[theory.task]"),
+            ("[theory.task01]\n", "[theory.task01]"),
+        ],
+        ids=["word", "empty", "same_number"],
+    )
+    def test_bad_task_section_exits_2(self, tmp_path, capsys, sections, named):
+        cfg = write(tmp_path, "theory.toml", THEORY_TOML.format(extra="") + sections)
+        assert main(["theory-check", "--config", str(cfg), "--out", str(tmp_path / "t")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert named in err
+        assert not (tmp_path / "t" / "theory_report.json").exists()
+
 
 class TestRunCommand:
     def test_smoke_run_single_metrics_row(self, tmp_path):
@@ -184,6 +223,16 @@ class TestRunCommand:
         blocker = tmp_path / "file"
         blocker.write_text("x")
         assert main(["run", "--config", str(cfg), "--out", str(blocker / "sub")]) == 2
+
+    def test_unwritable_metrics_file_exits_2(self, tmp_path, capsys):
+        cfg = write(tmp_path, "smoke.toml", SMOKE_TOML)
+        out = tmp_path / "out"
+        (out / "metrics.csv").mkdir(parents=True)
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("output error:") and "metrics.csv" in err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+        assert not (out / ".metrics.csv.tmp").exists()
 
     def test_divergence_exits_3(self, tmp_path, capsys):
         # a step size at the float ceiling overflows the first update
@@ -268,6 +317,12 @@ class TestRunCommand:
             ("lr = 0.05", "lr = 0.05\nkmeans_max_iters = 5", "kmeans_max_iters"),
             ("lr = 0.05", "lr = 0.05\nkmeans_tol = 0.1", "kmeans_tol"),
             ("lr = 0.05", "lr = 0.05\nseed = 999", "[federation]: unknown key 'seed'"),
+            (
+                "lr = 0.05",
+                "lr = 0.05\n[theory]\ncorrupt_lambda_factor = 10.0",
+                "[theory]: unknown key 'corrupt_lambda_factor'",
+            ),
+            ("lr = 0.05", "lr = 0.05\n[theory]\ntasks = []", "[theory]: unknown key 'tasks'"),
         ],
         ids=[
             "out_dir",
@@ -277,6 +332,8 @@ class TestRunCommand:
             "kmeans_max_iters",
             "kmeans_tol",
             "federation_seed",
+            "corrupt_lambda_factor",
+            "theory_tasks",
         ],
     )
     def test_deleted_spelling_exits_2(self, tmp_path, capsys, old, new, named):
@@ -296,7 +353,7 @@ class TestRunCommand:
             (
                 "tasks.json",
                 '{"run": {"algorithm": "theory_check"}, "theory": {"tasks": [5]}}',
-                "[theory]: tasks",
+                "[theory]: unknown key 'tasks'",
             ),
             (
                 "upsilon.toml",
@@ -351,10 +408,12 @@ class TestRunCommand:
             "public_batch_size",
             "num_samples",
             "n_samples",
+            "lambda_points",
+            "alpha_resolution",
         ],
     )
     def test_huge_size_exits_2_before_allocating(self, tmp_path, capsys, key):
-        if key in ("num_samples", "n_samples"):
+        if key in ("num_samples", "n_samples", "lambda_points", "alpha_resolution"):
             text = THEORY_FILE.read_text()
         else:
             text = SMOKE_FILE.read_text().replace(
@@ -421,12 +480,17 @@ class TestTheoryCheckCommand:
         assert {"closed_form_loss", "relative_gap", "oracle", "closed_form"} <= set(task)
         assert np.isclose(task["closed_form"]["alpha_sum"], 1.0)
 
-    def test_corrupted_lambda_fails(self, tmp_path, capsys):
-        cfg = write(
-            tmp_path,
-            "theory.toml",
-            THEORY_TOML.format(extra="corrupt_lambda_factor = 10.0\n"),
-        )
+    def test_corrupted_lambda_fails(self, tmp_path, capsys, monkeypatch):
+        # the oracle scores a closed form with lambda off by 10x; the grid
+        # stays centred on the true lambda*, so the check must fail
+        true_closed_form = theory.closed_form_lambda_alpha
+
+        def corrupted(task, k):
+            closed = true_closed_form(task, k)
+            return dataclasses.replace(closed, lambda_star=10.0 * closed.lambda_star)
+
+        monkeypatch.setattr(theory, "closed_form_lambda_alpha", corrupted)
+        cfg = write(tmp_path, "theory.toml", THEORY_TOML.format(extra=""))
         out = tmp_path / "t"
         assert main(["theory-check", "--config", str(cfg), "--out", str(out)]) == 1
         assert "FAIL" in capsys.readouterr().out

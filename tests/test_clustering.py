@@ -1,24 +1,15 @@
 import numpy as np
 import pytest
 
-from fedckt.clustering import (
-    CentroidSet,
-    LogitStack,
-    assign_nearest,
-    cmeans_fit,
-    kmeans_objective,
-    stack_from_logits,
-)
+from fedckt.clustering import CentroidSet, assign_nearest, cmeans_fit, kmeans_objective
 from fedckt.errors import ConfigurationError
 from fedckt.rng import substream
 
 from helpers import brute_force_two_clusters, exhaustive_nearest
 
 
-def stack_of(vectors, ids=None):
-    vectors = np.asarray(vectors, dtype=np.float64)
-    ids = tuple(range(len(vectors))) if ids is None else tuple(ids)
-    return LogitStack(client_ids=ids, vectors=vectors)
+def stack_of(vectors):
+    return np.asarray(vectors, dtype=np.float64)
 
 
 def random_stack(rng, m=None, dim=None):
@@ -32,7 +23,7 @@ class TestFit:
         rng = substream(0)
         stack = random_stack(rng, m=9, dim=4)
         centroids, assignment = cmeans_fit(stack, 1, seed=0)
-        assert np.array_equal(centroids.centroids[0], stack.vectors.mean(axis=0))
+        assert np.array_equal(centroids.centroids[0], stack.mean(axis=0))
         assert centroids.member_counts == (9,)
         assert assignment.dtype == np.int64
         assert np.array_equal(assignment, np.zeros(len(stack)))
@@ -43,12 +34,12 @@ class TestFit:
         got = sorted(centroids.centroids[:, 0])
         assert np.allclose(got, [0.05, 10.05], atol=1e-12)
         obj = kmeans_objective(stack, centroids, assignment)
-        best_obj, best_partition = brute_force_two_clusters(stack.vectors)
+        best_obj, best_partition = brute_force_two_clusters(stack)
         assert abs(obj - 0.01) < 1e-12
         assert abs(obj - best_obj) < 1e-12
         clusters = {}
-        for cid, cl in zip(stack.client_ids, assignment):
-            clusters.setdefault(cl, set()).add(cid)
+        for row, cl in enumerate(assignment):
+            clusters.setdefault(cl, set()).add(row)
         assert frozenset(frozenset(v) for v in clusters.values()) == best_partition
 
     def test_duplicate_inputs_repair_empty_cluster(self):
@@ -77,7 +68,7 @@ class TestFit:
             c = int(rng.integers(1, len(stack) + 1))
             centroids, assignment = cmeans_fit(stack, c, seed=int(rng.integers(2**31)))
             for j in range(c):
-                members = stack.vectors[assignment == j]
+                members = stack[assignment == j]
                 assert len(members), "no cluster may end empty"
                 assert np.allclose(
                     centroids.centroids[j], np.mean(members, axis=0), atol=1e-10
@@ -90,8 +81,8 @@ class TestFit:
             c = int(rng.integers(1, len(stack) + 1))
             centroids, assignment = cmeans_fit(stack, c, seed=int(rng.integers(2**31)))
             for i in range(len(stack)):
-                own = ((stack.vectors[i] - centroids.centroids[assignment[i]]) ** 2).sum()
-                others = ((stack.vectors[i] - centroids.centroids) ** 2).sum(axis=1)
+                own = ((stack[i] - centroids.centroids[assignment[i]]) ** 2).sum()
+                others = ((stack[i] - centroids.centroids) ** 2).sum(axis=1)
                 assert own <= others.min() + 1e-12
 
     def test_permutation_invariance_up_to_relabeling(self):
@@ -100,22 +91,17 @@ class TestFit:
         rng = substream(205)
         blob_centers = np.array([[0.0, 0.0, 0.0], [50.0, 0.0, 0.0], [0.0, 50.0, 0.0]])
         vectors = np.vstack([c + 0.1 * rng.normal(size=(4, 3)) for c in blob_centers])
-        base = stack_of(vectors)
         perm = rng.permutation(len(vectors))
-        shuffled = LogitStack(
-            client_ids=tuple(base.client_ids[i] for i in perm),
-            vectors=base.vectors[perm],
-        )
-        _, assign_a = cmeans_fit(base, 3, seed=42)
-        _, assign_b = cmeans_fit(shuffled, 3, seed=43)
+        _, assign_a = cmeans_fit(vectors, 3, seed=42)
+        _, assign_b = cmeans_fit(vectors[perm], 3, seed=43)
 
-        def partition(stack, assignment):
+        def partition(rows, assignment):
             groups = {}
-            for cid, cl in zip(stack.client_ids, assignment):
-                groups.setdefault(cl, set()).add(cid)
+            for row, cl in zip(rows, assignment):
+                groups.setdefault(cl, set()).add(int(row))
             return frozenset(frozenset(g) for g in groups.values())
 
-        assert partition(base, assign_a) == partition(shuffled, assign_b)
+        assert partition(range(len(vectors)), assign_a) == partition(perm, assign_b)
 
     def test_deterministic_given_seed(self):
         rng = substream(206)
@@ -158,7 +144,7 @@ class TestObjective:
         rng = substream(208)
         stack = random_stack(rng, m=12, dim=3)
         centroids, assignment = cmeans_fit(stack, 1, seed=0)
-        expected = ((stack.vectors - stack.vectors.mean(axis=0)) ** 2).sum()
+        expected = ((stack - stack.mean(axis=0)) ** 2).sum()
         assert np.isclose(kmeans_objective(stack, centroids, assignment), expected)
 
     def test_matches_independent_recomputation(self):
@@ -166,15 +152,8 @@ class TestObjective:
         stack = random_stack(rng, m=10, dim=4)
         centroids, assignment = cmeans_fit(stack, 3, seed=1)
         manual = sum(
-            ((stack.vectors[i] - centroids.centroids[assignment[i]]) ** 2).sum()
+            ((stack[i] - centroids.centroids[assignment[i]]) ** 2).sum()
             for i in range(len(stack))
         )
         assert np.isclose(kmeans_objective(stack, centroids, assignment), manual)
 
-
-class TestStackHelpers:
-    def test_stack_from_logits_orders_by_client(self):
-        logits = {5: np.arange(6.0).reshape(3, 2), 2: np.ones((3, 2))}
-        stack = stack_from_logits(logits)
-        assert stack.client_ids == (2, 5)
-        assert np.array_equal(stack.vectors[1], np.arange(6.0))

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedckt.data import (
-    PartitionSpec,
     RawDataset,
     assign_data_fractions,
     draw_public_pool,
@@ -62,7 +61,7 @@ class TestGenerate:
 class TestPartition:
     def test_huge_alpha_near_uniform(self):
         data = blobs(5, 2, 400, 2.0, seed=1)
-        shards = partition_dirichlet(data, PartitionSpec(4, 1e6, seed=2))
+        shards = partition_dirichlet(data, 4, 1e6, 2)
         for shard in shards:
             hist = label_histogram(shard)
             assert np.all(np.abs(hist / 400 - 0.25) <= 0.10 * 1 + 0.025)
@@ -70,7 +69,7 @@ class TestPartition:
     def test_small_alpha_concentrates_labels(self):
         # alpha = 0.01: median client holds >= 80% of its samples in <= 2 classes
         data = blobs(10, 2, 500, 2.0, seed=1)
-        shards = partition_dirichlet(data, PartitionSpec(100, 0.01, seed=7))
+        shards = partition_dirichlet(data, 100, 0.01, 7)
         top2 = []
         for shard in shards:
             if len(shard) == 0:
@@ -81,12 +80,12 @@ class TestPartition:
 
     def test_single_client_gets_everything(self):
         data = blobs(3, 2, 10, 2.0, seed=1)
-        (shard,) = partition_dirichlet(data, PartitionSpec(1, 0.5, seed=0))
+        (shard,) = partition_dirichlet(data, 1, 0.5, 0)
         assert np.array_equal(sorted_rows(shard), sorted_rows(data))
 
     def test_conservation_exact(self):
         data = blobs(7, 3, 83, 2.0, seed=5)
-        shards = partition_dirichlet(data, PartitionSpec(13, 0.05, seed=11))
+        shards = partition_dirichlet(data, 13, 0.05, 11)
         merged = RawDataset(
             np.vstack([s.inputs for s in shards]),
             np.concatenate([s.labels for s in shards]),
@@ -104,7 +103,7 @@ class TestPartition:
     @settings(max_examples=40, deadline=None)
     def test_conservation_property(self, num_classes, per_class, clients, alpha, seed):
         data = blobs(num_classes, 2, per_class, 1.0, seed=seed)
-        shards = partition_dirichlet(data, PartitionSpec(clients, alpha, seed=seed))
+        shards = partition_dirichlet(data, clients, alpha, seed)
         assert sum(len(s) for s in shards) == len(data)
         total = sum(label_histogram(s) for s in shards)
         assert np.array_equal(total, label_histogram(data))
@@ -115,7 +114,7 @@ class TestPartition:
         by_alpha = []
         for alpha in (10.0, 1.0, 0.1, 0.01):
             values = [
-                mean_label_entropy(partition_dirichlet(data, PartitionSpec(20, alpha, seed=s)))
+                mean_label_entropy(partition_dirichlet(data, 20, alpha, s))
                 for s in range(5)
             ]
             by_alpha.append(np.mean(values))
@@ -123,8 +122,8 @@ class TestPartition:
 
     def test_deterministic(self):
         data = blobs(4, 2, 50, 2.0, seed=2)
-        a = partition_dirichlet(data, PartitionSpec(6, 0.3, seed=4))
-        b = partition_dirichlet(data, PartitionSpec(6, 0.3, seed=4))
+        a = partition_dirichlet(data, 6, 0.3, 4)
+        b = partition_dirichlet(data, 6, 0.3, 4)
         for x, y in zip(a, b):
             assert np.array_equal(x.inputs, y.inputs)
 
@@ -236,7 +235,7 @@ class TestMinibatch:
 class TestSerialization:
     def test_partition_summary_json(self):
         data = blobs(4, 2, 100, 2.0, seed=0)
-        shards = partition_dirichlet(data, PartitionSpec(7, 0.1, seed=1))
+        shards = partition_dirichlet(data, 7, 0.1, 1)
         summary = partition_summary(shards)
         parsed = json.loads(json.dumps(summary))
         assert parsed["num_clients"] == 7

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from fedckt.clustering import stack_from_logits, cmeans_fit, assign_nearest
+from fedckt.clustering import cmeans_fit, assign_nearest
 from fedckt.data import (
     ClientDataBundle,
     PublicPool,
+    RawDataset,
     assign_data_fractions,
 )
 from fedckt.errors import ConfigurationError
@@ -20,7 +21,6 @@ from fedckt.federation import (
     sample_clients,
 )
 from fedckt.models import (
-    ARCH_LINEAR,
     ARCH_SOFTMAX,
     ModelSpec,
     forward_logits,
@@ -249,27 +249,26 @@ class TestReductions:
         # uniform average of the previous round's logits
         weights = np.array([r.bundle.p_k for r in records_b])
         boot = sample_clients(weights, 3, substream(cfg.seed, "select", "bootstrap"))
-        stack = stack_from_logits(
-            {
-                records_b[p].id: forward_logits(
-                    records_b[p].spec, records_b[p].params, pool.inputs
-                )
-                for p in boot
-            }
+        # record ids equal positions; stack rows go in client-id order
+        stack = np.stack(
+            [
+                forward_logits(records_b[p].spec, records_b[p].params, pool.inputs).ravel()
+                for p in sorted(boot)
+            ]
         )
         n_classes = records_b[0].spec.num_classes
         for t in range(cfg.rounds):
-            mean_vec = stack.vectors.mean(axis=0)
+            mean_vec = stack.mean(axis=0)
             sbar = mean_vec.reshape(len(pool), n_classes)
             picks = sample_clients(weights, 3, substream(cfg.seed, "select", t))
             selected = sorted(records_b[p].id for p in picks)
-            uploads = {}
+            uploads = []
             for cid in selected:
                 rec = records_b[cid]
                 params, logits = client_local_round(rec, sbar, pool, cfg, t)
                 rec.params = params
-                uploads[cid] = logits
-            stack = stack_from_logits(uploads)
+                uploads.append(logits.ravel())
+            stack = np.stack(uploads)
 
         for a, b in zip(records_a, records_b):
             assert np.array_equal(a.params, b.params)
@@ -313,14 +312,10 @@ class TestPersistence:
         by_id = {r.id: r for r in records_replay}
         weights = np.array([r.bundle.p_k for r in records_replay])
         boot = sample_clients(weights, 1, substream(cfg.seed, "select", "bootstrap"))
-        stack = stack_from_logits(
-            {
-                records_replay[p].id: forward_logits(
-                    records_replay[p].spec, records_replay[p].params, pool.inputs
-                )
-                for p in boot
-            }
-        )
+        (p,) = boot
+        stack = forward_logits(
+            records_replay[p].spec, records_replay[p].params, pool.inputs
+        ).reshape(1, -1)
         from fedckt.rng import derive_seed
 
         for t in range(cfg.rounds):
@@ -336,7 +331,7 @@ class TestPersistence:
             )
             params, logits = client_local_round(rec, sbar, pool, cfg, t)
             rec.params = params
-            stack = stack_from_logits({cid: logits})
+            stack = logits.reshape(1, -1)
 
         for orig, replay in zip(records, records_replay):
             assert np.array_equal(orig.params, replay.params)
@@ -435,28 +430,15 @@ class TestEvaluation:
             assert acc == manual
 
 
-class _RegressionData:
-    """Duck-typed stand-in for a dataset with float regression targets."""
-
-    def __init__(self, inputs, targets):
-        self.inputs = inputs
-        self.labels = targets
-
-    def __len__(self):
-        return len(self.inputs)
-
-
 class TestGradNormMonitor:
     def test_zero_at_exact_minimizer(self):
-        # linear regression: the least-squares solution is stationary
-        spec = ModelSpec(ARCH_LINEAR, dim=2)
-        rng = substream(43)
-        x = rng.normal(size=(20, 2))
-        y = x @ np.array([1.0, -2.0])
-        data = _RegressionData(x, y)
+        # every input appears once with each label, so the uniform prediction
+        # of the zero parameters is the cross-entropy minimizer
+        spec = ModelSpec(ARCH_SOFTMAX, dim=2, num_classes=2)
+        x = substream(43).normal(size=(10, 2))
+        data = RawDataset(np.vstack([x, x]), np.repeat([0, 1], 10), 2)
         bundle = ClientDataBundle(train=data, val=data, test=data, p_k=1.0)
-        w_star = np.linalg.lstsq(x, y, rcond=None)[0]
-        rec = ClientRecord(id=0, spec=spec, params=w_star, bundle=bundle)
+        rec = ClientRecord(id=0, spec=spec, params=np.zeros(param_count(spec)), bundle=bundle)
         assert grad_norm_monitor(rec, None, None, 0.0) <= 1e-8
 
     def test_decreasing_trend_under_robbins_monro(self):
@@ -503,15 +485,12 @@ class TestGradNormMonitor:
 
 class TestDivergence:
     def test_diverged_client_dropped_and_reinitialized(self):
-        spec = ModelSpec(ARCH_LINEAR, dim=2)
-        rng = substream(45)
-        x = rng.normal(size=(16, 2)) * 10
-        y = x @ np.array([3.0, -1.0])
-        data = _RegressionData(x, y)
-        bundle = ClientDataBundle(train=data, val=data, test=data, p_k=1.0)
-        records = [ClientRecord(id=0, spec=spec, params=np.array([1.0, 1.0]), bundle=bundle)]
-        cfg = config(rounds=2, num_selected=1, lr=1e200, batch_size=16, distill_weight=0.0)
-        with np.errstate(over="ignore"):
+        spec = ModelSpec(ARCH_SOFTMAX, dim=2, num_classes=3)
+        (bundle,) = assign_data_fractions([make_bundle(seed=45)])
+        records = [ClientRecord(id=0, spec=spec, params=init_params(spec, seed=0), bundle=bundle)]
+        cfg = config(rounds=2, num_selected=1, lr=1e308, batch_size=16, distill_weight=0.0)
+        with np.errstate(over="ignore", invalid="ignore"):
             result = run_rounds("local", records, None, cfg)
         assert result.diverged, "exploding step size must be detected"
+        assert result.error is None, "caught in training, not in evaluation"
         assert np.all(np.isfinite(records[0].params))

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from fedckt.errors import ConfigurationError, NumericError
 from fedckt.models import (
-    ARCH_LINEAR,
     ARCH_MLP,
     ARCH_SOFTMAX,
     ModelSpec,
@@ -24,32 +23,39 @@ from fedckt.rng import substream
 
 from helpers import finite_difference_gradient, max_relative_error
 
-LINEAR = ModelSpec(ARCH_LINEAR, dim=2)
 SOFTMAX = ModelSpec(ARCH_SOFTMAX, dim=10, num_classes=10)
 MLP = ModelSpec(ARCH_MLP, dim=4, num_classes=3, hidden=8)
 
-ALL_SPECS = [LINEAR, SOFTMAX, MLP]
+ALL_SPECS = [SOFTMAX, MLP]
 
 
 def random_instance(spec, rng, batch=6, public=5):
     params = rng.normal(0, 0.7, param_count(spec))
     x = rng.normal(size=(batch, spec.dim))
-    if spec.arch == ARCH_LINEAR:
-        y = rng.normal(size=batch)
-        sbar = rng.normal(size=(public, 1))
-    else:
-        y = rng.integers(spec.num_classes, size=batch)
-        sbar = rng.dirichlet(np.ones(spec.num_classes), size=public)
+    y = rng.integers(spec.num_classes, size=batch)
+    sbar = rng.dirichlet(np.ones(spec.num_classes), size=public)
     xp = rng.normal(size=(public, spec.dim))
     return params, x, y, xp, sbar
+
+
+class TestSpec:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"arch": "linear_regressor", "dim": 2, "num_classes": 2},
+            {"arch": ARCH_SOFTMAX, "dim": 2, "num_classes": 1},
+            {"arch": ARCH_MLP, "dim": 2, "num_classes": 1, "hidden": 4},
+        ],
+        ids=["regressor", "softmax_one_class", "mlp_one_class"],
+    )
+    def test_classifiers_only(self, kwargs):
+        with pytest.raises(ConfigurationError):
+            ModelSpec(**kwargs)
 
 
 class TestParamCount:
     def test_softmax_linear(self):
         assert param_count(SOFTMAX) == 110
-
-    def test_linear_regressor(self):
-        assert param_count(LINEAR) == 2
 
     def test_mlp(self):
         assert param_count(MLP) == 4 * 8 + 8 + 8 * 3 + 3 == 67
@@ -83,21 +89,21 @@ class TestForward:
         scores = np.array([[1.0, -2.0, 0.5], [0.0, 3.0, -1.0]])
         assert np.allclose(stable_softmax(scores), stable_softmax(scores + 1000.0))
 
-    def test_regressor_returns_raw_predictions(self):
-        params = np.array([2.0, -1.0])
-        x = np.array([[1.0, 1.0], [3.0, 0.0]])
-        out = forward_logits(LINEAR, params, x)
-        assert np.allclose(out, [[1.0], [6.0]])
+    def test_softmax_linear_is_softmax_of_affine_scores(self):
+        spec = ModelSpec(ARCH_SOFTMAX, dim=2, num_classes=2)
+        params = np.array([np.log(2.0), 0.0, 0.0, np.log(3.0), 0.0, 0.0])  # W row-major, b
+        probs = forward_logits(spec, params, np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]))
+        assert np.allclose(probs, [[2 / 3, 1 / 3], [1 / 4, 3 / 4], [2 / 5, 3 / 5]], atol=1e-12)
 
     def test_width_mismatch_rejected(self):
         with pytest.raises(ConfigurationError):
             forward_logits(SOFTMAX, init_params(SOFTMAX, 0), np.ones((2, 3)))
 
     def test_nonfinite_output_reported(self):
-        params = init_params(LINEAR, 0)
+        params = init_params(SOFTMAX, 0)
         params[0] = np.inf
-        with pytest.raises(NumericError, match="row"):
-            forward_logits(LINEAR, params, np.ones((2, 2)))
+        with pytest.raises(NumericError, match="row"), np.errstate(invalid="ignore"):
+            forward_logits(SOFTMAX, params, np.ones((2, SOFTMAX.dim)))
 
     @given(seed=st.integers(0, 2**31))
     @settings(max_examples=30, deadline=None)
@@ -123,16 +129,13 @@ class TestLocalLoss:
         loss = local_loss(SOFTMAX, params, np.ones((7, 10)), np.arange(7) % 10)
         assert abs(loss - np.log(10)) < 1e-12
 
-    def test_regression_zero_at_solution(self):
-        x = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-        w = np.array([0.3, -0.7])
-        assert local_loss(LINEAR, w, x, x @ w) == 0.0
 
-    def test_regression_is_sum_of_squares(self):
-        x = np.array([[1.0, 0.0], [0.0, 2.0]])
-        w = np.array([1.0, 1.0])
-        y = np.array([0.0, 0.0])
-        assert np.isclose(local_loss(LINEAR, w, x, y), 1.0 + 4.0)
+
+    def test_mean_negative_log_probability_of_the_label(self):
+        spec = ModelSpec(ARCH_SOFTMAX, dim=1, num_classes=2)
+        params = np.array([0.0, 0.0, np.log(3.0), 0.0])  # class-0 bias log 3: p = (3/4, 1/4)
+        loss = local_loss(spec, params, np.zeros((2, 1)), np.array([0, 1]))
+        assert abs(loss - (np.log(4 / 3) + np.log(4.0)) / 2) < 1e-12
 
 
 class TestObjective:
@@ -226,15 +229,17 @@ class TestGradient:
                 assert after <= before + 1e-12
 
     def test_nonfinite_gradient_rejected(self):
-        params = np.array([np.nan, 0.0])
+        spec = ModelSpec(ARCH_SOFTMAX, dim=2, num_classes=2)
+        params = np.zeros(param_count(spec))
+        params[0] = np.nan
         with pytest.raises(NumericError):
             grad_phi_stochastic(
-                LINEAR,
+                spec,
                 params,
                 np.ones((2, 2)),
                 np.zeros(2),
                 np.ones((1, 2)),
-                np.zeros((1, 1)),
+                np.full((1, 2), 0.5),
                 1.0,
             )
 
@@ -246,14 +251,15 @@ class TestSerialization:
         path = tmp_path / "params.bin"
         save_params(path, spec, params)
         tag, loaded = load_params(path)
-        assert tag == {ARCH_LINEAR: 1, ARCH_SOFTMAX: 2, ARCH_MLP: 3}[spec.arch]
+        assert tag == {ARCH_SOFTMAX: 2, ARCH_MLP: 3}[spec.arch]
         assert np.array_equal(loaded, params)
 
     def test_header_is_sixteen_bytes(self, tmp_path):
         path = tmp_path / "params.bin"
-        save_params(path, LINEAR, np.array([1.0, 2.0]))
+        spec = ModelSpec(ARCH_SOFTMAX, dim=1, num_classes=2)
+        save_params(path, spec, np.array([1.0, 2.0, 3.0, 4.0]))
         blob = path.read_bytes()
-        assert len(blob) == 16 + 2 * 8
+        assert len(blob) == 16 + 4 * 8
         assert blob[:4] == b"FKPV"
 
     def test_bad_magic_rejected(self, tmp_path):
