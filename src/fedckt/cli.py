@@ -47,10 +47,7 @@ EXIT_DIVERGED = 3
 
 def _out_dir(args) -> Path:
     path = Path(args.out or ".")
-    try:
-        path.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigurationError(f"cannot create output directory {path}: {exc}") from exc
+    path.mkdir(parents=True, exist_ok=True)
     return path
 
 

@@ -26,10 +26,6 @@ class CentroidSet:
             raise ConfigurationError("one member count per centroid required")
         object.__setattr__(self, "centroids", centroids)
 
-    @property
-    def num_clusters(self) -> int:
-        return self.centroids.shape[0]
-
 
 def _sq_dists(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     """(m, c) squared euclidean distances via the expanded form."""

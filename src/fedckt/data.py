@@ -44,10 +44,6 @@ class RawDataset:
     def __len__(self) -> int:
         return self.inputs.shape[0]
 
-    @property
-    def dim(self) -> int:
-        return self.inputs.shape[1]
-
     def take(self, idx: np.ndarray) -> "RawDataset":
         return RawDataset(self.inputs[idx], self.labels[idx], self.num_classes)
 
@@ -84,10 +80,6 @@ class PublicPool:
 
     def __len__(self) -> int:
         return self.inputs.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.inputs.shape[1]
 
 
 def class_means(num_classes: int, dim: int, separation: float, seed: int) -> np.ndarray:
@@ -156,10 +148,9 @@ def split_train_val_test(
     The train fraction is drawn uniformly from {0.1, 0.3, 0.4} unless given.
     Sizes use floor rounding in exact integer tenths; the leftover (the
     discarded share when train < 0.4) is folded into the test split. A shard
-    too small for three non-empty splits yields an inactive bundle.
+    too small for three non-empty splits, an empty one included, yields an
+    inactive bundle.
     """
-    if len(shard) == 0:
-        raise ConfigurationError("cannot split an empty shard")
     rng = substream(seed, "split")
     if train_fraction is None:
         train_fraction = TRAIN_FRACTIONS[rng.integers(len(TRAIN_FRACTIONS))]

@@ -8,14 +8,3 @@ class ConfigurationError(ValueError):
 class NumericError(ArithmeticError):
     """A computation produced non-finite values or an unsolvable system."""
 
-
-class DivergedClientError(NumericError):
-    """A client's parameters became non-finite during local training."""
-
-    def __init__(self, client_id: int, round_index: int, step: int):
-        self.client_id = client_id
-        self.round_index = round_index
-        self.step = step
-        super().__init__(
-            f"client {client_id} diverged at round {round_index}, local step {step}"
-        )

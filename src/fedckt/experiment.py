@@ -13,7 +13,6 @@ from pathlib import Path
 import numpy as np
 
 from .data import (
-    ClientDataBundle,
     PublicPool,
     RawDataset,
     TRAIN_FRACTIONS,
@@ -119,10 +118,6 @@ class ModelConfig:
             raise ConfigurationError(f"unknown model kind {self.kind!r}")
 
 
-def _empty_like(num_classes: int, dim: int) -> RawDataset:
-    return RawDataset(np.empty((0, dim)), np.empty(0, dtype=np.int64), num_classes)
-
-
 def _split_shards(shards: list[RawDataset], partition_seed: int, master_seed: int):
     """Per-client splits; the train-fraction draw consumes one stream from the
     partition seed, in client-index order, so the fractions are independent of
@@ -130,23 +125,12 @@ def _split_shards(shards: list[RawDataset], partition_seed: int, master_seed: in
     p_k is left for assign_data_fractions over the whole population."""
     frac_rng = substream(partition_seed, "train-fraction")
     picks = frac_rng.integers(len(TRAIN_FRACTIONS), size=len(shards))
-    bundles = []
-    for idx, shard in enumerate(shards):
-        fraction = TRAIN_FRACTIONS[picks[idx]]
-        if len(shard) == 0:
-            empty = _empty_like(shard.num_classes, shard.dim)
-            bundles.append(
-                ClientDataBundle(
-                    train=empty, val=empty, test=empty, active=False, train_fraction=fraction
-                )
-            )
-        else:
-            bundles.append(
-                split_train_val_test(
-                    shard, derive_seed(master_seed, "split", idx), train_fraction=fraction
-                )
-            )
-    return bundles
+    return [
+        split_train_val_test(
+            shard, derive_seed(master_seed, "split", idx), train_fraction=TRAIN_FRACTIONS[pick]
+        )
+        for idx, (shard, pick) in enumerate(zip(shards, picks))
+    ]
 
 
 def _assign_specs(bundles, model_cfg: ModelConfig, dim: int, num_classes: int):

@@ -10,6 +10,11 @@ batches from ("public", client, t). Clients therefore share no streams, so
 a client's trajectory does not depend on which other clients run in the
 same round, and algorithms that skip a quantity (e.g. local SGD never
 touching public batches) still consume identical private streams.
+
+Failure contract: a client's numeric failure is a plain NumericError, raised
+where the non-finite value appears, and only run_rounds classifies it: in a
+selected client's training it drops that client for the round; anywhere
+else it ends the run, which keeps its outputs so far.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ import numpy as np
 
 from .clustering import assign_nearest, cmeans_fit
 from .data import ClientDataBundle, PublicPool, minibatch
-from .errors import ConfigurationError, DivergedClientError, NumericError
+from .errors import ConfigurationError, NumericError
 from .models import (
     ModelSpec,
     forward_logits,
@@ -123,7 +128,7 @@ class RunResult:
     metrics: list[RoundMetrics]
     ledger: CommLedger
     diverged: list[tuple[int, int]] = field(default_factory=list)  # (client, round)
-    error: NumericError | None = None  # the monitor or evaluation failure that ended the run
+    error: NumericError | None = None  # the failure that ended the run
 
 
 def sample_clients(weights: np.ndarray, m: int, rng: np.random.Generator) -> list[int]:
@@ -171,21 +176,16 @@ def _local_sgd_steps(
     for step in range(config.local_iters):
         idx = minibatch(train, config.batch_size, rng_priv)
         xb, yb = train.inputs[idx], train.labels[idx]
-        try:
-            if lam > 0:
-                pidx = minibatch(pool, config.public_batch_size, rng_pub)
-                grad = grad_phi_stochastic(
-                    record.spec, w, xb, yb, pool.inputs[pidx], sbar_rows[pidx], lam
-                )
-            else:
-                grad = grad_local(record.spec, w, xb, yb)
-        except NumericError as exc:
-            # an exploding trajectory can overflow in the forward pass one
-            # step before the parameters themselves go non-finite
-            raise DivergedClientError(record.id, round_index, step) from exc
+        if lam > 0:
+            pidx = minibatch(pool, config.public_batch_size, rng_pub)
+            grad = grad_phi_stochastic(
+                record.spec, w, xb, yb, pool.inputs[pidx], sbar_rows[pidx], lam
+            )
+        else:
+            grad = grad_local(record.spec, w, xb, yb)
         w = w - eta * grad
         if not np.all(np.isfinite(w)):
-            raise DivergedClientError(record.id, round_index, step)
+            raise NumericError(f"non-finite parameters at local step {step}")
     return w
 
 
@@ -203,11 +203,7 @@ def client_local_round(
     params = _local_sgd_steps(
         record, config, round_index, lr_at(config, round_index), pool, sbar_rows
     )
-    try:
-        logits = forward_logits(record.spec, params, pool.inputs)
-    except NumericError as exc:
-        raise DivergedClientError(record.id, round_index, config.local_iters) from exc
-    return params, logits
+    return params, forward_logits(record.spec, params, pool.inputs)
 
 
 def grad_norm_monitor(
@@ -310,10 +306,11 @@ def run_rounds(
       them: every active record holds the global model throughout.
     - local does nothing and charges nothing.
 
-    A diverged client is dropped from the round and re-initialised, except
-    under fedavg, where its record still holds the intact global model. A
-    NumericError in a client's monitor or evaluation records it as diverged
-    and ends the run, keeping the error and the metrics of earlier rounds.
+    A client's failure is a NumericError. One raised while a selected client
+    trains drops it from the round and re-initialises it, except under
+    fedavg, where its record still holds the intact global model. One raised
+    anywhere else records (client, round), the bootstrap as round 0, and
+    ends the run, keeping the error and the metrics of earlier rounds.
     """
     perfed, fedavg = algorithm == "perfed_ckt", algorithm == "fedavg"
     active = [r for r in records if r.bundle.active]
@@ -330,14 +327,6 @@ def run_rounds(
         payload = len(pool) * widths.pop()
         if config.num_clusters > m:
             raise ConfigurationError("num_clusters must not exceed selected clients")
-        boot = sample_clients(weights, m, substream(config.seed, "select", "bootstrap"))
-        # one flattened logit row per client, in client-id order
-        stack = np.stack(
-            [
-                forward_logits(r.spec, r.params, pool.inputs).ravel()
-                for r in sorted((active[p] for p in boot), key=lambda r: r.id)
-            ]
-        )
     elif fedavg:
         specs = {r.spec for r in active}
         if len(specs) != 1:
@@ -345,69 +334,76 @@ def run_rounds(
         payload = param_count(specs.pop())
         _broadcast_average(active, weights, [r.params for r in active])
 
+    def monitor(r: ClientRecord) -> float:
+        sbar = _nearest_centroid(r, pool, centroids) if perfed else None
+        return grad_norm_monitor(r, pool, sbar, config.distill_weight)
+
     ledger = CommLedger()
     metrics: list[RoundMetrics] = []
     diverged: list[tuple[int, int]] = []
-
-    for t in range(config.rounds):
-        eval_round = t % config.eval_interval == 0 or t == config.rounds - 1
+    t = 0  # the round a bootstrap failure is recorded in
+    try:
         if perfed:
-            models_down = min(config.num_clusters, len(stack))
-            centroids, _ = cmeans_fit(
-                stack, models_down, seed=derive_seed(config.seed, "cluster-seed", t)
-            )
-        if algorithm == "local":
-            selected = active
-        else:
-            positions = sample_clients(weights, m, substream(config.seed, "select", t))
-            selected = sorted((active[p] for p in positions), key=lambda r: r.id)
-        ledger.downlink_scalars += len(selected) * models_down * payload
-
-        if eval_round and perfed:  # perfed monitors the start-of-round state
-            try:
-                grad_norms = _per_client(
-                    lambda r: grad_norm_monitor(
-                        r, pool, _nearest_centroid(r, pool, centroids), config.distill_weight
-                    ),
-                    active,
+            boot = sample_clients(weights, m, substream(config.seed, "select", "bootstrap"))
+            # one flattened logit row per client, in client-id order
+            stack = np.stack(
+                _per_client(
+                    lambda r: forward_logits(r.spec, r.params, pool.inputs).ravel(),
+                    sorted((active[p] for p in boot), key=lambda r: r.id),
                 )
-            except NumericError as exc:
-                diverged.append((exc.client_id, t))
-                return RunResult(metrics, ledger, diverged, error=exc)
-
-        uploaded: list[tuple[ClientRecord, np.ndarray]] = []
-        for rec in selected:
-            try:
-                if perfed:
-                    sbar = _nearest_centroid(rec, pool, centroids)
-                    rec.params, upload = client_local_round(rec, sbar, pool, config, t)
-                else:
-                    rec.params = upload = _local_sgd_steps(rec, config, t, lr_at(config, t))
-            except DivergedClientError:
-                diverged.append((rec.id, t))
-                if not fedavg:
-                    rec.params = init_params(rec.spec, derive_seed(config.seed, "reinit", rec.id, t))
-            else:
-                uploaded.append((rec, upload))
-                rec.last_selected_round = t
-        ledger.uplink_scalars += len(uploaded) * payload
-
-        if perfed and uploaded:
-            stack = np.stack([logits.ravel() for _, logits in uploaded])
-        elif fedavg and uploaded:
-            total = sum(r.bundle.p_k for r, _ in uploaded)
-            _broadcast_average(
-                active, [r.bundle.p_k / total for r, _ in uploaded], [w for _, w in uploaded]
             )
 
-        if eval_round:
-            try:
+        for t in range(config.rounds):
+            eval_round = t % config.eval_interval == 0 or t == config.rounds - 1
+            if perfed:
+                models_down = min(config.num_clusters, len(stack))
+                centroids, _ = cmeans_fit(
+                    stack, models_down, seed=derive_seed(config.seed, "cluster-seed", t)
+                )
+            if algorithm == "local":
+                selected = active
+            else:
+                positions = sample_clients(weights, m, substream(config.seed, "select", t))
+                selected = sorted((active[p] for p in positions), key=lambda r: r.id)
+            ledger.downlink_scalars += len(selected) * models_down * payload
+
+            if eval_round and perfed:  # perfed monitors the start-of-round state
+                grad_norms = _per_client(monitor, active)
+
+            uploaded: list[tuple[ClientRecord, np.ndarray]] = []
+            for rec in selected:
+                try:
+                    if perfed:
+                        sbar = _nearest_centroid(rec, pool, centroids)
+                        rec.params, upload = client_local_round(rec, sbar, pool, config, t)
+                    else:
+                        rec.params = upload = _local_sgd_steps(rec, config, t, lr_at(config, t))
+                except NumericError:
+                    diverged.append((rec.id, t))
+                    if not fedavg:
+                        rec.params = init_params(
+                            rec.spec, derive_seed(config.seed, "reinit", rec.id, t)
+                        )
+                else:
+                    uploaded.append((rec, upload))
+                    rec.last_selected_round = t
+            ledger.uplink_scalars += len(uploaded) * payload
+
+            if perfed and uploaded:
+                stack = np.stack([logits.ravel() for _, logits in uploaded])
+            elif fedavg and uploaded:
+                total = sum(r.bundle.p_k for r, _ in uploaded)
+                _broadcast_average(
+                    active, [r.bundle.p_k / total for r, _ in uploaded], [w for _, w in uploaded]
+                )
+
+            if eval_round:
                 if not perfed:
-                    grad_norms = _per_client(lambda r: grad_norm_monitor(r, None, None, 0.0), active)
+                    grad_norms = _per_client(monitor, active)
                 accuracies = evaluate_clients(active)
-            except NumericError as exc:
-                diverged.append((exc.client_id, t))
-                return RunResult(metrics, ledger, diverged, error=exc)
-            metrics.append(_metrics_row(t, accuracies, grad_norms, ledger))
+                metrics.append(_metrics_row(t, accuracies, grad_norms, ledger))
+    except NumericError as exc:
+        diverged.append((exc.client_id, t))
+        return RunResult(metrics, ledger, diverged, error=exc)
 
     return RunResult(metrics=metrics, ledger=ledger, diverged=diverged)

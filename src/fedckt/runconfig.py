@@ -132,6 +132,8 @@ class TheoryTaskConfig:
             raise ConfigurationError("upsilon must list one value per client")
         if not 0 <= self.client < self.num_clients:
             raise ConfigurationError("client index out of range")
+        if self.dim < 1:
+            raise ConfigurationError("dim must be >= 1")
         check_budget({"num_clients * n_samples * dim": self.num_clients * self.n_samples * self.dim})
 
 

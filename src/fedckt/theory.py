@@ -24,6 +24,8 @@ cross-check.)
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -313,23 +315,20 @@ def _loss_from_noise_stats(
 
 
 def simplex_grid(num_weights: int, resolution: int) -> np.ndarray:
-    """All weight vectors with entries j/resolution summing to 1."""
+    """All weight vectors with entries j/resolution summing to 1, the
+    numerators in lexicographic order. Stars and bars: each choice of
+    num_weights - 1 bar slots among resolution + num_weights - 1 fixes the
+    numerators as the gaps between consecutive bars."""
     if resolution < 1:
         raise ConfigurationError("resolution must be >= 1")
-    rows = [
-        np.array(parts, dtype=np.float64) / resolution
-        for parts in _compositions(resolution, num_weights)
-    ]
-    return np.stack(rows)
-
-
-def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+    slots, k = resolution + num_weights - 1, num_weights - 1
+    rows = math.comb(slots, k)
+    bars = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations(range(slots), k)),
+        dtype=np.int64,
+        count=rows * k,
+    ).reshape(rows, k)
+    return (np.diff(bars, axis=1, prepend=-1, append=slots) - 1) / resolution
 
 
 def lambda_grid_around(center: float, points: int, span: float) -> np.ndarray:

@@ -224,6 +224,13 @@ class TestRunCommand:
         blocker.write_text("x")
         assert main(["run", "--config", str(cfg), "--out", str(blocker / "sub")]) == 2
 
+    def test_out_is_a_file_exits_2(self, tmp_path, capsys):
+        cfg = write(tmp_path, "smoke.toml", SMOKE_TOML)
+        assert main(["run", "--config", str(cfg), "--out", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("output error:") and "File exists" in err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+
     def test_unwritable_metrics_file_exits_2(self, tmp_path, capsys):
         cfg = write(tmp_path, "smoke.toml", SMOKE_TOML)
         out = tmp_path / "out"
@@ -256,16 +263,24 @@ class TestRunCommand:
         assert "non-finite probabilities" in err
         assert "Traceback" not in err
 
-    def test_eval_overflow_keeps_outputs(self, tmp_path, capsys):
-        # local SGD at the float ceiling leaves finite MLP weights whose
-        # test-set forward pass overflows; the rounds before it, the event
-        # and the checkpoints are still written
-        text = (
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # local SGD at the float ceiling leaves finite MLP weights whose
+            # test-set forward pass overflows
             SMOKE_TOML.replace("perfed_ckt", "local")
             .replace('kind = "softmax_linear"', 'kind = "mlp"')
             .replace("lr = 0.05", "lr = 1e308")
-            .replace("rounds = 1", "rounds = 3")
-        )
+            .replace("rounds = 1", "rounds = 3"),
+            # initial weights near the float ceiling overflow perfed's
+            # bootstrap upload, which is recorded as round 0
+            SMOKE_TOML.replace("init_scale = 0.05", "init_scale = 4e307"),
+        ],
+        ids=["local_eval", "perfed_bootstrap"],
+    )
+    def test_eval_overflow_keeps_outputs(self, tmp_path, capsys, text):
+        # the rounds before the failure, the event and the checkpoints are
+        # still written
         cfg = write(tmp_path, "overflow.toml", text)
         out = tmp_path / "out"
         with np.errstate(over="ignore", invalid="ignore"):
@@ -274,8 +289,9 @@ class TestRunCommand:
         assert "numeric error: non-finite model output" in err
         assert "Traceback" not in err
         summary = json.loads((out / "summary.json").read_text())
+        assert summary["diverged_events"] == [[0, 0]]
         rows = (out / "metrics.csv").read_text().strip().splitlines()
-        last = summary["diverged_events"][-1][1]  # the round whose evaluation failed
+        last = summary["diverged_events"][-1][1]  # the round that ended the run
         assert [int(row.split(",")[0]) for row in rows[1:]] == list(range(last))
         manifest = json.loads((out / "checkpoints/manifest.json").read_text())
         assert len(manifest["clients"]) == 2
@@ -360,8 +376,10 @@ class TestRunCommand:
                 THEORY_TOML.format(extra="").replace("[1.0, 1.0, 1.0]", '["a", "b", "c"]'),
                 "[theory.task1]: upsilon",
             ),
+            ("dim0.toml", THEORY_TOML.format(extra="").replace("dim = 2", "dim = 0"), "dim"),
+            ("dim-1.toml", THEORY_TOML.format(extra="").replace("dim = 2", "dim = -1"), "dim"),
         ],
-        ids=["data", "tasks", "upsilon"],
+        ids=["data", "tasks", "upsilon", "dim_zero", "dim_negative"],
     )
     def test_malformed_section_exits_2(self, tmp_path, capsys, name, text, named):
         cfg = write(tmp_path, name, text)

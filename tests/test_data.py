@@ -142,8 +142,10 @@ class TestSplit:
         assert (len(bundle.train), len(bundle.val), len(bundle.test)) == (10, 10, 80)
 
     def test_tiny_shard_marks_inactive(self):
-        bundle = split_train_val_test(self.shard(2), seed=1)
-        assert not bundle.active
+        for n in (0, 2):
+            bundle = split_train_val_test(self.shard(n), seed=1)
+            assert not bundle.active
+            assert len(bundle.train) + len(bundle.val) + len(bundle.test) == n
 
     def test_splits_disjoint_and_within_shard(self):
         shard = self.shard(57, seed=3)

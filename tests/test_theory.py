@@ -358,6 +358,19 @@ class TestSimplexGrid:
 
         assert len(simplex_grid(3, 10)) == comb(12, 2)
 
+    def test_rows_in_lexicographic_order(self):
+        # the oracle keeps the first of equal losses, so row order is part
+        # of its result; itertools.product enumerates in lexicographic order
+        from itertools import product
+
+        for k in range(1, 5):
+            for r in range(1, 7):
+                numerators = [p for p in product(range(r + 1), repeat=k) if sum(p) == r]
+                expected = np.array(numerators, dtype=np.float64) / r
+                grid = simplex_grid(k, r)
+                assert grid.shape == expected.shape
+                assert grid.tobytes() == expected.tobytes()
+
 
 class TestToy:
     def test_no_heterogeneity_collapses_to_theta(self):
