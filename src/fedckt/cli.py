@@ -207,7 +207,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # numeric failures are reported by the checks that raise
+        # NumericError, not by numpy's RuntimeWarnings; np.linalg sets its
+        # own errstate, so singular systems still raise
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except ConfigurationError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -326,7 +326,10 @@ def run_rounds(
             raise ConfigurationError("all clients must share the output width")
         payload = len(pool) * widths.pop()
         if config.num_clusters > m:
-            raise ConfigurationError("num_clusters must not exceed selected clients")
+            raise ConfigurationError(
+                f"[federation] num_clusters ({config.num_clusters}) must not exceed "
+                f"num_selected ({m})"
+            )
     elif fedavg:
         specs = {r.spec for r in active}
         if len(specs) != 1:

@@ -203,15 +203,26 @@ class RunConfig:
         ):
             raise ConfigurationError("theory_check needs at least one [theory.task*]")
         d, m = self.data, self.models
+        # weights, then the hidden activations of a forward pass over the
+        # pool, the client data and a mini-batch
+        width = max(m.hidden, m.hidden_small)
         sizes = {
             "dim * hidden": d.dim * m.hidden,
             "hidden * num_classes": m.hidden * d.num_classes,
             "dim * hidden_small": d.dim * m.hidden_small,
             "hidden_small * num_classes": m.hidden_small * d.num_classes,
+            "public_pool_size * max(hidden, hidden_small)": d.public_pool_size * width,
+            "num_classes * samples_per_class * max(hidden, hidden_small)": (
+                d.num_classes * d.samples_per_class * width
+            ),
         }
         if self.federation is not None:
-            sizes["batch_size * dim"] = self.federation.batch_size * d.dim
-            sizes["public_batch_size * dim"] = self.federation.public_batch_size * d.dim
+            f = self.federation
+            sizes["batch_size * dim"] = f.batch_size * d.dim
+            sizes["public_batch_size * dim"] = f.public_batch_size * d.dim
+            sizes["max(batch_size, public_batch_size) * max(hidden, hidden_small)"] = (
+                max(f.batch_size, f.public_batch_size) * width
+            )
         check_budget(sizes)
 
 
@@ -250,6 +261,10 @@ def _build(cls, section: dict, name: str, **overrides):
     try:
         return cls(**merged)
     except TypeError as exc:
+        raise ConfigurationError(f"[{name}]: {exc}") from exc
+    except ConfigurationError as exc:
+        if str(exc).startswith("["):
+            raise
         raise ConfigurationError(f"[{name}]: {exc}") from exc
 
 

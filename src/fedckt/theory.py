@@ -157,7 +157,7 @@ def ridge_codistill_solve(
         solution = np.linalg.solve(lhs, rhs)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"singular ridge system (lambda={lam})") from exc
-    if not np.all(np.isfinite(solution)):
+    if not np.isfinite(solution).all():
         raise NumericError(f"non-finite ridge solution (lambda={lam})")
     return solution
 
@@ -347,7 +347,9 @@ def grid_search_oracle(
     seed: int,
 ) -> OracleResult:
     """Exhaustive MC loss evaluation over the (lambda, alpha) product grid
-    with common random numbers, compared against the closed form."""
+    with common random numbers, compared against the closed form. Of equal
+    losses the first in lambda-major order wins; a non-finite loss raises
+    NumericError."""
     if len(lambda_grid) == 0 or len(alpha_grid) == 0:
         raise ConfigurationError("grids must be non-empty")
     what_all = all_ols(task)
@@ -360,13 +362,21 @@ def grid_search_oracle(
     xtx = task.designs[k].T @ task.designs[k]
     ptp = task.public_design.T @ task.public_design
 
-    best = (np.inf, None, None)
-    for lam in lambda_grid:
-        for alpha in alpha_grid:
-            candidate = ridge_codistill_solve(xtx, ptp, what_all[k], lam, alpha, what_all)
-            loss = _loss_from_noise_stats(candidate, mean, sd, noise_mean, noise_sq_mean)
-            if loss < best[0]:
-                best = (loss, float(lam), np.array(alpha))
+    # one solve per grid point into an (A, d) block per lambda, then each
+    # row's loss as _loss_from_noise_stats computes it, with stacked matmuls
+    # in the same operation order, so each loss is bitwise equal to it
+    losses = np.empty((len(lambda_grid), len(alpha_grid)))
+    block = np.empty((len(alpha_grid), task.dim))
+    for i, lam in enumerate(lambda_grid):
+        for j, alpha in enumerate(alpha_grid):
+            block[j] = ridge_codistill_solve(xtx, ptp, what_all[k], lam, alpha, what_all)
+        block -= mean
+        dd = np.matmul(block[:, None, :], block[:, :, None])[:, 0, 0]
+        dn = np.matmul(block[:, None, :], noise_mean[:, None])[:, 0, 0]
+        losses[i] = dd - 2.0 * sd * dn + sd * sd * noise_sq_mean
+        if not np.isfinite(losses[i]).all():
+            raise NumericError(f"non-finite oracle loss (lambda={lam})")
+    i, j = np.unravel_index(np.argmin(losses), losses.shape)
 
     closed = closed_form_lambda_alpha(task, k)
     closed_candidate = ridge_codistill_solve(
@@ -376,9 +386,9 @@ def grid_search_oracle(
         closed_candidate, mean, sd, noise_mean, noise_sq_mean
     )
     return OracleResult(
-        best_lambda=best[1],
-        best_alpha=best[2],
-        best_loss=best[0],
+        best_lambda=float(lambda_grid[i]),
+        best_alpha=np.array(alpha_grid[j]),
+        best_loss=float(losses[i, j]),
         closed_form_loss=closed_loss,
     )
 

@@ -1,8 +1,10 @@
 import dataclasses
 import json
+import os
 import re
+import subprocess
+import sys
 import tempfile
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +48,7 @@ num_clusters = 1
 lr = 0.05
 """
 
+SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 SMOKE_FILE = Path(__file__).resolve().parents[1] / "configs/smoke.toml"
 THEORY_FILE = Path(__file__).resolve().parents[1] / "configs/theory_check.toml"
 
@@ -244,8 +247,7 @@ class TestRunCommand:
     def test_divergence_exits_3(self, tmp_path, capsys):
         # a step size at the float ceiling overflows the first update
         cfg = write(tmp_path, "explode.toml", SMOKE_TOML.replace("lr = 0.05", "lr = 1e308"))
-        with np.errstate(over="ignore", invalid="ignore"):
-            code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
         assert code == 3
         assert "diverged" in capsys.readouterr().err
 
@@ -283,8 +285,7 @@ class TestRunCommand:
         # still written
         cfg = write(tmp_path, "overflow.toml", text)
         out = tmp_path / "out"
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert main(["run", "--config", str(cfg), "--out", str(out)]) == 3
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 3
         err = capsys.readouterr().err
         assert "numeric error: non-finite model output" in err
         assert "Traceback" not in err
@@ -407,42 +408,127 @@ class TestRunCommand:
         text = re.sub(rf"^{key} = .*$", f"{key} = {value}", SMOKE_FILE.read_text(), flags=re.M)
         with tempfile.TemporaryDirectory() as tmp:
             cfg = write(Path(tmp), "mutated.toml", text)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)
-                code = main(["run", "--config", str(cfg), "--out", str(Path(tmp) / "out")])
+            code = main(["run", "--config", str(cfg), "--out", str(Path(tmp) / "out")])
         assert code in (0, 2, 3)
 
     @pytest.mark.parametrize(
-        "key",
+        "key,value,hidden,named",
         [
-            "num_classes",
-            "dim",
-            "samples_per_class",
-            "public_pool_size",
-            "num_clients",
-            "hidden",
-            "hidden_small",
-            "batch_size",
-            "public_batch_size",
-            "num_samples",
-            "n_samples",
-            "lambda_points",
-            "alpha_resolution",
+            pytest.param(key, 10**18, (16, 8), key, id=key)
+            for key in (
+                "num_classes",
+                "dim",
+                "samples_per_class",
+                "public_pool_size",
+                "num_clients",
+                "hidden",
+                "hidden_small",
+                "batch_size",
+                "public_batch_size",
+                "num_samples",
+                "n_samples",
+                "lambda_points",
+                "alpha_resolution",
+            )
+        ]
+        # sizes the data budget admits whose hidden activations (rows times
+        # the wider hidden layer) exceed it
+        + [
+            pytest.param(
+                "public_pool_size",
+                10**6,
+                (1000, 8),
+                "public_pool_size * max(hidden, hidden_small)",
+                id="public_pool_size_activations",
+            ),
+            pytest.param(
+                "public_pool_size",
+                10**6,
+                (16, 1000),
+                "public_pool_size * max(hidden, hidden_small)",
+                id="public_pool_size_activations_small",
+            ),
+            pytest.param(
+                "samples_per_class",
+                10**6,
+                (1000, 8),
+                "num_classes * samples_per_class * max(hidden, hidden_small)",
+                id="samples_per_class_activations",
+            ),
+            pytest.param(
+                "batch_size",
+                10**6,
+                (1000, 8),
+                "max(batch_size, public_batch_size) * max(hidden, hidden_small)",
+                id="batch_size_activations",
+            ),
+            pytest.param(
+                "public_batch_size",
+                10**6,
+                (1000, 8),
+                "max(batch_size, public_batch_size) * max(hidden, hidden_small)",
+                id="public_batch_size_activations",
+            ),
         ],
     )
-    def test_huge_size_exits_2_before_allocating(self, tmp_path, capsys, key):
+    def test_huge_size_exits_2_before_allocating(
+        self, tmp_path, capsys, key, value, hidden, named
+    ):
         if key in ("num_samples", "n_samples", "lambda_points", "alpha_resolution"):
             text = THEORY_FILE.read_text()
         else:
             text = SMOKE_FILE.read_text().replace(
-                'kind = "softmax_linear"', 'kind = "heterogeneous"\nhidden = 16\nhidden_small = 8'
+                'kind = "softmax_linear"',
+                f'kind = "heterogeneous"\nhidden = {hidden[0]}\nhidden_small = {hidden[1]}',
             )
-        text = re.sub(rf"^{key} = .*$", f"{key} = {10**18}", text, flags=re.M)
+        text = re.sub(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M)
         cfg = write(tmp_path, "huge.toml", text)
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:")
-        assert key in err and "budget" in err
+        assert named in err and "budget" in err
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            (
+                SMOKE_TOML.replace("dim = 2", "dim = 0"),
+                "config error: [data]: dim and samples_per_class must be >= 1",
+            ),
+            (
+                SMOKE_TOML.replace("lr = 0.05", "lr = -1.0"),
+                "config error: [federation]: lr must be >= 0",
+            ),
+            (
+                SMOKE_TOML.replace("num_clusters = 1", "num_clusters = 50"),
+                "config error: [federation] num_clusters (50) must not exceed num_selected (2)",
+            ),
+            (
+                THEORY_TOML.format(extra="").replace("dim = 2", "dim = 0"),
+                "config error: [theory.task1]: dim must be >= 1",
+            ),
+        ],
+        ids=["dim", "lr", "num_clusters", "theory_dim"],
+    )
+    def test_range_error_names_its_section(self, tmp_path, capsys, text, message):
+        cfg = write(tmp_path, "range.toml", text)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == message + "\n"
+
+    def test_divergence_prints_no_numpy_warnings(self, tmp_path):
+        # a fresh interpreter: pytest records warnings instead of printing them
+        text = SMOKE_FILE.read_text().replace("lr = 0.05", "lr = 1e308")
+        cfg = write(tmp_path, "explode.toml", text)
+        argv = ["run", "--config", str(cfg), "--out", str(tmp_path / "out")]
+        proc = subprocess.run(
+            [sys.executable, "-m", "fedckt.cli", *argv],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=str(SRC_DIR)),
+        )
+        assert proc.returncode == 3
+        assert "diverged clients" in proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
 
     def test_int_accepted_for_float_field(self, tmp_path):
         cfg = write(tmp_path, "intlr.toml", SMOKE_TOML.replace("lr = 0.05", "lr = 0"))

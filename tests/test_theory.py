@@ -1,10 +1,15 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from fedckt.errors import ConfigurationError
-from fedckt.rng import substream
+from fedckt import theory
+from fedckt.errors import ConfigurationError, NumericError
+from fedckt.rng import derive_seed, substream
+from fedckt.runconfig import load_config
 from fedckt.theory import (
     BayesLinRegTask,
+    _loss_from_noise_stats,
     all_ols,
     closed_form_lambda_alpha,
     expected_loss_mc,
@@ -285,6 +290,41 @@ class TestExpectedLoss:
         assert abs(oracle.best_loss - direct) <= 1e-9 * max(1.0, direct)
 
 
+THEORY_CONFIG = Path(__file__).resolve().parents[1] / "configs/theory_check.toml"
+
+
+def per_point_oracle(task, k, lambda_grid, alpha_grid, num_samples, seed):
+    """The grid search one point at a time: one solve, one scalar loss and
+    a strict `<`, which keeps the first of equal losses in lambda-major
+    order. The reference the stacked oracle must match bit for bit."""
+    what = all_ols(task)
+    mean, variance = posterior_moments_scalar(task, k, what)
+    sd = float(np.sqrt(variance))
+    noise = substream(seed, "mc-noise").normal(size=(num_samples, task.dim))
+    noise_mean = noise.mean(axis=0)
+    noise_sq_mean = float(np.mean(np.einsum("ij,ij->i", noise, noise)))
+    xtx = task.designs[k].T @ task.designs[k]
+    ptp = task.public_design.T @ task.public_design
+
+    def loss(lam, alpha):
+        candidate = theory.ridge_codistill_solve(xtx, ptp, what[k], lam, alpha, what)
+        return _loss_from_noise_stats(candidate, mean, sd, noise_mean, noise_sq_mean)
+
+    best = (np.inf, None, None)
+    for lam in lambda_grid:
+        for alpha in alpha_grid:
+            value = loss(lam, alpha)
+            if value < best[0]:
+                best = (value, float(lam), np.array(alpha))
+    closed = closed_form_lambda_alpha(task, k)
+    return theory.OracleResult(
+        best_lambda=best[1],
+        best_alpha=best[2],
+        best_loss=best[0],
+        closed_form_loss=loss(closed.lambda_star, closed.alpha_star),
+    )
+
+
 class TestGridOracle:
     def test_best_never_worse_than_contained_closed_form(self):
         task = small_task(seed=21)
@@ -326,6 +366,73 @@ class TestGridOracle:
             seed=10,
         )
         assert oracle.closed_form_loss <= 1.02 * oracle.best_loss
+
+    @pytest.mark.parametrize("index", [0, 1, 2])
+    def test_matches_per_point_loop_bitwise(self, index):
+        # the task shapes of configs/theory_check.toml on a coarser grid
+        cfg = load_config(THEORY_CONFIG)
+        task_cfg = cfg.theory.tasks[index]
+        task = gen_task(
+            dim=task_cfg.dim,
+            num_clients=task_cfg.num_clients,
+            sigma=task_cfg.sigma,
+            upsilon=np.array(task_cfg.upsilon),
+            beta=task_cfg.beta,
+            nu=task_cfg.nu,
+            n_samples=task_cfg.n_samples,
+            seed=derive_seed(cfg.seed, "theory-task", index),
+        )
+        k = task_cfg.client
+        closed = closed_form_lambda_alpha(task, k)
+        lam_grid = lambda_grid_around(closed.lambda_star, 7, cfg.theory.lambda_span)
+        alpha_grid = simplex_grid(task_cfg.num_clients, 6)
+        args = (task, k, lam_grid, alpha_grid, 20_000, derive_seed(cfg.seed, "theory-mc", index))
+        got, want = grid_search_oracle(*args), per_point_oracle(*args)
+        assert got.best_lambda == want.best_lambda
+        assert got.best_alpha.tobytes() == want.best_alpha.tobytes()
+        assert got.best_loss == want.best_loss
+        assert got.closed_form_loss == want.closed_form_loss
+
+    def test_duplicated_alpha_row_tie_goes_to_first_index(self):
+        # the two rows differ only in the sign of a zero weight, so their
+        # losses tie bitwise while the returned row tells them apart
+        task = small_task(seed=26)
+        lam_grid = np.array([0.5, 1.0])
+        for first_sign in (1.0, -1.0):
+            alpha_grid = np.array([[0.5, 0.5, first_sign * 0.0], [0.5, 0.5, -first_sign * 0.0]])
+            args = (task, 0, lam_grid, alpha_grid, 5_000, 3)
+            got, want = grid_search_oracle(*args), per_point_oracle(*args)
+            assert np.signbit(got.best_alpha[2]) == (first_sign < 0)
+            assert got.best_alpha.tobytes() == want.best_alpha.tobytes()
+            assert got.best_loss == want.best_loss
+
+    def test_ties_across_lambda_go_to_the_first_lambda(self, monkeypatch):
+        # a solver that ignores lambda makes every lambda tie: the grid is
+        # searched lambda-major, so the first lambda wins
+        task = small_task(seed=27)
+        closed = closed_form_lambda_alpha(task, 0)
+
+        def mixing_only(xtx, ptp, what_k, lam, alpha, what_all):
+            return np.asarray(alpha) @ what_all
+
+        monkeypatch.setattr(theory, "ridge_codistill_solve", mixing_only)
+        lam_grid = lambda_grid_around(closed.lambda_star, 5, 4.0)
+        args = (task, 0, lam_grid, simplex_grid(3, 4), 5_000, 4)
+        got, want = grid_search_oracle(*args), per_point_oracle(*args)
+        assert got.best_lambda == lam_grid[0] == want.best_lambda
+        assert got.best_alpha.tobytes() == want.best_alpha.tobytes()
+        assert got.best_loss == want.best_loss
+
+    def test_overflowing_loss_raises_numeric_error(self, monkeypatch):
+        task = small_task(seed=28)
+
+        def huge(xtx, ptp, what_k, lam, alpha, what_all):
+            return np.full(task.dim, 1e200)
+
+        monkeypatch.setattr(theory, "ridge_codistill_solve", huge)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericError, match="lambda="):
+                grid_search_oracle(task, 0, np.array([1.0, 2.0]), simplex_grid(3, 2), 100, seed=0)
 
     def test_empty_grid_rejected(self):
         task = small_task(seed=24)
