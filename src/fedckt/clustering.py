@@ -113,9 +113,3 @@ def _objective(points: np.ndarray, centroids: np.ndarray, assign: np.ndarray) ->
     diffs = points - centroids[assign]
     return float(np.einsum("ij,ij->", diffs, diffs))
 
-
-def kmeans_objective(points: np.ndarray, centroids: CentroidSet, assignment: np.ndarray) -> float:
-    """Sum of squared distances from each (m, L) stack row to its assigned
-    centroid; `assignment` holds one cluster index per row."""
-    assign = np.asarray(assignment, dtype=np.int64)
-    return _objective(points, centroids.centroids, assign)

@@ -11,7 +11,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, NumericError
 from .rng import substream
 
 TRAIN_FRACTIONS = (0.1, 0.3, 0.4)  # per-client train share, drawn uniformly
@@ -63,7 +63,6 @@ class ClientDataBundle:
     test: RawDataset
     p_k: float = 0.0
     active: bool = True
-    train_fraction: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -111,7 +110,9 @@ def partition_dirichlet(
     """Split each class across `num_clients` clients by a Dir_K(alpha) draw.
 
     The multiset union of the returned shards equals the input exactly;
-    empty shards are legal and must be handled downstream.
+    empty shards are legal and must be handled downstream. A draw that is
+    not finite or does not sum to 1 (numpy returns all zeros near the
+    largest float alpha) raises NumericError.
     """
     if len(data) == 0:
         raise ConfigurationError("cannot partition an empty dataset")
@@ -124,6 +125,8 @@ def partition_dirichlet(
             continue
         idx = rng.permutation(idx)
         proportions = rng.dirichlet(np.full(k, alpha))
+        if not (np.isfinite(proportions).all() and abs(proportions.sum() - 1.0) <= 1e-9):
+            raise NumericError(f"degenerate Dirichlet draw at alpha={alpha!r}")
         # integer cut points conserve the class count exactly
         cuts = np.floor(np.cumsum(proportions) * idx.size).astype(np.int64)[:-1]
         for client, chunk in enumerate(np.split(idx, cuts)):
@@ -139,21 +142,15 @@ def partition_dirichlet(
 
 
 def split_train_val_test(
-    shard: RawDataset,
-    seed: int,
-    train_fraction: float | None = None,
+    shard: RawDataset, seed: int, train_fraction: float
 ) -> ClientDataBundle:
     """Split a shard into train/val/test with a {0.1,0.3,0.4}/0.1/0.5 ratio.
 
-    The train fraction is drawn uniformly from {0.1, 0.3, 0.4} unless given.
     Sizes use floor rounding in exact integer tenths; the leftover (the
     discarded share when train < 0.4) is folded into the test split. A shard
     too small for three non-empty splits, an empty one included, yields an
     inactive bundle.
     """
-    rng = substream(seed, "split")
-    if train_fraction is None:
-        train_fraction = TRAIN_FRACTIONS[rng.integers(len(TRAIN_FRACTIONS))]
     if train_fraction not in TRAIN_FRACTIONS:
         raise ConfigurationError(f"train fraction must be one of {TRAIN_FRACTIONS}")
     n = len(shard)
@@ -164,13 +161,11 @@ def split_train_val_test(
     leftover = n - n_train - n_val - n_test
     n_test += leftover
     active = n_train >= 1 and n_val >= 1 and n_test >= 1
-    order = rng.permutation(n)
+    order = substream(seed, "split").permutation(n)
     train = shard.take(order[:n_train])
     val = shard.take(order[n_train : n_train + n_val])
     test = shard.take(order[n_train + n_val : n_train + n_val + n_test])
-    return ClientDataBundle(
-        train=train, val=val, test=test, active=active, train_fraction=train_fraction
-    )
+    return ClientDataBundle(train=train, val=val, test=test, active=active)
 
 
 def assign_data_fractions(bundles: list[ClientDataBundle]) -> list[ClientDataBundle]:

@@ -37,7 +37,6 @@ from .models import (
     ARCH_SOFTMAX,
     ModelSpec,
     init_params,
-    load_params,
     param_count,
     save_params,
 )
@@ -116,6 +115,12 @@ class ModelConfig:
     def __post_init__(self):
         if self.kind not in MODEL_KINDS:
             raise ConfigurationError(f"unknown model kind {self.kind!r}")
+        if self.kind != "softmax_linear" and self.hidden < 1:
+            raise ConfigurationError(f"{self.kind} needs hidden >= 1")
+        if self.kind == "heterogeneous" and self.hidden_small < 1:
+            raise ConfigurationError("heterogeneous needs hidden_small >= 1")
+        if not (self.init_scale >= 0 and math.isfinite(2 * self.init_scale)):
+            raise ConfigurationError("init_scale must be >= 0 with 2*init_scale finite")
 
 
 def _split_shards(shards: list[RawDataset], partition_seed: int, master_seed: int):
@@ -277,25 +282,9 @@ def write_checkpoints(records: list[ClientRecord], directory) -> None:
                 "last_selected_round": rec.last_selected_round,
             }
         )
-    with open(directory / "manifest.json", "w") as fh:
+    with _atomic_open(directory / "manifest.json") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def load_checkpoints(directory) -> dict[int, np.ndarray]:
-    """Client id -> parameter vector, verified against the manifest."""
-    directory = Path(directory)
-    with open(directory / "manifest.json") as fh:
-        manifest = json.load(fh)
-    params = {}
-    for entry in manifest["clients"]:
-        tag, values = load_params(directory / entry["file"])
-        if values.size != entry["param_count"]:
-            raise ConfigurationError(
-                f"checkpoint {entry['file']} length {values.size} does not match manifest"
-            )
-        params[entry["id"]] = values
-    return params
 
 
 METRICS_HEADER = "round,mean_acc,std_acc,grad_norm,uplink,downlink"

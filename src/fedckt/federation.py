@@ -133,10 +133,7 @@ class RunResult:
 
 def sample_clients(weights: np.ndarray, m: int, rng: np.random.Generator) -> list[int]:
     """m successive draws without replacement, each proportional to the
-    remaining weights; positions into the weights array, in draw order.
-
-    Exhausted weight mass (possible when m equals the population size but
-    some weights are zero) falls back to uniform over the remaining."""
+    remaining weights; positions into the weights array, in draw order."""
     weights = np.asarray(weights, dtype=np.float64).copy()
     if m > weights.size:
         raise ConfigurationError(f"cannot select {m} of {weights.size} clients")
@@ -144,12 +141,7 @@ def sample_clients(weights: np.ndarray, m: int, rng: np.random.Generator) -> lis
         raise ConfigurationError("selection weights must be non-negative")
     chosen: list[int] = []
     for _ in range(m):
-        total = weights.sum()
-        if total > 0:
-            pick = int(rng.choice(weights.size, p=weights / total))
-        else:
-            remaining = np.flatnonzero(~np.isin(np.arange(weights.size), chosen))
-            pick = int(remaining[rng.integers(remaining.size)])
+        pick = int(rng.choice(weights.size, p=weights / weights.sum()))
         chosen.append(pick)
         weights[pick] = 0.0
     return chosen
@@ -159,7 +151,6 @@ def _local_sgd_steps(
     record: ClientRecord,
     config: FederationConfig,
     round_index: int,
-    eta: float,
     pool: PublicPool | None = None,
     sbar_rows: np.ndarray | None = None,
 ) -> np.ndarray:
@@ -172,6 +163,7 @@ def _local_sgd_steps(
         substream(config.seed, "public", record.id, round_index) if lam > 0 else None
     )
     train = record.bundle.train
+    eta = lr_at(config, round_index)
     w = record.params.copy()
     for step in range(config.local_iters):
         idx = minibatch(train, config.batch_size, rng_priv)
@@ -200,9 +192,7 @@ def client_local_round(
     target, then fresh logits of the updated model on the full pool."""
     if sbar_rows is not None and sbar_rows.shape != (len(pool), record.spec.num_classes):
         raise ConfigurationError("distillation target must cover the full pool")
-    params = _local_sgd_steps(
-        record, config, round_index, lr_at(config, round_index), pool, sbar_rows
-    )
+    params = _local_sgd_steps(record, config, round_index, pool, sbar_rows)
     return params, forward_logits(record.spec, params, pool.inputs)
 
 
@@ -321,10 +311,7 @@ def run_rounds(
     # scalars per uploaded or downloaded matrix; matrices sent down per client
     payload, models_down = 0, 1
     if perfed:
-        widths = {r.spec.num_classes for r in active}
-        if len(widths) != 1:
-            raise ConfigurationError("all clients must share the output width")
-        payload = len(pool) * widths.pop()
+        payload = len(pool) * active[0].spec.num_classes
         if config.num_clusters > m:
             raise ConfigurationError(
                 f"[federation] num_clusters ({config.num_clusters}) must not exceed "
@@ -380,7 +367,7 @@ def run_rounds(
                         sbar = _nearest_centroid(rec, pool, centroids)
                         rec.params, upload = client_local_round(rec, sbar, pool, config, t)
                     else:
-                        rec.params = upload = _local_sgd_steps(rec, config, t, lr_at(config, t))
+                        rec.params = upload = _local_sgd_steps(rec, config, t)
                 except NumericError:
                     diverged.append((rec.id, t))
                     if not fedavg:

@@ -227,22 +227,11 @@ def grad_phi_stochastic(
 
 
 def save_params(path, spec: ModelSpec, params: np.ndarray) -> None:
-    """Little-endian f64 dump with a 16-byte header (magic, arch tag, length)."""
+    """Little-endian dump: the magic b"FKPV", a u32 arch tag (2 softmax_linear,
+    3 mlp), a u64 value count, then the values as f64."""
     values = np.ascontiguousarray(params, dtype="<f8")
     header = _PARAM_MAGIC + struct.pack("<IQ", _ARCH_TAGS[spec.arch], values.size)
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(values.tobytes())
 
-
-def load_params(path) -> tuple[int, np.ndarray]:
-    """Returns (arch tag, values) from a save_params dump."""
-    with open(path, "rb") as fh:
-        header = fh.read(16)
-        if len(header) != 16 or header[:4] != _PARAM_MAGIC:
-            raise ConfigurationError(f"{path} is not a parameter checkpoint")
-        tag, count = struct.unpack("<IQ", header[4:])
-        values = np.frombuffer(fh.read(8 * count), dtype="<f8")
-        if values.size != count:
-            raise ConfigurationError(f"{path} is truncated")
-    return tag, values.astype(np.float64)

@@ -128,12 +128,22 @@ class TheoryTaskConfig:
     client: int = 0
 
     def __post_init__(self):
+        if self.num_clients < 2:
+            raise ConfigurationError("num_clients must be >= 2")
         if len(self.upsilon) != self.num_clients:
             raise ConfigurationError("upsilon must list one value per client")
         if not 0 <= self.client < self.num_clients:
             raise ConfigurationError("client index out of range")
         if self.dim < 1:
             raise ConfigurationError("dim must be >= 1")
+        if self.n_samples < self.dim:
+            raise ConfigurationError("n_samples must be >= dim")
+        if not (self.sigma > 0 and self.beta > 0 and self.nu > 0):
+            raise ConfigurationError("sigma, beta, nu must be positive")
+        if min(self.upsilon) < 0:
+            raise ConfigurationError("upsilon values must be >= 0")
+        if not self.upsilon[self.client] > 0:
+            raise ConfigurationError("upsilon[client] must be > 0")
         check_budget({"num_clients * n_samples * dim": self.num_clients * self.n_samples * self.dim})
 
 
@@ -147,8 +157,12 @@ class TheoryConfig:
     tolerance: float = 0.02
 
     def __post_init__(self):
-        if self.num_samples < 1 or self.lambda_points < 1:
-            raise ConfigurationError("theory grid sizes must be >= 1")
+        if min(self.num_samples, self.lambda_points, self.alpha_resolution) < 1:
+            raise ConfigurationError(
+                "num_samples, lambda_points and alpha_resolution must be >= 1"
+            )
+        if not self.lambda_span > 1:
+            raise ConfigurationError("lambda_span must be > 1")
         if not self.tolerance > 0:
             raise ConfigurationError("tolerance must be > 0")
         max_dim = max((t.dim for t in self.tasks), default=1)
@@ -260,11 +274,7 @@ def _build(cls, section: dict, name: str, **overrides):
         merged[key] = tuple(value) if isinstance(value, list) else value
     try:
         return cls(**merged)
-    except TypeError as exc:
-        raise ConfigurationError(f"[{name}]: {exc}") from exc
-    except ConfigurationError as exc:
-        if str(exc).startswith("["):
-            raise
+    except (TypeError, ConfigurationError) as exc:
         raise ConfigurationError(f"[{name}]: {exc}") from exc
 
 

@@ -301,17 +301,20 @@ def expected_loss_mc(
     return float(np.mean(np.einsum("ij,ij->i", diffs, diffs)))
 
 
-def _loss_from_noise_stats(
-    candidate: np.ndarray,
+def _losses_from_noise_stats(
+    candidates: np.ndarray,
     mean: np.ndarray,
     sd: float,
     noise_mean: np.ndarray,
     noise_sq_mean: float,
-) -> float:
-    """Identical value to the explicit sample average, via the expansion
-    mean_s ||delta - sd eps_s||^2 = ||delta||^2 - 2 sd delta.mean(eps) + sd^2 mean||eps||^2."""
-    delta = candidate - mean
-    return float(delta @ delta - 2.0 * sd * (delta @ noise_mean) + sd * sd * noise_sq_mean)
+) -> np.ndarray:
+    """The sample-average loss of each (A, d) candidate row, via the expansion
+    mean_s ||delta - sd eps_s||^2 = ||delta||^2 - 2 sd delta.mean(eps) + sd^2 mean||eps||^2.
+    Stacked matmuls give each row the value a per-row dot product would."""
+    delta = candidates - mean
+    dd = np.matmul(delta[:, None, :], delta[:, :, None])[:, 0, 0]
+    dn = np.matmul(delta[:, None, :], noise_mean[:, None])[:, 0, 0]
+    return dd - 2.0 * sd * dn + sd * sd * noise_sq_mean
 
 
 def simplex_grid(num_weights: int, resolution: int) -> np.ndarray:
@@ -362,18 +365,13 @@ def grid_search_oracle(
     xtx = task.designs[k].T @ task.designs[k]
     ptp = task.public_design.T @ task.public_design
 
-    # one solve per grid point into an (A, d) block per lambda, then each
-    # row's loss as _loss_from_noise_stats computes it, with stacked matmuls
-    # in the same operation order, so each loss is bitwise equal to it
+    # one solve per grid point into an (A, d) block per lambda
     losses = np.empty((len(lambda_grid), len(alpha_grid)))
     block = np.empty((len(alpha_grid), task.dim))
     for i, lam in enumerate(lambda_grid):
         for j, alpha in enumerate(alpha_grid):
             block[j] = ridge_codistill_solve(xtx, ptp, what_all[k], lam, alpha, what_all)
-        block -= mean
-        dd = np.matmul(block[:, None, :], block[:, :, None])[:, 0, 0]
-        dn = np.matmul(block[:, None, :], noise_mean[:, None])[:, 0, 0]
-        losses[i] = dd - 2.0 * sd * dn + sd * sd * noise_sq_mean
+        losses[i] = _losses_from_noise_stats(block, mean, sd, noise_mean, noise_sq_mean)
         if not np.isfinite(losses[i]).all():
             raise NumericError(f"non-finite oracle loss (lambda={lam})")
     i, j = np.unravel_index(np.argmin(losses), losses.shape)
@@ -382,14 +380,14 @@ def grid_search_oracle(
     closed_candidate = ridge_codistill_solve(
         xtx, ptp, what_all[k], closed.lambda_star, closed.alpha_star, what_all
     )
-    closed_loss = _loss_from_noise_stats(
-        closed_candidate, mean, sd, noise_mean, noise_sq_mean
+    closed_loss = _losses_from_noise_stats(
+        closed_candidate[None, :], mean, sd, noise_mean, noise_sq_mean
     )
     return OracleResult(
         best_lambda=float(lambda_grid[i]),
         best_alpha=np.array(alpha_grid[j]),
         best_loss=float(losses[i, j]),
-        closed_form_loss=closed_loss,
+        closed_form_loss=float(closed_loss[0]),
     )
 
 

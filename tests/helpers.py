@@ -1,9 +1,13 @@
 """Shared independent oracles for the test suite: finite differences,
 exhaustive scans, and brute-force Gaussian conditioning. These stay
 deliberately naive and separate from the implementation paths they check.
-Also the Gaussian-blob data the tests train on."""
+Also the Gaussian-blob data the tests train on, and a reader for the
+checkpoint files the package writes but does not read."""
 
 import itertools
+import json
+import struct
+from pathlib import Path
 
 import numpy as np
 
@@ -94,3 +98,27 @@ def all_simplex_vertices(num_weights):
         np.array(v, dtype=float)
         for v in itertools.permutations([1.0] + [0.0] * (num_weights - 1))
     ]
+
+
+def read_params(path):
+    """(arch tag, values) from a parameter file laid out as the magic
+    b"FKPV", a u32 arch tag, a u64 value count, then little-endian f64
+    values; the file must hold exactly that many values."""
+    blob = Path(path).read_bytes()
+    assert blob[:4] == b"FKPV", f"{path}: not a parameter file"
+    tag, count = struct.unpack("<IQ", blob[4:16])
+    assert len(blob) == 16 + 8 * count, f"{path}: length does not match its header"
+    return tag, np.frombuffer(blob[16:], dtype="<f8").astype(np.float64)
+
+
+def read_checkpoints(directory):
+    """Client id -> parameter vector for a checkpoint directory; each file's
+    value count must match its manifest entry."""
+    directory = Path(directory)
+    manifest = json.loads((directory / "manifest.json").read_text())
+    params = {}
+    for entry in manifest["clients"]:
+        _, values = read_params(directory / entry["file"])
+        assert values.size == entry["param_count"], f"{entry['file']}: length does not match manifest"
+        params[entry["id"]] = values
+    return params

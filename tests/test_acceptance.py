@@ -62,7 +62,6 @@ def make_client(i, spec, n_classes, dim, train, sep, data_seed, extra_test=40):
         train=data.take(order[:train]),
         val=data.take(order[train:val_end]),
         test=data.take(order[val_end:]),
-        train_fraction=0.4,
     )
 
 

@@ -76,6 +76,15 @@ client = 0
 """
 
 
+def theory_task2_with(old, new):
+    """The shipped theory config with one line of [theory.task2] replaced, so
+    task 1 comes before the bad value."""
+    head, _, rest = THEORY_FILE.read_text().partition("[theory.task2]")
+    body, _, tail = rest.partition("[theory.task3]")
+    assert old in body
+    return f"{head}[theory.task2]{body.replace(old, new)}[theory.task3]{tail}"
+
+
 def write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text)
@@ -250,6 +259,11 @@ class TestRunCommand:
         code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
         assert code == 3
         assert "diverged" in capsys.readouterr().err
+
+    def test_degenerate_dirichlet_draw_exits_3(self, tmp_path, capsys):
+        cfg = write(tmp_path, "flat.toml", SMOKE_TOML.replace("alpha = 10.0", "alpha = 1e308"))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+        assert capsys.readouterr().err == "numeric error: degenerate Dirichlet draw at alpha=1e+308\n"
 
     def test_numeric_error_in_eval_exits_3(self, tmp_path, capsys, monkeypatch):
         import fedckt.federation
@@ -507,13 +521,68 @@ class TestRunCommand:
                 THEORY_TOML.format(extra="").replace("dim = 2", "dim = 0"),
                 "config error: [theory.task1]: dim must be >= 1",
             ),
+            (
+                theory_task2_with("sigma = 1.5", "sigma = 0.0"),
+                "config error: [theory.task2]: sigma, beta, nu must be positive",
+            ),
+            (
+                theory_task2_with("beta = 2.0", "beta = -1.0"),
+                "config error: [theory.task2]: sigma, beta, nu must be positive",
+            ),
+            (
+                theory_task2_with("n_samples = 8", "n_samples = 2"),
+                "config error: [theory.task2]: n_samples must be >= dim",
+            ),
+            (
+                theory_task2_with("upsilon = [0.5,", "upsilon = [0.0,"),
+                "config error: [theory.task2]: upsilon[client] must be > 0",
+            ),
+            (
+                theory_task2_with("0.8, 2.0", "-0.8, 2.0"),
+                "config error: [theory.task2]: upsilon values must be >= 0",
+            ),
+            (
+                theory_task2_with("num_clients = 4", "num_clients = 1"),
+                "config error: [theory.task2]: num_clients must be >= 2",
+            ),
+            (
+                THEORY_FILE.read_text().replace("lambda_span = 4.0", "lambda_span = 1.0"),
+                "config error: [theory]: lambda_span must be > 1",
+            ),
+            (
+                THEORY_FILE.read_text().replace("alpha_resolution = 15", "alpha_resolution = 0"),
+                "config error: [theory]: num_samples, lambda_points and alpha_resolution "
+                "must be >= 1",
+            ),
+            (
+                SMOKE_TOML.replace(
+                    'kind = "softmax_linear"', 'kind = "heterogeneous"\nhidden_small = 0'
+                ),
+                "config error: [models]: heterogeneous needs hidden_small >= 1",
+            ),
         ],
-        ids=["dim", "lr", "num_clusters", "theory_dim"],
+        ids=[
+            "dim",
+            "lr",
+            "num_clusters",
+            "theory_dim",
+            "sigma",
+            "beta",
+            "n_samples",
+            "upsilon_client",
+            "upsilon_negative",
+            "num_clients",
+            "lambda_span",
+            "alpha_resolution",
+            "hidden_small",
+        ],
     )
     def test_range_error_names_its_section(self, tmp_path, capsys, text, message):
         cfg = write(tmp_path, "range.toml", text)
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
-        assert capsys.readouterr().err == message + "\n"
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == message + "\n"
 
     def test_divergence_prints_no_numpy_warnings(self, tmp_path):
         # a fresh interpreter: pytest records warnings instead of printing them

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fedckt.clustering import CentroidSet, assign_nearest, cmeans_fit, kmeans_objective
+from fedckt.clustering import CentroidSet, assign_nearest, cmeans_fit
 from fedckt.errors import ConfigurationError
 from fedckt.rng import substream
 
@@ -33,7 +33,7 @@ class TestFit:
         centroids, assignment = cmeans_fit(stack, 2, seed=3)
         got = sorted(centroids.centroids[:, 0])
         assert np.allclose(got, [0.05, 10.05], atol=1e-12)
-        obj = kmeans_objective(stack, centroids, assignment)
+        obj = centroids.objective_trace[-1]
         best_obj, best_partition = brute_force_two_clusters(stack)
         assert abs(obj - 0.01) < 1e-12
         assert abs(obj - best_obj) < 1e-12
@@ -44,8 +44,8 @@ class TestFit:
 
     def test_duplicate_inputs_repair_empty_cluster(self):
         stack = stack_of([[1.0, 1.0]] * 5)
-        centroids, assignment = cmeans_fit(stack, 2, seed=1)
-        assert kmeans_objective(stack, centroids, assignment) == 0.0
+        centroids, _ = cmeans_fit(stack, 2, seed=1)
+        assert centroids.objective_trace[-1] == 0.0
         assert sum(centroids.member_counts) == 5
 
     def test_more_clusters_than_points_rejected(self):
@@ -134,18 +134,16 @@ class TestAssignNearest:
 
 class TestObjective:
     def test_points_equal_centroids(self):
-        pts = np.array([[0.0, 1.0], [5.0, 5.0]])
-        stack = stack_of(pts)
-        centroids = CentroidSet(pts, (1, 1))
-        assignment = np.array([0, 1])
-        assert kmeans_objective(stack, centroids, assignment) == 0.0
+        stack = stack_of([[0.0, 1.0], [5.0, 5.0]])
+        centroids, _ = cmeans_fit(stack, 2, seed=0)
+        assert centroids.objective_trace[-1] == 0.0
 
     def test_single_cluster_is_total_squared_deviation(self):
         rng = substream(208)
         stack = random_stack(rng, m=12, dim=3)
-        centroids, assignment = cmeans_fit(stack, 1, seed=0)
+        centroids, _ = cmeans_fit(stack, 1, seed=0)
         expected = ((stack - stack.mean(axis=0)) ** 2).sum()
-        assert np.isclose(kmeans_objective(stack, centroids, assignment), expected)
+        assert np.isclose(centroids.objective_trace[-1], expected)
 
     def test_matches_independent_recomputation(self):
         rng = substream(209)
@@ -155,5 +153,5 @@ class TestObjective:
             ((stack[i] - centroids.centroids[assignment[i]]) ** 2).sum()
             for i in range(len(stack))
         )
-        assert np.isclose(kmeans_objective(stack, centroids, assignment), manual)
+        assert np.isclose(centroids.objective_trace[-1], manual)
 

@@ -10,7 +10,6 @@ from fedckt.experiment import (
     DataConfig,
     ModelConfig,
     build_population,
-    load_checkpoints,
     write_checkpoints,
     write_metrics_csv,
     write_partition_stats,
@@ -19,6 +18,8 @@ from fedckt.experiment import (
 from fedckt.federation import RoundMetrics
 from fedckt.models import ARCH_MLP, ARCH_SOFTMAX, param_count
 from fedckt.rng import derive_seed
+
+from helpers import read_checkpoints
 
 
 def small_data_cfg(**kwargs):
@@ -112,6 +113,19 @@ class TestBuildPopulation:
         # same blob locations for both groups: the means nearly coincide
         assert np.linalg.norm(group_a.mean(axis=0) - group_b.mean(axis=0)) < 1.0
 
+    def test_train_fractions_drawn_from_stated_set(self):
+        records, _ = build_population(small_data_cfg(), ModelConfig(), master_seed=1)
+        tenths = set()
+        for r in records:
+            if not r.bundle.active:
+                continue
+            b = r.bundle
+            n = len(b.train) + len(b.val) + len(b.test)
+            matches = [t for t in (1, 3, 4) if (t * n) // 10 == len(b.train)]
+            assert matches
+            tenths.update(matches)
+        assert len(tenths) > 1
+
     def test_two_group_requires_even_counts(self):
         with pytest.raises(ConfigurationError):
             small_data_cfg(population="two_group", num_classes=5)
@@ -124,19 +138,22 @@ class TestCheckpoints:
         write_checkpoints(active, tmp_path / "ckpt")
         manifest = json.loads((tmp_path / "ckpt/manifest.json").read_text())
         assert len(manifest["clients"]) == len(active)
-        loaded = load_checkpoints(tmp_path / "ckpt")
+        loaded = read_checkpoints(tmp_path / "ckpt")
         for rec in active:
             assert np.array_equal(loaded[rec.id], rec.params)
 
-    def test_manifest_mismatch_detected(self, tmp_path):
+    def test_manifest_failure_mid_dump_keeps_previous_manifest(self, tmp_path, monkeypatch):
         records, _ = build_population(small_data_cfg(), ModelConfig(), master_seed=8)
         active = [r for r in records if r.bundle.active]
         write_checkpoints(active, tmp_path / "ckpt")
-        manifest = json.loads((tmp_path / "ckpt/manifest.json").read_text())
-        manifest["clients"][0]["param_count"] += 1
-        (tmp_path / "ckpt/manifest.json").write_text(json.dumps(manifest))
-        with pytest.raises(ConfigurationError):
-            load_checkpoints(tmp_path / "ckpt")
+        path = tmp_path / "ckpt/manifest.json"
+        before = path.read_bytes()
+        # the first entry's fields are dumped before its param_count raises
+        monkeypatch.setattr(fedckt.experiment, "param_count", lambda spec: object())
+        with pytest.raises(TypeError):
+            write_checkpoints(active, tmp_path / "ckpt")
+        assert path.read_bytes() == before
+        assert not (tmp_path / "ckpt/.manifest.json.tmp").exists()
 
 
 class TestAtomicOutputs:

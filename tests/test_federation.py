@@ -41,7 +41,6 @@ def make_bundle(num_classes=3, dim=2, train=30, val=6, test=30, seed=0, separati
         train=data.take(order[:train]),
         val=data.take(order[train : train + val]),
         test=data.take(order[train + val : train + val + test]),
-        train_fraction=0.4,
     )
 
 
@@ -78,10 +77,6 @@ def config(**kwargs):
 class TestSampleClients:
     def test_select_all(self):
         picks = sample_clients(np.array([0.5, 0.2, 0.3]), 3, substream(0))
-        assert sorted(picks) == [0, 1, 2]
-
-    def test_select_all_with_zero_weights(self):
-        picks = sample_clients(np.array([1.0, 0.0, 0.0]), 3, substream(1))
         assert sorted(picks) == [0, 1, 2]
 
     def test_degenerate_weight_always_chosen(self):

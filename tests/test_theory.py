@@ -9,7 +9,6 @@ from fedckt.rng import derive_seed, substream
 from fedckt.runconfig import load_config
 from fedckt.theory import (
     BayesLinRegTask,
-    _loss_from_noise_stats,
     all_ols,
     closed_form_lambda_alpha,
     expected_loss_mc,
@@ -308,7 +307,8 @@ def per_point_oracle(task, k, lambda_grid, alpha_grid, num_samples, seed):
 
     def loss(lam, alpha):
         candidate = theory.ridge_codistill_solve(xtx, ptp, what[k], lam, alpha, what)
-        return _loss_from_noise_stats(candidate, mean, sd, noise_mean, noise_sq_mean)
+        delta = candidate - mean
+        return float(delta @ delta - 2.0 * sd * (delta @ noise_mean) + sd * sd * noise_sq_mean)
 
     best = (np.inf, None, None)
     for lam in lambda_grid:
