@@ -4,7 +4,8 @@ Subcommands: run, toy, and theory-check and partition-stats, which are `run`
 with `[run] algorithm` forced to theory_check or partition_stats. Exit codes
 are stable across subcommands: 0 success, 1 failed verification, 2
 configuration error or an output that cannot be written, 3 numeric failure
-(a diverged client or a non-finite or unsolvable computation).
+(a diverged client or a non-finite or unsolvable computation), 4 internal
+error (any other exception, reported as one line instead of a traceback).
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_DIVERGED = 3
+EXIT_INTERNAL = 4
 
 
 def _out_dir(args) -> Path:
@@ -221,6 +223,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"output error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except Exception as exc:
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

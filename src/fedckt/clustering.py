@@ -7,7 +7,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError
 from .rng import substream
 
 LLOYD_MAX_ITERS = 100
@@ -19,12 +18,6 @@ class CentroidSet:
     centroids: np.ndarray  # (c, L)
     member_counts: tuple[int, ...]
     objective_trace: tuple[float, ...] = ()  # per-iteration Lloyd objective
-
-    def __post_init__(self):
-        centroids = np.ascontiguousarray(self.centroids, dtype=np.float64)
-        if centroids.ndim != 2 or centroids.shape[0] != len(self.member_counts):
-            raise ConfigurationError("one member count per centroid required")
-        object.__setattr__(self, "centroids", centroids)
 
 
 def _sq_dists(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
@@ -63,8 +56,6 @@ def cmeans_fit(points: np.ndarray, c: int, seed: int = 0) -> tuple[CentroidSet, 
     keeps the objective non-increasing across iterations.
     """
     m = len(points)
-    if not 1 <= c <= m:
-        raise ConfigurationError(f"need 1 <= c <= {m}, got c={c}")
     rng = substream(seed, "cmeans")
     centroids = _kmeanspp_init(points, c, rng)
 
@@ -103,8 +94,6 @@ def cmeans_fit(points: np.ndarray, c: int, seed: int = 0) -> tuple[CentroidSet, 
 def assign_nearest(logit_vec: np.ndarray, centroids: CentroidSet) -> int:
     """Index of the l2-nearest centroid; ties break to the lowest index."""
     vec = np.asarray(logit_vec, dtype=np.float64).ravel()
-    if vec.shape[0] != centroids.centroids.shape[1]:
-        raise ConfigurationError("logit vector length does not match centroids")
     d2 = _sq_dists(vec[None, :], centroids.centroids)[0]
     return int(d2.argmin())
 

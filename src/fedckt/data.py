@@ -30,14 +30,8 @@ class RawDataset:
     def __post_init__(self):
         inputs = np.ascontiguousarray(self.inputs, dtype=np.float64)
         labels = np.ascontiguousarray(self.labels, dtype=np.int64)
-        if inputs.ndim != 2:
-            raise ConfigurationError("inputs must be a 2-D matrix")
-        if labels.shape != (inputs.shape[0],):
-            raise ConfigurationError("labels length must match input rows")
         if not np.all(np.isfinite(inputs)):
             raise ConfigurationError("inputs must be finite")
-        if labels.size and (labels.min() < 0 or labels.max() >= self.num_classes):
-            raise ConfigurationError("labels must lie in [0, num_classes)")
         object.__setattr__(self, "inputs", inputs)
         object.__setattr__(self, "labels", labels)
 
@@ -70,12 +64,6 @@ class PublicPool:
     """Unlabeled inputs shared by every client for co-distillation."""
 
     inputs: np.ndarray  # (|P|, d) float64
-
-    def __post_init__(self):
-        inputs = np.ascontiguousarray(self.inputs, dtype=np.float64)
-        if inputs.ndim != 2 or inputs.shape[0] < 1:
-            raise ConfigurationError("public pool must have at least one row")
-        object.__setattr__(self, "inputs", inputs)
 
     def __len__(self) -> int:
         return self.inputs.shape[0]
@@ -114,8 +102,6 @@ def partition_dirichlet(
     not finite or does not sum to 1 (numpy returns all zeros near the
     largest float alpha) raises NumericError.
     """
-    if len(data) == 0:
-        raise ConfigurationError("cannot partition an empty dataset")
     rng = substream(seed, "dirichlet-partition")
     k = num_clients
     per_client: list[list[np.ndarray]] = [[] for _ in range(k)]
@@ -151,8 +137,6 @@ def split_train_val_test(
     too small for three non-empty splits, an empty one included, yields an
     inactive bundle.
     """
-    if train_fraction not in TRAIN_FRACTIONS:
-        raise ConfigurationError(f"train fraction must be one of {TRAIN_FRACTIONS}")
     n = len(shard)
     train_tenths = round(train_fraction * 10)
     n_train = (train_tenths * n) // 10
@@ -180,12 +164,6 @@ def assign_data_fractions(bundles: list[ClientDataBundle]) -> list[ClientDataBun
 
 def draw_public_pool(source: RawDataset, size: int, seed: int) -> PublicPool:
     """Uniform sample without replacement from the source; labels dropped."""
-    if size < 1:
-        raise ConfigurationError("public pool size must be >= 1")
-    if size > len(source):
-        raise ConfigurationError(
-            f"public pool size {size} exceeds source size {len(source)}"
-        )
     rng = substream(seed, "public-pool")
     idx = rng.choice(len(source), size=size, replace=False)
     return PublicPool(source.inputs[idx])
@@ -194,8 +172,6 @@ def draw_public_pool(source: RawDataset, size: int, seed: int) -> PublicPool:
 def minibatch(data, batch: int, rng: np.random.Generator) -> np.ndarray:
     """Uniform mini-batch indices: without replacement when batch <= n,
     with replacement otherwise."""
-    if batch < 1:
-        raise ConfigurationError("batch size must be >= 1")
     n = len(data)
     if batch <= n:
         return rng.choice(n, size=batch, replace=False)

@@ -92,6 +92,11 @@ class DataConfig:
             raise ConfigurationError("public_pool_size must be >= 1")
         if not self.alpha > 0:
             raise ConfigurationError("alpha must be > 0")
+        # bounds every public-pool class mean, so the pool inputs stay finite
+        if not math.isfinite(abs(self.class_separation) + abs(self.public_offset)):
+            raise ConfigurationError(
+                "abs(class_separation) + abs(public_offset) must be finite"
+            )
         check_budget(
             {
                 "num_classes * samples_per_class * dim": (
@@ -256,8 +261,6 @@ def run_algorithm(
     pool: PublicPool,
     fed_cfg: FederationConfig,
 ) -> RunResult:
-    if algorithm not in ALGORITHMS:
-        raise ConfigurationError(f"unknown algorithm {algorithm!r}")
     return run_rounds(algorithm, records, pool, fed_cfg)
 
 

@@ -133,12 +133,9 @@ class RunResult:
 
 def sample_clients(weights: np.ndarray, m: int, rng: np.random.Generator) -> list[int]:
     """m successive draws without replacement, each proportional to the
-    remaining weights; positions into the weights array, in draw order."""
+    remaining weights; positions into the weights array, in draw order.
+    run_rounds guarantees m <= len(weights) and positive weights."""
     weights = np.asarray(weights, dtype=np.float64).copy()
-    if m > weights.size:
-        raise ConfigurationError(f"cannot select {m} of {weights.size} clients")
-    if np.any(weights < 0):
-        raise ConfigurationError("selection weights must be non-negative")
     chosen: list[int] = []
     for _ in range(m):
         pick = int(rng.choice(weights.size, p=weights / weights.sum()))
@@ -190,8 +187,6 @@ def client_local_round(
 ) -> tuple[np.ndarray, np.ndarray]:
     """One selected client's round: tau steps against the frozen distillation
     target, then fresh logits of the updated model on the full pool."""
-    if sbar_rows is not None and sbar_rows.shape != (len(pool), record.spec.num_classes):
-        raise ConfigurationError("distillation target must cover the full pool")
     params = _local_sgd_steps(record, config, round_index, pool, sbar_rows)
     return params, forward_logits(record.spec, params, pool.inputs)
 
@@ -304,10 +299,12 @@ def run_rounds(
     """
     perfed, fedavg = algorithm == "perfed_ckt", algorithm == "fedavg"
     active = [r for r in records if r.bundle.active]
-    if not active:
-        raise ConfigurationError("no active clients")
     weights = np.array([r.bundle.p_k for r in active])
-    m = config.num_selected  # sample_clients refuses more than the active clients
+    m = config.num_selected
+    if algorithm != "local" and m > len(active):
+        raise ConfigurationError(
+            f"[federation] num_selected ({m}) exceeds the {len(active)} active clients"
+        )
     # scalars per uploaded or downloaded matrix; matrices sent down per client
     payload, models_down = 0, 1
     if perfed:

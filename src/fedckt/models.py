@@ -14,7 +14,6 @@ the package) are probability rows on the simplex.
 
 from __future__ import annotations
 
-import math
 import struct
 from dataclasses import dataclass
 
@@ -37,18 +36,6 @@ class ModelSpec:
     num_classes: int
     hidden: int = 0
     init_scale: float = 0.1
-
-    def __post_init__(self):
-        if self.arch not in _ARCH_TAGS:
-            raise ConfigurationError(f"unknown architecture {self.arch!r}")
-        if self.dim < 1:
-            raise ConfigurationError("dim must be >= 1")
-        if self.num_classes < 2:
-            raise ConfigurationError("classification needs num_classes >= 2")
-        if self.arch == ARCH_MLP and self.hidden < 1:
-            raise ConfigurationError("mlp needs hidden >= 1")
-        if not (self.init_scale >= 0 and math.isfinite(2 * self.init_scale)):
-            raise ConfigurationError("init_scale must be >= 0 with 2*init_scale finite")
 
 
 def param_count(spec: ModelSpec) -> int:
@@ -77,10 +64,6 @@ def init_params(spec: ModelSpec, seed: int) -> np.ndarray:
 
 def _unpack(spec: ModelSpec, params: np.ndarray):
     d, n, h = spec.dim, spec.num_classes, spec.hidden
-    if params.shape != (param_count(spec),):
-        raise ConfigurationError(
-            f"parameter vector length {params.shape} does not match spec"
-        )
     if spec.arch == ARCH_SOFTMAX:
         return params[: d * n].reshape(d, n), params[d * n :]
     o1 = d * h
@@ -108,8 +91,6 @@ def _log_softmax(scores: np.ndarray) -> np.ndarray:
 
 def _forward_parts(spec: ModelSpec, params: np.ndarray, inputs: np.ndarray):
     """Class scores plus the hidden activations needed for backprop."""
-    if inputs.shape[1] != spec.dim:
-        raise ConfigurationError("input width does not match spec dim")
     if spec.arch == ARCH_SOFTMAX:
         w, b = _unpack(spec, params)
         return inputs @ w + b, None
@@ -208,11 +189,8 @@ def grad_phi_stochastic(
     lam: float,
 ) -> np.ndarray:
     """Exact gradient of objective_phi with respect to the flat parameters."""
-    if lam < 0:
-        raise ConfigurationError("lambda must be >= 0")
     grad = grad_local(spec, params, batch_inputs, batch_targets)
     if lam > 0:
-        _check_sbar(spec, public_inputs, sbar_rows)
         scores, hidden = _forward_parts(spec, params, public_inputs)
         scale = 2.0 * lam / len(public_inputs)
         probs = stable_softmax(scores)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import asdict, dataclass, field
 from typing import get_origin, get_type_hints
 
@@ -140,10 +141,18 @@ class TheoryTaskConfig:
             raise ConfigurationError("n_samples must be >= dim")
         if not (self.sigma > 0 and self.beta > 0 and self.nu > 0):
             raise ConfigurationError("sigma, beta, nu must be positive")
+        # the closed form divides by sigma^2 and by upsilon[client]^2 nu;
+        # float products, since an int field squares exactly and never to inf
+        s2 = float(self.sigma) * float(self.sigma)
+        if not (math.isfinite(s2) and s2 > 0):
+            raise ConfigurationError("sigma * sigma must be finite and > 0")
         if min(self.upsilon) < 0:
             raise ConfigurationError("upsilon values must be >= 0")
-        if not self.upsilon[self.client] > 0:
-            raise ConfigurationError("upsilon[client] must be > 0")
+        own = float(self.upsilon[self.client])
+        if not own * own * self.nu > 0:
+            raise ConfigurationError(
+                "upsilon[client] * upsilon[client] * nu must be > 0"
+            )
         check_budget({"num_clients * n_samples * dim": self.num_clients * self.n_samples * self.dim})
 
 
@@ -208,7 +217,7 @@ class RunConfig:
     def __post_init__(self):
         if self.algorithm not in RUN_MODES:
             raise ConfigurationError(
-                f"algorithm must be one of {RUN_MODES}, got {self.algorithm!r}"
+                f"[run]: algorithm must be one of {RUN_MODES}, got {self.algorithm!r}"
             )
         if self.algorithm in ALGORITHMS and self.federation is None:
             raise ConfigurationError(f"[federation] section required for {self.algorithm}")
@@ -243,7 +252,8 @@ class RunConfig:
 def _check_type(name: str, key: str, value, hint) -> None:
     """Integer fields take ints only (never bools or floats); float fields
     take finite ints or floats; `tuple[float, ...]` fields take arrays of
-    those."""
+    those. The float bound compares exactly, so an int too large for a float
+    is refused rather than overflowing."""
     if get_origin(hint) is tuple:
         if not isinstance(value, (list, tuple)):
             raise ConfigurationError(f"[{name}]: {key} must be an array, got {value!r}")
@@ -256,7 +266,7 @@ def _check_type(name: str, key: str, value, hint) -> None:
         if (
             isinstance(value, bool)
             or not isinstance(value, (int, float))
-            or not math.isfinite(value)
+            or not abs(value) <= sys.float_info.max
         ):
             raise ConfigurationError(f"[{name}]: {key} must be a finite number, got {value!r}")
 

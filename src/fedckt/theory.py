@@ -39,7 +39,9 @@ THETA_BOX = 10.0  # flat-prior stand-in: theta ~ Uniform(-THETA_BOX, THETA_BOX)^
 @dataclass(frozen=True)
 class BayesLinRegTask:
     """One realization of the generative model, with designs structured so
-    X_k' X_k = beta I and P' P = nu I hold exactly (checked to 1e-8)."""
+    X_k' X_k = beta I and P' P = nu I hold exactly (checked to 1e-8 times
+    max(1, beta) and max(1, nu): rounding in the Gram products grows with
+    their scale)."""
 
     dim: int
     num_clients: int
@@ -56,10 +58,10 @@ class BayesLinRegTask:
 
     def __post_init__(self):
         grams = np.matmul(self.designs.transpose(0, 2, 1), self.designs)
-        if not np.allclose(grams, self.beta * np.eye(self.dim), atol=1e-8):
+        if not np.allclose(grams, self.beta * np.eye(self.dim), atol=1e-8 * max(1.0, self.beta)):
             raise ConfigurationError("X_k' X_k must equal beta I")
         gram = self.public_design.T @ self.public_design
-        if not np.allclose(gram, self.nu * np.eye(self.dim), atol=1e-8):
+        if not np.allclose(gram, self.nu * np.eye(self.dim), atol=1e-8 * max(1.0, self.nu)):
             raise ConfigurationError("P' P must equal nu I")
 
 
@@ -95,12 +97,6 @@ def gen_task(
     seed: int,
 ) -> BayesLinRegTask:
     upsilon = np.asarray(upsilon, dtype=np.float64)
-    if n_samples < dim:
-        raise ConfigurationError("need n_samples >= dim for full-rank designs")
-    if not (sigma > 0 and beta > 0 and nu > 0):
-        raise ConfigurationError("sigma, beta, nu must be positive")
-    if upsilon.shape != (num_clients,) or np.any(upsilon < 0):
-        raise ConfigurationError("upsilon must be K non-negative values")
     rng = substream(seed, "bayes-task")
     theta = rng.uniform(-THETA_BOX, THETA_BOX, dim)
     zeta = rng.normal(size=(num_clients, dim)) * upsilon[:, None]
@@ -194,13 +190,9 @@ def ridge_codistill_scalar(
 
 def closed_form_lambda_alpha(task: BayesLinRegTask, k: int) -> ClosedForm:
     """Optimal regularization weight and distillation weights for client k."""
-    if task.num_clients < 2:
-        raise ConfigurationError("the closed form needs at least two clients")
     s2 = task.sigma**2
     beta = task.beta
     u2 = task.upsilon.astype(np.float64) ** 2
-    if u2[k] == 0:
-        raise ConfigurationError("lambda* is undefined for upsilon_k = 0")
     others = [1.0 / (s2 + beta * u2[i]) for i in range(task.num_clients) if i != k]
     a_k = 1.0 / sum(others)
     b_k = a_k * (s2 + beta * u2[k]) / (s2 + a_k + beta * u2[k])
@@ -214,8 +206,6 @@ def posterior_moments_scalar(
 ) -> tuple[np.ndarray, float]:
     """Posterior mean of w_k given every least-squares estimate, in the
     coefficient (scalar-mixing) form, plus the scalar posterior variance."""
-    if task.num_clients < 2:
-        raise ConfigurationError("the posterior fusion needs at least two clients")
     s2 = task.sigma**2
     beta = task.beta
     u2 = task.upsilon.astype(np.float64) ** 2
@@ -322,8 +312,6 @@ def simplex_grid(num_weights: int, resolution: int) -> np.ndarray:
     numerators in lexicographic order. Stars and bars: each choice of
     num_weights - 1 bar slots among resolution + num_weights - 1 fixes the
     numerators as the gaps between consecutive bars."""
-    if resolution < 1:
-        raise ConfigurationError("resolution must be >= 1")
     slots, k = resolution + num_weights - 1, num_weights - 1
     rows = math.comb(slots, k)
     bars = np.fromiter(
@@ -336,8 +324,6 @@ def simplex_grid(num_weights: int, resolution: int) -> np.ndarray:
 
 def lambda_grid_around(center: float, points: int, span: float) -> np.ndarray:
     """Geometric grid of `points` values covering [center/span, center*span]."""
-    if points < 1 or span <= 1:
-        raise ConfigurationError("need points >= 1 and span > 1")
     return center * np.exp(np.linspace(-np.log(span), np.log(span), points))
 
 
@@ -353,8 +339,6 @@ def grid_search_oracle(
     with common random numbers, compared against the closed form. Of equal
     losses the first in lambda-major order wins; a non-finite loss raises
     NumericError."""
-    if len(lambda_grid) == 0 or len(alpha_grid) == 0:
-        raise ConfigurationError("grids must be non-empty")
     what_all = all_ols(task)
     mean, variance = posterior_moments_scalar(task, k, what_all)
     sd = float(np.sqrt(variance))

@@ -1,4 +1,6 @@
+import contextlib
 import dataclasses
+import io
 import json
 import os
 import re
@@ -9,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fedckt import theory
 from fedckt.cli import main
@@ -74,6 +76,14 @@ upsilon = [1.0, 1.0, 1.0]
 n_samples = 6
 client = 0
 """
+
+
+MUTATION_BASES = {"smoke": SMOKE_FILE.read_text(), "theory": THEORY_TOML.format(extra="")}
+MUTATION_TARGETS = [
+    (name, key)
+    for name, text in MUTATION_BASES.items()
+    for key in re.findall(r"^(\w+) = ", text, re.M)
+]
 
 
 def theory_task2_with(old, new):
@@ -327,6 +337,7 @@ class TestRunCommand:
             ("num_classes = 3", "num_classes = 1"),
             ("dim = 2", "dim = 0"),
             ("samples_per_class = 60", "samples_per_class = 0"),
+            pytest.param("lr = 0.05", "lr = 1" + "0" * 400, id="lr-huge-int"),
         ],
     )
     def test_mistyped_field_exits_2(self, tmp_path, capsys, old, new):
@@ -412,18 +423,39 @@ class TestRunCommand:
 
     @settings(max_examples=60, deadline=None)
     @given(
-        key=st.sampled_from(re.findall(r"^(\w+) = ", SMOKE_FILE.read_text(), re.M)),
-        value=st.sampled_from(["7", "0.5", "true", '"x"', "0", "-1", "-1.5", "1e308", "-1e308"]),
+        target=st.sampled_from(MUTATION_TARGETS),
+        value=st.sampled_from(
+            ["7", "0.5", "true", '"x"', "0", "-1", "-1.5", "1e308", "-1e308", "1e200", "1e-200"]
+        ),
     )
-    def test_single_key_mutation_never_escapes(self, key, value):
+    # sigma squared overflows at 1e200 and underflows to 0 at 1e-200
+    @example(target=("theory", "sigma"), value="1e200")
+    @example(target=("theory", "sigma"), value="1e-200")
+    def test_single_key_mutation_never_escapes(self, target, value):
         # "huge" means a huge float: a huge round or step count asks for
         # unbounded time rather than being malformed; huge data sizes are
         # covered by test_huge_size_exits_2_before_allocating
-        text = re.sub(rf"^{key} = .*$", f"{key} = {value}", SMOKE_FILE.read_text(), flags=re.M)
-        with tempfile.TemporaryDirectory() as tmp:
+        name, key = target
+        text = re.sub(rf"^{key} = .*$", f"{key} = {value}", MUTATION_BASES[name], flags=re.M)
+        stdout = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(stdout):
             cfg = write(Path(tmp), "mutated.toml", text)
             code = main(["run", "--config", str(cfg), "--out", str(Path(tmp) / "out")])
-        assert code in (0, 2, 3)
+        # exit 1 only for a failed theory check
+        assert code in (0, 2, 3) or (code == 1 and "FAIL" in stdout.getvalue())
+
+    def test_internal_error_exits_4(self, tmp_path, capsys, monkeypatch):
+        import fedckt.cli
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("unexpected state")
+
+        monkeypatch.setattr(fedckt.cli, "build_population", broken)
+        cfg = write(tmp_path, "smoke.toml", SMOKE_TOML)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 4
+        err = capsys.readouterr().err
+        assert err == "internal error: RuntimeError('unexpected state')\n"
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize(
         "key,value,hidden,named",
@@ -535,7 +567,20 @@ class TestRunCommand:
             ),
             (
                 theory_task2_with("upsilon = [0.5,", "upsilon = [0.0,"),
-                "config error: [theory.task2]: upsilon[client] must be > 0",
+                "config error: [theory.task2]: upsilon[client] * upsilon[client] * nu must be > 0",
+            ),
+            (
+                # a positive upsilon[client] whose square underflows to 0
+                theory_task2_with("upsilon = [0.5,", "upsilon = [1e-200,"),
+                "config error: [theory.task2]: upsilon[client] * upsilon[client] * nu must be > 0",
+            ),
+            (
+                theory_task2_with("sigma = 1.5", "sigma = 1e200"),
+                "config error: [theory.task2]: sigma * sigma must be finite and > 0",
+            ),
+            (
+                theory_task2_with("sigma = 1.5", "sigma = 1e-200"),
+                "config error: [theory.task2]: sigma * sigma must be finite and > 0",
             ),
             (
                 theory_task2_with("0.8, 2.0", "-0.8, 2.0"),
@@ -555,10 +600,43 @@ class TestRunCommand:
                 "must be >= 1",
             ),
             (
+                THEORY_FILE.read_text().replace("lambda_points = 15", "lambda_points = 0"),
+                "config error: [theory]: num_samples, lambda_points and alpha_resolution "
+                "must be >= 1",
+            ),
+            (
                 SMOKE_TOML.replace(
                     'kind = "softmax_linear"', 'kind = "heterogeneous"\nhidden_small = 0'
                 ),
                 "config error: [models]: heterogeneous needs hidden_small >= 1",
+            ),
+            (
+                SMOKE_TOML.replace('kind = "softmax_linear"', 'kind = "linear_regressor"'),
+                "config error: [models]: unknown model kind 'linear_regressor'",
+            ),
+            (
+                SMOKE_TOML.replace("num_clusters = 1", "num_clusters = 0"),
+                "config error: [federation]: num_clusters must be >= 1",
+            ),
+            (
+                SMOKE_TOML.replace("public_pool_size = 30", "public_pool_size = 0"),
+                "config error: [data]: public_pool_size must be >= 1",
+            ),
+            (
+                SMOKE_TOML.replace('algorithm = "perfed_ckt"', "algorithm = 7"),
+                "config error: [run]: algorithm must be one of ('perfed_ckt', 'fedavg', "
+                "'local', 'theory_check', 'partition_stats'), got 7",
+            ),
+            (
+                # seven rows per class leave one of the two clients active
+                SMOKE_TOML.replace("samples_per_class = 60", "samples_per_class = 7"),
+                "config error: [federation] num_selected (2) exceeds the 1 active clients",
+            ),
+            (
+                SMOKE_TOML.replace("class_separation = 4.0", "class_separation = 1e308").replace(
+                    "public_offset = 1.0", "public_offset = 1e308"
+                ),
+                "config error: [data]: abs(class_separation) + abs(public_offset) must be finite",
             ),
         ],
         ids=[
@@ -570,11 +648,21 @@ class TestRunCommand:
             "beta",
             "n_samples",
             "upsilon_client",
+            "upsilon_underflow",
+            "sigma_overflow",
+            "sigma_underflow",
             "upsilon_negative",
             "num_clients",
             "lambda_span",
             "alpha_resolution",
+            "lambda_points",
             "hidden_small",
+            "model_kind",
+            "num_clusters_zero",
+            "public_pool_size",
+            "algorithm",
+            "num_selected",
+            "pool_offset",
         ],
     )
     def test_range_error_names_its_section(self, tmp_path, capsys, text, message):

@@ -1,8 +1,6 @@
 import numpy as np
-import pytest
 
 from fedckt.clustering import CentroidSet, assign_nearest, cmeans_fit
-from fedckt.errors import ConfigurationError
 from fedckt.rng import substream
 
 from helpers import brute_force_two_clusters, exhaustive_nearest
@@ -47,10 +45,6 @@ class TestFit:
         centroids, _ = cmeans_fit(stack, 2, seed=1)
         assert centroids.objective_trace[-1] == 0.0
         assert sum(centroids.member_counts) == 5
-
-    def test_more_clusters_than_points_rejected(self):
-        with pytest.raises(ConfigurationError):
-            cmeans_fit(stack_of([[1.0], [2.0]]), 3, seed=0)
 
     def test_objective_trace_monotone(self):
         rng = substream(202)

@@ -17,7 +17,7 @@ from fedckt.data import (
     partition_summary,
     split_train_val_test,
 )
-from fedckt.errors import ConfigurationError, NumericError
+from fedckt.errors import NumericError
 from fedckt.models import ARCH_SOFTMAX, ModelSpec, grad_local, init_params, forward_logits
 from fedckt.rng import substream
 from helpers import blobs
@@ -196,11 +196,6 @@ class TestPublicPool:
         a = draw_public_pool(source, 40, seed=3)
         b = draw_public_pool(source, 40, seed=3)
         assert np.array_equal(a.inputs, b.inputs)
-
-    def test_oversized_request_rejected(self):
-        source = blobs(3, 2, 5, 2.0, seed=0)
-        with pytest.raises(ConfigurationError):
-            draw_public_pool(source, 16, seed=0)
 
 
 class TestMinibatch:

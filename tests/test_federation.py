@@ -95,8 +95,16 @@ class TestSampleClients:
         assert heavy > light * 2
 
     def test_oversized_request_rejected(self):
-        with pytest.raises(ConfigurationError):
-            sample_clients(np.array([1.0, 1.0]), 3, substream(0))
+        # run_rounds refuses it at setup; local takes every active client
+        for algorithm in ("perfed_ckt", "fedavg"):
+            records, pool = make_population(num_clients=2)
+            with pytest.raises(
+                ConfigurationError,
+                match=r"^\[federation\] num_selected \(3\) exceeds the 2 active clients$",
+            ):
+                run_rounds(algorithm, records, pool, config(num_selected=3, num_clusters=1))
+        records, pool = make_population(num_clients=2)
+        run_rounds("local", records, pool, config(rounds=1, num_selected=3))
 
 
 class TestLrSchedule:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fedckt import theory
-from fedckt.errors import ConfigurationError, NumericError
+from fedckt.errors import NumericError
 from fedckt.rng import derive_seed, substream
 from fedckt.runconfig import load_config
 from fedckt.theory import (
@@ -85,9 +85,12 @@ class TestGenTask:
         var = np.stack(draws).var(axis=0).mean(axis=1)  # (K,)
         assert np.all(np.abs(var / upsilon**2 - 1.0) <= 0.05)
 
-    def test_underdetermined_rejected(self):
-        with pytest.raises(ConfigurationError):
-            small_task(d=4, n=3)
+    def test_large_beta_and_nu_build(self):
+        # the Gram postcondition's tolerance grows with beta and nu, so
+        # float rounding at this scale does not fail it
+        task = small_task(seed=3, beta=1e9, nu=1e9, n=7)
+        gram = task.designs[0].T @ task.designs[0]
+        assert np.allclose(gram, 1e9 * np.eye(task.dim), rtol=1e-12, atol=1e-3)
 
 
 class TestOls:
@@ -215,16 +218,6 @@ class TestClosedForm:
         task = small_task(seed=15, upsilon=(0.3, 0.9, 2.7))
         lams = [closed_form_lambda_alpha(task, k).lambda_star for k in range(3)]
         assert lams[0] > lams[1] > lams[2]
-
-    def test_zero_upsilon_rejected(self):
-        task = small_task(seed=16, upsilon=(0.0, 1.0, 1.0))
-        with pytest.raises(ConfigurationError):
-            closed_form_lambda_alpha(task, 0)
-
-    def test_single_client_rejected(self):
-        task = small_task(seed=16, upsilon=(1.0,))
-        with pytest.raises(ConfigurationError):
-            closed_form_lambda_alpha(task, 0)
 
     def test_closed_form_reproduces_posterior_mean(self):
         # the ridge minimizer at (lambda*, alpha*) equals the Bayes mean
@@ -433,11 +426,6 @@ class TestGridOracle:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericError, match="lambda="):
                 grid_search_oracle(task, 0, np.array([1.0, 2.0]), simplex_grid(3, 2), 100, seed=0)
-
-    def test_empty_grid_rejected(self):
-        task = small_task(seed=24)
-        with pytest.raises(ConfigurationError):
-            grid_search_oracle(task, 0, np.array([]), simplex_grid(3, 2), 10, seed=0)
 
     def test_posterior_mean_lower_bounds_every_grid_point(self):
         task = small_task(seed=25, upsilon=(0.4, 1.0, 3.0))
