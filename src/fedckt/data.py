@@ -156,7 +156,7 @@ def assign_data_fractions(bundles: list[ClientDataBundle]) -> list[ClientDataBun
     """Set p_k = train size / total train size over active clients."""
     total = sum(len(b.train) for b in bundles if b.active)
     if total == 0:
-        raise ConfigurationError("no active client holds training data")
+        raise ConfigurationError("[data] no active client holds training data")
     return [
         replace(b, p_k=(len(b.train) / total if b.active else 0.0)) for b in bundles
     ]

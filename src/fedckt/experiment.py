@@ -271,7 +271,8 @@ def write_checkpoints(records: list[ClientRecord], directory) -> None:
     manifest = {"clients": []}
     for rec in records:
         filename = f"client_{rec.id:04d}.params"
-        save_params(directory / filename, rec.spec, rec.params)
+        with _atomic_open(directory / filename, "wb") as fh:
+            save_params(fh, rec.spec, rec.params)
         manifest["clients"].append(
             {
                 "id": rec.id,
@@ -294,14 +295,14 @@ METRICS_HEADER = "round,mean_acc,std_acc,grad_norm,uplink,downlink"
 
 
 @contextmanager
-def _atomic_open(path):
-    """Text file handle whose contents appear at `path` only once the block
-    finishes; on any error the partial temp file is removed and `path` keeps
-    whatever it held before."""
+def _atomic_open(path, mode="w"):
+    """File handle (text unless `mode` is "wb") whose contents appear at
+    `path` only once the block finishes; on any error the partial temp file
+    is removed and `path` keeps whatever it held before."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.tmp")
     try:
-        with open(tmp, "w") as fh:
+        with open(tmp, mode) as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:

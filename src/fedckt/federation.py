@@ -172,8 +172,8 @@ def _local_sgd_steps(
             )
         else:
             grad = grad_local(record.spec, w, xb, yb)
-        w = w - eta * grad
-        if not np.all(np.isfinite(w)):
+        w -= eta * grad
+        if not np.isfinite(w).all():
             raise NumericError(f"non-finite parameters at local step {step}")
     return w
 

@@ -79,9 +79,10 @@ def _unpack(spec: ModelSpec, params: np.ndarray):
 
 def stable_softmax(scores: np.ndarray) -> np.ndarray:
     """Row-wise softmax with max-shift stabilization."""
-    shifted = scores - scores.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    e = scores - np.maximum.reduce(scores, axis=1, keepdims=True)
+    np.exp(e, out=e)
+    e /= np.add.reduce(e, axis=1, keepdims=True)
+    return e
 
 
 def _log_softmax(scores: np.ndarray) -> np.ndarray:
@@ -93,17 +94,23 @@ def _forward_parts(spec: ModelSpec, params: np.ndarray, inputs: np.ndarray):
     """Class scores plus the hidden activations needed for backprop."""
     if spec.arch == ARCH_SOFTMAX:
         w, b = _unpack(spec, params)
-        return inputs @ w + b, None
+        scores = inputs @ w
+        scores += b
+        return scores, None
     w1, b1, w2, b2 = _unpack(spec, params)
-    hidden = np.tanh(inputs @ w1 + b1)
-    return hidden @ w2 + b2, hidden
+    hidden = inputs @ w1
+    hidden += b1
+    np.tanh(hidden, out=hidden)
+    scores = hidden @ w2
+    scores += b2
+    return scores, hidden
 
 
 def forward_logits(spec: ModelSpec, params: np.ndarray, inputs: np.ndarray) -> np.ndarray:
     """Probability rows over classes."""
     scores, _ = _forward_parts(spec, params, inputs)
     out = stable_softmax(scores)
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         bad = int(np.flatnonzero(~np.isfinite(out).all(axis=1))[0])
         raise NumericError(f"non-finite model output at row {bad}")
     return out
@@ -121,15 +128,18 @@ def local_loss(spec: ModelSpec, params: np.ndarray, inputs: np.ndarray, targets:
 def _backprop_scores(spec, params, inputs, hidden, score_grad):
     """Chain a gradient at the class scores back to a flat parameter gradient."""
     if spec.arch == ARCH_SOFTMAX:
-        return np.concatenate([(inputs.T @ score_grad).ravel(), score_grad.sum(axis=0)])
+        return np.concatenate(
+            [(inputs.T @ score_grad).ravel(), np.add.reduce(score_grad, axis=0)]
+        )
     _, _, w2, _ = _unpack(spec, params)
-    d_hidden = (score_grad @ w2.T) * (1.0 - hidden * hidden)
+    d_hidden = score_grad @ w2.T
+    d_hidden *= 1.0 - hidden * hidden
     return np.concatenate(
         [
             (inputs.T @ d_hidden).ravel(),
-            d_hidden.sum(axis=0),
+            np.add.reduce(d_hidden, axis=0),
             (hidden.T @ score_grad).ravel(),
-            score_grad.sum(axis=0),
+            np.add.reduce(score_grad, axis=0),
         ]
     )
 
@@ -137,10 +147,10 @@ def _backprop_scores(spec, params, inputs, hidden, score_grad):
 def grad_local(spec: ModelSpec, params: np.ndarray, inputs: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """Exact gradient of local_loss."""
     scores, hidden = _forward_parts(spec, params, inputs)
-    probs = stable_softmax(scores)
-    onehot = np.zeros_like(probs)
-    onehot[np.arange(len(targets)), targets.astype(np.int64)] = 1.0
-    score_grad = (probs - onehot) / len(targets)
+    score_grad = stable_softmax(scores)
+    n = len(targets)
+    score_grad[np.arange(n), targets.astype(np.int64, copy=False)] -= 1.0
+    score_grad /= n
     return _backprop_scores(spec, params, inputs, hidden, score_grad)
 
 
@@ -196,20 +206,22 @@ def grad_phi_stochastic(
         probs = stable_softmax(scores)
         diff = probs - sbar_rows
         # softmax Jacobian applied to diff: diag(p) - p p^T, row-wise
-        inner = (probs * diff).sum(axis=1, keepdims=True)
-        score_grad = scale * probs * (diff - inner)
-        grad = grad + _backprop_scores(spec, params, public_inputs, hidden, score_grad)
-    if not np.all(np.isfinite(grad)):
+        diff -= np.add.reduce(probs * diff, axis=1, keepdims=True)
+        # (scale * p) * diff, in that order: the order fixes the rounding
+        score_grad = probs
+        score_grad *= scale
+        score_grad *= diff
+        grad += _backprop_scores(spec, params, public_inputs, hidden, score_grad)
+    if not np.isfinite(grad).all():
         raise NumericError("non-finite gradient")
     return grad
 
 
-def save_params(path, spec: ModelSpec, params: np.ndarray) -> None:
-    """Little-endian dump: the magic b"FKPV", a u32 arch tag (2 softmax_linear,
-    3 mlp), a u64 value count, then the values as f64."""
+def save_params(fh, spec: ModelSpec, params: np.ndarray) -> None:
+    """Little-endian dump to a binary file handle: the magic b"FKPV", a u32
+    arch tag (2 softmax_linear, 3 mlp), a u64 value count, then the values
+    as f64."""
     values = np.ascontiguousarray(params, dtype="<f8")
-    header = _PARAM_MAGIC + struct.pack("<IQ", _ARCH_TAGS[spec.arch], values.size)
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(values.tobytes())
+    fh.write(_PARAM_MAGIC + struct.pack("<IQ", _ARCH_TAGS[spec.arch], values.size))
+    fh.write(values.tobytes())
 

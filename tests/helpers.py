@@ -1,8 +1,10 @@
 """Shared independent oracles for the test suite: finite differences,
-exhaustive scans, and brute-force Gaussian conditioning. These stay
-deliberately naive and separate from the implementation paths they check.
-Also the Gaussian-blob data the tests train on, and a reader for the
-checkpoint files the package writes but does not read."""
+exhaustive scans, brute-force Gaussian conditioning, and out-of-place
+copies of the model kernels, which the in-place kernels must match
+bitwise. These stay deliberately naive and separate from the
+implementation paths they check. Also the Gaussian-blob data the tests
+train on, and a reader for the checkpoint files the package writes but
+does not read."""
 
 import itertools
 import json
@@ -42,6 +44,69 @@ def max_relative_error(analytic, reference, floor=1e-8):
     if not mask.any():
         return 0.0
     return float((np.abs(analytic - reference)[mask] / scale[mask]).max())
+
+
+def reference_softmax(scores):
+    """Row-wise max-shifted softmax, every step out of place."""
+    shifted = scores - scores.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def _reference_scores(spec, params, inputs):
+    """Class scores and hidden activations (None for softmax_linear)."""
+    d, n, h = spec.dim, spec.num_classes, spec.hidden
+    if spec.arch == "softmax_linear":
+        return inputs @ params[: d * n].reshape(d, n) + params[d * n :], None
+    w1 = params[: d * h].reshape(d, h)
+    b1 = params[d * h : d * h + h]
+    w2 = params[d * h + h : d * h + h + h * n].reshape(h, n)
+    b2 = params[d * h + h + h * n :]
+    hidden = np.tanh(inputs @ w1 + b1)
+    return hidden @ w2 + b2, hidden
+
+
+def _reference_backprop(spec, params, inputs, hidden, score_grad):
+    if spec.arch == "softmax_linear":
+        return np.concatenate([(inputs.T @ score_grad).ravel(), score_grad.sum(axis=0)])
+    d, n, h = spec.dim, spec.num_classes, spec.hidden
+    w2 = params[d * h + h : d * h + h + h * n].reshape(h, n)
+    d_hidden = (score_grad @ w2.T) * (1.0 - hidden * hidden)
+    return np.concatenate(
+        [
+            (inputs.T @ d_hidden).ravel(),
+            d_hidden.sum(axis=0),
+            (hidden.T @ score_grad).ravel(),
+            score_grad.sum(axis=0),
+        ]
+    )
+
+
+def reference_forward_logits(spec, params, inputs):
+    return reference_softmax(_reference_scores(spec, params, inputs)[0])
+
+
+def reference_grad_local(spec, params, inputs, targets):
+    """Mean cross-entropy gradient through an explicit one-hot matrix."""
+    scores, hidden = _reference_scores(spec, params, inputs)
+    probs = reference_softmax(scores)
+    onehot = np.zeros_like(probs)
+    onehot[np.arange(len(targets)), targets.astype(np.int64)] = 1.0
+    score_grad = (probs - onehot) / len(targets)
+    return _reference_backprop(spec, params, inputs, hidden, score_grad)
+
+
+def reference_grad_phi(spec, params, inputs, targets, public_inputs, sbar_rows, lam):
+    grad = reference_grad_local(spec, params, inputs, targets)
+    if lam > 0:
+        scores, hidden = _reference_scores(spec, params, public_inputs)
+        probs = reference_softmax(scores)
+        diff = probs - sbar_rows
+        inner = (probs * diff).sum(axis=1, keepdims=True)
+        scale = 2.0 * lam / len(public_inputs)
+        score_grad = scale * probs * (diff - inner)
+        grad = grad + _reference_backprop(spec, params, public_inputs, hidden, score_grad)
+    return grad
 
 
 def brute_force_two_clusters(points):

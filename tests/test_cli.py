@@ -53,6 +53,7 @@ lr = 0.05
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 SMOKE_FILE = Path(__file__).resolve().parents[1] / "configs/smoke.toml"
 THEORY_FILE = Path(__file__).resolve().parents[1] / "configs/theory_check.toml"
+DIRICHLET_FILE = Path(__file__).resolve().parents[1] / "configs/dirichlet_perfed.toml"
 
 THEORY_TOML = """
 [run]
@@ -638,6 +639,13 @@ class TestRunCommand:
                 ),
                 "config error: [data]: abs(class_separation) + abs(public_offset) must be finite",
             ),
+            (
+                # 70 rows over 100 clients: no shard is large enough for three splits
+                DIRICHLET_FILE.read_text().replace(
+                    "samples_per_class = 500", "samples_per_class = 7"
+                ),
+                "config error: [data] no active client holds training data",
+            ),
         ],
         ids=[
             "dim",
@@ -663,6 +671,7 @@ class TestRunCommand:
             "algorithm",
             "num_selected",
             "pool_offset",
+            "empty_population",
         ],
     )
     def test_range_error_names_its_section(self, tmp_path, capsys, text, message):

@@ -155,6 +155,24 @@ class TestCheckpoints:
         assert path.read_bytes() == before
         assert not (tmp_path / "ckpt/.manifest.json.tmp").exists()
 
+    def test_params_failure_mid_write_keeps_previous_files(self, tmp_path, monkeypatch):
+        records, _ = build_population(small_data_cfg(), ModelConfig(), master_seed=9)
+        active = [r for r in records if r.bundle.active]
+        directory = tmp_path / "ckpt"
+        write_checkpoints(active, directory)
+        before = {p.name: p.read_bytes() for p in directory.iterdir()}
+
+        def broken(fh, spec, params):
+            fh.write(b"FKPV")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(fedckt.experiment, "save_params", broken)
+        for rec in active:
+            rec.params = rec.params + 1.0
+        with pytest.raises(OSError):
+            write_checkpoints(active, directory)
+        assert {p.name: p.read_bytes() for p in directory.iterdir()} == before
+
 
 class TestAtomicOutputs:
     ROW = RoundMetrics(0, 0.5, 0.1, 1.0, 1.0, 2.0, 3, 4)

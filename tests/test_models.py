@@ -20,7 +20,15 @@ from fedckt.models import (
 )
 from fedckt.rng import substream
 
-from helpers import finite_difference_gradient, max_relative_error, read_params
+from helpers import (
+    finite_difference_gradient,
+    max_relative_error,
+    read_params,
+    reference_forward_logits,
+    reference_grad_local,
+    reference_grad_phi,
+    reference_softmax,
+)
 
 SOFTMAX = ModelSpec(ARCH_SOFTMAX, dim=10, num_classes=10)
 MLP = ModelSpec(ARCH_MLP, dim=4, num_classes=3, hidden=8)
@@ -224,12 +232,53 @@ class TestGradient:
             )
 
 
+class TestReferenceKernels:
+    """The kernels against the out-of-place copies in helpers: equal bit for
+    bit, with every input array left as it was."""
+
+    def test_softmax_matches_reference(self):
+        scores = substream(31).normal(0.0, 30.0, size=(50, 7))
+        before = scores.copy()
+        assert np.array_equal(stable_softmax(scores), reference_softmax(scores))
+        assert np.array_equal(scores, before)
+
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.arch)
+    def test_forward_matches_reference(self, spec):
+        params, x, _, _, _ = random_instance(spec, substream(32, spec.arch), batch=40)
+        before = [params.copy(), x.copy()]
+        out = forward_logits(spec, params, x)
+        assert np.array_equal(out, reference_forward_logits(spec, params, x))
+        for arr, old in zip([params, x], before):
+            assert np.array_equal(arr, old)
+
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.arch)
+    @pytest.mark.parametrize("lam", [0.0, 0.8])
+    @pytest.mark.parametrize("label_dtype", [np.int64, np.float64], ids=["int64", "float64"])
+    def test_gradients_match_reference(self, spec, lam, label_dtype):
+        rng = substream(33, spec.arch, int(lam * 10))
+        for _ in range(5):
+            params, x, y, xp, sbar = random_instance(spec, rng, batch=9, public=7)
+            y = y.astype(label_dtype)
+            arrays = [params, x, y, xp, sbar]
+            before = [a.copy() for a in arrays]
+            assert np.array_equal(
+                grad_local(spec, params, x, y), reference_grad_local(spec, params, x, y)
+            )
+            assert np.array_equal(
+                grad_phi_stochastic(spec, params, x, y, xp, sbar, lam),
+                reference_grad_phi(spec, params, x, y, xp, sbar, lam),
+            )
+            for arr, old in zip(arrays, before):
+                assert np.array_equal(arr, old)
+
+
 class TestSerialization:
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.arch)
     def test_roundtrip(self, tmp_path, spec):
         params = init_params(spec, seed=11) + 0.123
         path = tmp_path / "params.bin"
-        save_params(path, spec, params)
+        with open(path, "wb") as fh:
+            save_params(fh, spec, params)
         tag, loaded = read_params(path)
         assert tag == {ARCH_SOFTMAX: 2, ARCH_MLP: 3}[spec.arch]
         assert np.array_equal(loaded, params)
@@ -237,7 +286,8 @@ class TestSerialization:
     def test_header_is_sixteen_bytes(self, tmp_path):
         path = tmp_path / "params.bin"
         spec = ModelSpec(ARCH_SOFTMAX, dim=1, num_classes=2)
-        save_params(path, spec, np.array([1.0, 2.0, 3.0, 4.0]))
+        with open(path, "wb") as fh:
+            save_params(fh, spec, np.array([1.0, 2.0, 3.0, 4.0]))
         blob = path.read_bytes()
         assert len(blob) == 16 + 4 * 8
         assert blob[:4] == b"FKPV"
