@@ -136,19 +136,25 @@ def all_ols(task: BayesLinRegTask) -> np.ndarray:
     return np.stack([ols_estimate(task, k) for k in range(task.num_clients)])
 
 
-def ridge_codistill_solve(
+def ridge_codistill_system(
     xtx: np.ndarray,
     ptp: np.ndarray,
     what_k: np.ndarray,
     lam: float,
     alpha: np.ndarray,
     what_all: np.ndarray,
-) -> np.ndarray:
-    """General-matrix minimizer of the ridge/co-distillation objective:
-    (X'X + lam P'P)^{-1} (X'X what_k + lam P'P sum_i alpha_i what_i)."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """The normal equations of the ridge/co-distillation objective:
+    lhs = X'X + lam P'P and rhs = X'X what_k + lam P'P sum_i alpha_i what_i."""
     mixed = np.asarray(alpha) @ what_all
     lhs = xtx + lam * ptp
     rhs = xtx @ what_k + lam * (ptp @ mixed)
+    return lhs, rhs
+
+
+def ridge_codistill_solve(lhs: np.ndarray, rhs: np.ndarray, lam: float) -> np.ndarray:
+    """General-matrix minimizer lhs^{-1} rhs of one ridge/co-distillation
+    system; `lam` only names the system in a NumericError."""
     try:
         solution = np.linalg.solve(lhs, rhs)
     except np.linalg.LinAlgError as exc:
@@ -169,7 +175,8 @@ def ridge_codistill_minimizer(
         what_all = all_ols(task)
     xtx = task.designs[k].T @ task.designs[k]
     ptp = task.public_design.T @ task.public_design
-    return ridge_codistill_solve(xtx, ptp, what_all[k], lam, alpha, what_all)
+    lhs, rhs = ridge_codistill_system(xtx, ptp, what_all[k], lam, alpha, what_all)
+    return ridge_codistill_solve(lhs, rhs, lam)
 
 
 def ridge_codistill_scalar(
@@ -349,21 +356,34 @@ def grid_search_oracle(
     xtx = task.designs[k].T @ task.designs[k]
     ptp = task.public_design.T @ task.public_design
 
+    # ridge_codistill_system's terms, each built once: the own pull, one
+    # alpha pull per row and one lhs per lambda; rhs rows are
+    # lam * pulled[j] + own, the same operands and order (addition commutes)
+    own = xtx @ what_all[k]
+    pulled = np.empty((len(alpha_grid), task.dim))
+    for j, alpha in enumerate(alpha_grid):
+        pulled[j] = ptp @ (alpha @ what_all)
+    rhs = np.empty_like(pulled)
+
     # one solve per grid point into an (A, d) block per lambda
     losses = np.empty((len(lambda_grid), len(alpha_grid)))
-    block = np.empty((len(alpha_grid), task.dim))
+    block = np.empty_like(pulled)
     for i, lam in enumerate(lambda_grid):
-        for j, alpha in enumerate(alpha_grid):
-            block[j] = ridge_codistill_solve(xtx, ptp, what_all[k], lam, alpha, what_all)
+        lhs = xtx + lam * ptp
+        np.multiply(lam, pulled, out=rhs)
+        rhs += own
+        for j in range(len(alpha_grid)):
+            block[j] = ridge_codistill_solve(lhs, rhs[j], lam)
         losses[i] = _losses_from_noise_stats(block, mean, sd, noise_mean, noise_sq_mean)
         if not np.isfinite(losses[i]).all():
             raise NumericError(f"non-finite oracle loss (lambda={lam})")
     i, j = np.unravel_index(np.argmin(losses), losses.shape)
 
     closed = closed_form_lambda_alpha(task, k)
-    closed_candidate = ridge_codistill_solve(
+    closed_lhs, closed_rhs = ridge_codistill_system(
         xtx, ptp, what_all[k], closed.lambda_star, closed.alpha_star, what_all
     )
+    closed_candidate = ridge_codistill_solve(closed_lhs, closed_rhs, closed.lambda_star)
     closed_loss = _losses_from_noise_stats(
         closed_candidate[None, :], mean, sd, noise_mean, noise_sq_mean
     )
@@ -439,14 +459,15 @@ def run_toy_example(
 
     xtx = x.T @ x
     ptp = public.T @ public
+
+    def codistilled(k, alpha):
+        lhs, rhs = ridge_codistill_system(xtx, ptp, what[k], lam, np.array(alpha), what)
+        return ridge_codistill_solve(lhs, rhs, lam)
+
     reports = []
     for k in range(3):
-        uniform = ridge_codistill_solve(
-            xtx, ptp, what[k], lam, np.array(_TOY_UNIFORM), what
-        )
-        clustered = ridge_codistill_solve(
-            xtx, ptp, what[k], lam, np.array(_TOY_CLUSTERS[k]), what
-        )
+        uniform = codistilled(k, _TOY_UNIFORM)
+        clustered = codistilled(k, _TOY_CLUSTERS[k])
         sols = tuple(
             ToySolution(kind, w, float(np.linalg.norm(w - true_w[k])))
             for kind, w in (

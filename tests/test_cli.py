@@ -767,6 +767,29 @@ class TestTheoryCheckCommand:
         report = json.loads((out / "theory_report.json").read_text())
         assert report["all_passed"] is False
 
+    @pytest.mark.parametrize("case", ["singular", "non_finite_solution", "non_finite_loss"])
+    def test_numeric_failure_in_oracle_exits_3(self, tmp_path, capsys, monkeypatch, case):
+        def singular(a, b):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        def nan_solution(a, b):
+            return np.full(np.shape(b), np.nan)
+
+        def huge(lhs, rhs, lam):
+            return np.full(np.shape(rhs), 1e200)
+
+        target, name, stand_in, message = {
+            "singular": (np.linalg, "solve", singular, "singular ridge system"),
+            "non_finite_solution": (np.linalg, "solve", nan_solution, "non-finite ridge solution"),
+            "non_finite_loss": (theory, "ridge_codistill_solve", huge, "non-finite oracle loss"),
+        }[case]
+        monkeypatch.setattr(target, name, stand_in)
+        cfg = write(tmp_path, "theory.toml", THEORY_TOML.format(extra=""))
+        assert main(["theory-check", "--config", str(cfg), "--out", str(tmp_path / "t")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"numeric error: {message} (lambda=")
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+
 
     def test_config_without_tasks_exits_2(self, tmp_path, capsys):
         cfg = write(tmp_path, "smoke.toml", SMOKE_TOML)

@@ -1,3 +1,4 @@
+import itertools
 from pathlib import Path
 
 import numpy as np
@@ -57,6 +58,38 @@ def noiseless_task(seed=0, upsilon=(0.5, 1.0, 2.0), beta=2.0, nu=1.5, d=2, n=5):
         designs=task.designs,
         targets=targets,
         public_design=task.public_design,
+    )
+
+
+THEORY_CONFIG = Path(__file__).resolve().parents[1] / "configs/theory_check.toml"
+
+
+def shipped_task(index, master_seed=None):
+    """Task `index` of configs/theory_check.toml as `theory-check` draws it at
+    the config's seed, or at `master_seed`: (task, client, config, MC seed)."""
+    cfg = load_config(THEORY_CONFIG)
+    seed = cfg.seed if master_seed is None else master_seed
+    task_cfg = cfg.theory.tasks[index]
+    task = gen_task(
+        dim=task_cfg.dim,
+        num_clients=task_cfg.num_clients,
+        sigma=task_cfg.sigma,
+        upsilon=np.array(task_cfg.upsilon),
+        beta=task_cfg.beta,
+        nu=task_cfg.nu,
+        n_samples=task_cfg.n_samples,
+        seed=derive_seed(seed, "theory-task", index),
+    )
+    return task, task_cfg.client, cfg, derive_seed(seed, "theory-mc", index)
+
+
+def inline_minimizer(task, k, lam, alpha, what):
+    """The ridge/co-distillation minimizer in plain numpy, in the operation
+    order the theory module documents, without its solve helpers."""
+    xtx = task.designs[k].T @ task.designs[k]
+    ptp = task.public_design.T @ task.public_design
+    return np.linalg.solve(
+        xtx + lam * ptp, xtx @ what[k] + lam * (ptp @ (np.asarray(alpha) @ what))
     )
 
 
@@ -148,6 +181,27 @@ class TestRidgeMinimizer:
             a = ridge_codistill_minimizer(task, k, lam, alpha, what)
             b = ridge_codistill_scalar(task, k, lam, alpha, what)
             assert np.allclose(a, b, atol=1e-10)
+
+    @pytest.mark.parametrize("index", [0, 1, 2])
+    def test_matches_inline_formula_bitwise(self, index):
+        task, k, _, _ = shipped_task(index)
+        what = all_ols(task)
+        closed = closed_form_lambda_alpha(task, k)
+        uniform = np.full(task.num_clients, 1.0 / task.num_clients)
+        for lam, alpha in ((closed.lambda_star, closed.alpha_star), (0.3, uniform), (7.0, uniform)):
+            got = ridge_codistill_minimizer(task, k, lam, alpha, what)
+            want = inline_minimizer(task, k, lam, alpha, what)
+            assert got.tobytes() == want.tobytes()
+
+    def test_singular_system_raises_numeric_error(self):
+        with pytest.raises(NumericError, match="singular ridge system"):
+            theory.ridge_codistill_solve(np.zeros((2, 2)), np.ones(2), 0.0)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_rhs_raises_numeric_error(self, bad):
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(NumericError, match="non-finite ridge solution"):
+                theory.ridge_codistill_solve(np.eye(2), np.array([bad, 1.0]), 1.0)
 
 
 class TestPosterior:
@@ -282,31 +336,31 @@ class TestExpectedLoss:
         assert abs(oracle.best_loss - direct) <= 1e-9 * max(1.0, direct)
 
 
-THEORY_CONFIG = Path(__file__).resolve().parents[1] / "configs/theory_check.toml"
-
-
-def per_point_oracle(task, k, lambda_grid, alpha_grid, num_samples, seed):
+def per_point_oracle(task, k, lambda_grid, alpha_grid, num_samples, seed, candidate=None):
     """The grid search one point at a time: one solve, one scalar loss and
     a strict `<`, which keeps the first of equal losses in lambda-major
-    order. The reference the stacked oracle must match bit for bit."""
+    order. The reference the stacked oracle must match bit for bit.
+    `candidate(lam, alpha)`, if given, stands in for the minimizer at the
+    grid points; the closed-form point always uses the minimizer."""
     what = all_ols(task)
     mean, variance = posterior_moments_scalar(task, k, what)
     sd = float(np.sqrt(variance))
     noise = substream(seed, "mc-noise").normal(size=(num_samples, task.dim))
     noise_mean = noise.mean(axis=0)
     noise_sq_mean = float(np.mean(np.einsum("ij,ij->i", noise, noise)))
-    xtx = task.designs[k].T @ task.designs[k]
-    ptp = task.public_design.T @ task.public_design
 
-    def loss(lam, alpha):
-        candidate = theory.ridge_codistill_solve(xtx, ptp, what[k], lam, alpha, what)
-        delta = candidate - mean
+    def minimizer(lam, alpha):
+        return inline_minimizer(task, k, lam, alpha, what)
+
+    def loss(w):
+        delta = w - mean
         return float(delta @ delta - 2.0 * sd * (delta @ noise_mean) + sd * sd * noise_sq_mean)
 
+    candidate = candidate or minimizer
     best = (np.inf, None, None)
     for lam in lambda_grid:
         for alpha in alpha_grid:
-            value = loss(lam, alpha)
+            value = loss(candidate(lam, alpha))
             if value < best[0]:
                 best = (value, float(lam), np.array(alpha))
     closed = closed_form_lambda_alpha(task, k)
@@ -314,8 +368,22 @@ def per_point_oracle(task, k, lambda_grid, alpha_grid, num_samples, seed):
         best_lambda=best[1],
         best_alpha=best[2],
         best_loss=best[0],
-        closed_form_loss=loss(closed.lambda_star, closed.alpha_star),
+        closed_form_loss=loss(minimizer(closed.lambda_star, closed.alpha_star)),
     )
+
+
+def assert_matches_per_point_loop(index, master_seed=None):
+    # a shipped task shape on a coarser grid
+    task, k, cfg, mc_seed = shipped_task(index, master_seed)
+    closed = closed_form_lambda_alpha(task, k)
+    lam_grid = lambda_grid_around(closed.lambda_star, 7, cfg.theory.lambda_span)
+    alpha_grid = simplex_grid(task.num_clients, 6)
+    args = (task, k, lam_grid, alpha_grid, 20_000, mc_seed)
+    got, want = grid_search_oracle(*args), per_point_oracle(*args)
+    assert got.best_lambda == want.best_lambda
+    assert got.best_alpha.tobytes() == want.best_alpha.tobytes()
+    assert got.best_loss == want.best_loss
+    assert got.closed_form_loss == want.closed_form_loss
 
 
 class TestGridOracle:
@@ -362,29 +430,11 @@ class TestGridOracle:
 
     @pytest.mark.parametrize("index", [0, 1, 2])
     def test_matches_per_point_loop_bitwise(self, index):
-        # the task shapes of configs/theory_check.toml on a coarser grid
-        cfg = load_config(THEORY_CONFIG)
-        task_cfg = cfg.theory.tasks[index]
-        task = gen_task(
-            dim=task_cfg.dim,
-            num_clients=task_cfg.num_clients,
-            sigma=task_cfg.sigma,
-            upsilon=np.array(task_cfg.upsilon),
-            beta=task_cfg.beta,
-            nu=task_cfg.nu,
-            n_samples=task_cfg.n_samples,
-            seed=derive_seed(cfg.seed, "theory-task", index),
-        )
-        k = task_cfg.client
-        closed = closed_form_lambda_alpha(task, k)
-        lam_grid = lambda_grid_around(closed.lambda_star, 7, cfg.theory.lambda_span)
-        alpha_grid = simplex_grid(task_cfg.num_clients, 6)
-        args = (task, k, lam_grid, alpha_grid, 20_000, derive_seed(cfg.seed, "theory-mc", index))
-        got, want = grid_search_oracle(*args), per_point_oracle(*args)
-        assert got.best_lambda == want.best_lambda
-        assert got.best_alpha.tobytes() == want.best_alpha.tobytes()
-        assert got.best_loss == want.best_loss
-        assert got.closed_form_loss == want.closed_form_loss
+        assert_matches_per_point_loop(index)
+
+    @pytest.mark.parametrize("index", [0, 1, 2])
+    def test_matches_per_point_loop_bitwise_at_seed_1(self, index):
+        assert_matches_per_point_loop(index, master_seed=1)
 
     def test_duplicated_alpha_row_tie_goes_to_first_index(self):
         # the two rows differ only in the sign of a zero weight, so their
@@ -400,18 +450,24 @@ class TestGridOracle:
             assert got.best_loss == want.best_loss
 
     def test_ties_across_lambda_go_to_the_first_lambda(self, monkeypatch):
-        # a solver that ignores lambda makes every lambda tie: the grid is
-        # searched lambda-major, so the first lambda wins
+        # a solver that ignores lambda makes every lambda tie: it hands back
+        # the alpha mixtures row by row, in the order the grid solves them,
+        # so alpha still separates the points; the grid is searched
+        # lambda-major, so the first lambda wins
         task = small_task(seed=27)
+        what = all_ols(task)
         closed = closed_form_lambda_alpha(task, 0)
+        alpha_grid = simplex_grid(3, 4)
+        mixtures = itertools.cycle([alpha @ what for alpha in alpha_grid])
 
-        def mixing_only(xtx, ptp, what_k, lam, alpha, what_all):
-            return np.asarray(alpha) @ what_all
+        def mixing_only(lhs, rhs, lam):
+            return next(mixtures)
 
         monkeypatch.setattr(theory, "ridge_codistill_solve", mixing_only)
         lam_grid = lambda_grid_around(closed.lambda_star, 5, 4.0)
-        args = (task, 0, lam_grid, simplex_grid(3, 4), 5_000, 4)
-        got, want = grid_search_oracle(*args), per_point_oracle(*args)
+        args = (task, 0, lam_grid, alpha_grid, 5_000, 4)
+        got = grid_search_oracle(*args)
+        want = per_point_oracle(*args, candidate=lambda lam, alpha: alpha @ what)
         assert got.best_lambda == lam_grid[0] == want.best_lambda
         assert got.best_alpha.tobytes() == want.best_alpha.tobytes()
         assert got.best_loss == want.best_loss
@@ -419,7 +475,7 @@ class TestGridOracle:
     def test_overflowing_loss_raises_numeric_error(self, monkeypatch):
         task = small_task(seed=28)
 
-        def huge(xtx, ptp, what_k, lam, alpha, what_all):
+        def huge(lhs, rhs, lam):
             return np.full(task.dim, 1e200)
 
         monkeypatch.setattr(theory, "ridge_codistill_solve", huge)
