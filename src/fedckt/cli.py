@@ -87,7 +87,7 @@ def _theory_check(theory: TheoryConfig, master_seed: int, out: Path) -> int:
             dim=task_cfg.dim,
             num_clients=task_cfg.num_clients,
             sigma=task_cfg.sigma,
-            upsilon=np.array(task_cfg.upsilon),
+            upsilon=task_cfg.upsilon,
             beta=task_cfg.beta,
             nu=task_cfg.nu,
             n_samples=task_cfg.n_samples,

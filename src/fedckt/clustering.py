@@ -92,9 +92,9 @@ def cmeans_fit(points: np.ndarray, c: int, seed: int = 0) -> tuple[CentroidSet, 
 
 
 def assign_nearest(logit_vec: np.ndarray, centroids: CentroidSet) -> int:
-    """Index of the l2-nearest centroid; ties break to the lowest index."""
-    vec = np.asarray(logit_vec, dtype=np.float64).ravel()
-    d2 = _sq_dists(vec[None, :], centroids.centroids)[0]
+    """Index of the centroid l2-nearest the flat (L,) logit row; ties break
+    to the lowest index."""
+    d2 = _sq_dists(logit_vec[None, :], centroids.centroids)[0]
     return int(d2.argmin())
 
 

@@ -27,14 +27,6 @@ class RawDataset:
     labels: np.ndarray  # (n,) int64
     num_classes: int
 
-    def __post_init__(self):
-        inputs = np.ascontiguousarray(self.inputs, dtype=np.float64)
-        labels = np.ascontiguousarray(self.labels, dtype=np.int64)
-        if not np.all(np.isfinite(inputs)):
-            raise ConfigurationError("inputs must be finite")
-        object.__setattr__(self, "inputs", inputs)
-        object.__setattr__(self, "labels", labels)
-
     def __len__(self) -> int:
         return self.inputs.shape[0]
 
@@ -57,16 +49,6 @@ class ClientDataBundle:
     test: RawDataset
     p_k: float = 0.0
     active: bool = True
-
-
-@dataclass(frozen=True)
-class PublicPool:
-    """Unlabeled inputs shared by every client for co-distillation."""
-
-    inputs: np.ndarray  # (|P|, d) float64
-
-    def __len__(self) -> int:
-        return self.inputs.shape[0]
 
 
 def class_means(num_classes: int, dim: int, separation: float, seed: int) -> np.ndarray:
@@ -162,20 +144,19 @@ def assign_data_fractions(bundles: list[ClientDataBundle]) -> list[ClientDataBun
     ]
 
 
-def draw_public_pool(source: RawDataset, size: int, seed: int) -> PublicPool:
-    """Uniform sample without replacement from the source; labels dropped."""
+def draw_public_pool(source: RawDataset, size: int, seed: int) -> np.ndarray:
+    """The (size, d) unlabeled pool: a uniform sample of the source's inputs
+    without replacement."""
     rng = substream(seed, "public-pool")
     idx = rng.choice(len(source), size=size, replace=False)
-    return PublicPool(source.inputs[idx])
+    return source.inputs[idx]
 
 
 def minibatch(data, batch: int, rng: np.random.Generator) -> np.ndarray:
     """Uniform mini-batch indices: without replacement when batch <= n,
     with replacement otherwise."""
     n = len(data)
-    if batch <= n:
-        return rng.choice(n, size=batch, replace=False)
-    return rng.choice(n, size=batch, replace=True)
+    return rng.choice(n, size=batch, replace=batch > n)
 
 
 def label_histogram(data: RawDataset) -> np.ndarray:
@@ -192,16 +173,12 @@ def label_entropy(data: RawDataset) -> float:
     return float(-(p * np.log(p)).sum())
 
 
-def mean_label_entropy(shards: list[RawDataset]) -> float:
-    populated = [s for s in shards if len(s) > 0]
-    return float(np.mean([label_entropy(s) for s in populated])) if populated else 0.0
-
-
 def partition_summary(shards: list[RawDataset]) -> dict:
     """Per-client label histograms plus imbalance metrics, JSON-ready."""
     sizes = np.array([len(s) for s in shards], dtype=np.int64)
     populated = sizes[sizes > 0]
-    entropies = [label_entropy(s) for s in shards if len(s) > 0]
+    entropies = [label_entropy(s) for s in shards]
+    filled = [e for e, size in zip(entropies, sizes) if size > 0]
     return {
         "num_clients": len(shards),
         "clients": [
@@ -209,14 +186,14 @@ def partition_summary(shards: list[RawDataset]) -> dict:
                 "client": i,
                 "size": int(len(s)),
                 "histogram": [int(c) for c in label_histogram(s)],
-                "entropy_nats": label_entropy(s),
+                "entropy_nats": entropy,
             }
-            for i, s in enumerate(shards)
+            for i, (s, entropy) in enumerate(zip(shards, entropies))
         ],
         "max_min_shard_ratio": (
             float(populated.max() / populated.min()) if populated.size else math.nan
         ),
-        "mean_label_entropy": mean_label_entropy(shards),
-        "median_label_entropy": float(np.median(entropies)) if entropies else 0.0,
+        "mean_label_entropy": float(np.mean(filled)) if filled else 0.0,
+        "median_label_entropy": float(np.median(filled)) if filled else 0.0,
         "empty_shards": int((sizes == 0).sum()),
     }

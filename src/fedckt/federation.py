@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .clustering import assign_nearest, cmeans_fit
-from .data import ClientDataBundle, PublicPool, minibatch
+from .data import ClientDataBundle, minibatch
 from .errors import ConfigurationError, NumericError
 from .models import (
     ModelSpec,
@@ -148,7 +148,7 @@ def _local_sgd_steps(
     record: ClientRecord,
     config: FederationConfig,
     round_index: int,
-    pool: PublicPool | None = None,
+    pool: np.ndarray | None = None,
     sbar_rows: np.ndarray | None = None,
 ) -> np.ndarray:
     """tau mini-batch steps from the record's current params; the private
@@ -168,7 +168,7 @@ def _local_sgd_steps(
         if lam > 0:
             pidx = minibatch(pool, config.public_batch_size, rng_pub)
             grad = grad_phi_stochastic(
-                record.spec, w, xb, yb, pool.inputs[pidx], sbar_rows[pidx], lam
+                record.spec, w, xb, yb, pool[pidx], sbar_rows[pidx], lam
             )
         else:
             grad = grad_local(record.spec, w, xb, yb)
@@ -181,19 +181,19 @@ def _local_sgd_steps(
 def client_local_round(
     record: ClientRecord,
     sbar_rows: np.ndarray,
-    pool: PublicPool,
+    pool: np.ndarray,
     config: FederationConfig,
     round_index: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One selected client's round: tau steps against the frozen distillation
     target, then fresh logits of the updated model on the full pool."""
     params = _local_sgd_steps(record, config, round_index, pool, sbar_rows)
-    return params, forward_logits(record.spec, params, pool.inputs)
+    return params, forward_logits(record.spec, params, pool)
 
 
 def grad_norm_monitor(
     record: ClientRecord,
-    pool: PublicPool | None,
+    pool: np.ndarray | None,
     sbar_rows: np.ndarray | None,
     lam: float,
 ) -> float:
@@ -206,7 +206,7 @@ def grad_norm_monitor(
             record.params,
             train.inputs,
             train.labels,
-            pool.inputs,
+            pool,
             sbar_rows,
             lam,
         )
@@ -256,7 +256,7 @@ def _metrics_row(round_index, accuracies, grad_norms, ledger) -> RoundMetrics:
 
 def _nearest_centroid(rec, pool, centroids) -> np.ndarray:
     """The centroid nearest the client's own full-pool logits, as target rows."""
-    own = forward_logits(rec.spec, rec.params, pool.inputs)
+    own = forward_logits(rec.spec, rec.params, pool)
     pick = assign_nearest(own.ravel(), centroids)
     return centroids.centroids[pick].reshape(len(pool), rec.spec.num_classes)
 
@@ -276,7 +276,7 @@ def _broadcast_average(active, coeffs, vectors) -> None:
 def run_rounds(
     algorithm: str,
     records: list[ClientRecord],
-    pool: PublicPool | None,
+    pool: np.ndarray | None,
     config: FederationConfig,
 ) -> RunResult:
     """One loop for the three algorithms. Per round: select clients (local
@@ -335,7 +335,7 @@ def run_rounds(
             # one flattened logit row per client, in client-id order
             stack = np.stack(
                 _per_client(
-                    lambda r: forward_logits(r.spec, r.params, pool.inputs).ravel(),
+                    lambda r: forward_logits(r.spec, r.params, pool).ravel(),
                     sorted((active[p] for p in boot), key=lambda r: r.id),
                 )
             )

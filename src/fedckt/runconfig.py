@@ -354,10 +354,15 @@ def config_from_sections(sections: dict, seed_override: int | None = None) -> Ru
 
 def load_config(path, seed_override: int | None = None) -> RunConfig:
     try:
-        with open(path) as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data[: exc.start].count(b"\n") + 1
+        raise ConfigurationError(f"{path}:{line}: not UTF-8 text") from exc
     stripped = text.lstrip()
     if str(path).endswith(".json") or stripped.startswith("{"):
         try:

@@ -125,11 +125,9 @@ def gen_task(
 
 
 def ols_estimate(task: BayesLinRegTask, k: int) -> np.ndarray:
-    """Least-squares estimate of client k's parameters."""
-    solution, _, rank, _ = np.linalg.lstsq(task.designs[k], task.targets[k], rcond=None)
-    if rank < task.dim:
-        raise NumericError(f"design of client {k} is rank-deficient")
-    return solution
+    """Least-squares estimate of client k's parameters. Every design is
+    sqrt(beta) times orthonormal columns, so it has full rank."""
+    return np.linalg.lstsq(task.designs[k], task.targets[k], rcond=None)[0]
 
 
 def all_ols(task: BayesLinRegTask) -> np.ndarray:
@@ -169,10 +167,8 @@ def ridge_codistill_minimizer(
     k: int,
     lam: float,
     alpha: np.ndarray,
-    what_all: np.ndarray | None = None,
+    what_all: np.ndarray,
 ) -> np.ndarray:
-    if what_all is None:
-        what_all = all_ols(task)
     xtx = task.designs[k].T @ task.designs[k]
     ptp = task.public_design.T @ task.public_design
     lhs, rhs = ridge_codistill_system(xtx, ptp, what_all[k], lam, alpha, what_all)
@@ -184,13 +180,11 @@ def ridge_codistill_scalar(
     k: int,
     lam: float,
     alpha: np.ndarray,
-    what_all: np.ndarray | None = None,
+    what_all: np.ndarray,
 ) -> np.ndarray:
     """Scalar-mixing form of the same minimizer, valid under the beta-I /
     nu-I design structure: (1-rho) what_k + rho sum_i alpha_i what_i with
     rho = lam nu / (beta + lam nu)."""
-    if what_all is None:
-        what_all = all_ols(task)
     rho = lam * task.nu / (task.beta + lam * task.nu)
     return (1.0 - rho) * what_all[k] + rho * (np.asarray(alpha) @ what_all)
 
@@ -213,19 +207,15 @@ def posterior_moments_scalar(
 ) -> tuple[np.ndarray, float]:
     """Posterior mean of w_k given every least-squares estimate, in the
     coefficient (scalar-mixing) form, plus the scalar posterior variance."""
+    closed = closed_form_lambda_alpha(task, k)
     s2 = task.sigma**2
     beta = task.beta
     u2 = task.upsilon.astype(np.float64) ** 2
     b = beta * u2[k]
-    a_k = 1.0 / sum(
-        1.0 / (s2 + beta * u2[i]) for i in range(task.num_clients) if i != k
-    )
-    coef = (s2 / (s2 + b)) * (
-        a_k * (s2 + b) / (s2 + a_k + b)
-    ) / (s2 + beta * u2)  # = rho* alpha*_i at the optimum
+    coef = (s2 / (s2 + b)) * closed.b_k / (s2 + beta * u2)  # = rho* alpha*_i at the optimum
     coef[k] += b / (s2 + b)
     mean = coef @ what_all
-    variance = s2 * (a_k + b) / (beta * (s2 + a_k + b))
+    variance = s2 * (closed.a_k + b) / (beta * (s2 + closed.a_k + b))
     return mean, variance
 
 
@@ -284,8 +274,6 @@ def expected_loss_mc(
     substitutes an arbitrary vector for the ridge minimizer (used to probe
     the posterior-mean floor).
     """
-    if num_samples < 1:
-        raise ConfigurationError("num_samples must be >= 1")
     if what_all is None:
         what_all = all_ols(task)
     mean, variance = posterior_moments_scalar(task, k, what_all)
@@ -401,6 +389,7 @@ def grid_search_oracle(
 
 TOY_SIGMAS = (2.0, 5.0, 200.0)  # per-client spread (std dev) of zeta
 TOY_LAMBDA = 50.0
+TOY_ROWS = 40  # rows of the shared private design and of the public design
 TOY_INPUT_RANGE = 10.0
 _TOY_CLUSTERS = ((0.5, 0.5, 0.0), (0.5, 0.5, 0.0), (0.0, 0.0, 1.0))
 _TOY_UNIFORM = (1 / 3, 1 / 3, 1 / 3)
@@ -426,13 +415,7 @@ class ToyClientReport:
         raise KeyError(kind)
 
 
-def run_toy_example(
-    seed: int,
-    sigmas=TOY_SIGMAS,
-    lam: float = TOY_LAMBDA,
-    n_samples: int = 40,
-    n_public: int = 40,
-) -> list[ToyClientReport]:
+def run_toy_example(seed: int, sigmas=TOY_SIGMAS) -> list[ToyClientReport]:
     """Three-client linear-regression toy: the pair 0/1 is similar, client 2
     is an outlier. Compares pooled least squares against co-distillation with
     uniform weights and with cluster-restricted weights.
@@ -444,8 +427,8 @@ def run_toy_example(
     dim = 2
     theta = rng.uniform(-TOY_INPUT_RANGE, TOY_INPUT_RANGE, dim)
     true_w = np.stack([theta + rng.normal(0.0, s, dim) for s in sigmas])
-    x = rng.uniform(-TOY_INPUT_RANGE, TOY_INPUT_RANGE, (n_samples, dim))
-    public = rng.uniform(-TOY_INPUT_RANGE, TOY_INPUT_RANGE, (n_public, dim))
+    x = rng.uniform(-TOY_INPUT_RANGE, TOY_INPUT_RANGE, (TOY_ROWS, dim))
+    public = rng.uniform(-TOY_INPUT_RANGE, TOY_INPUT_RANGE, (TOY_ROWS, dim))
     targets = true_w @ x.T  # (3, n), noiseless
 
     what = np.stack(
@@ -461,8 +444,8 @@ def run_toy_example(
     ptp = public.T @ public
 
     def codistilled(k, alpha):
-        lhs, rhs = ridge_codistill_system(xtx, ptp, what[k], lam, np.array(alpha), what)
-        return ridge_codistill_solve(lhs, rhs, lam)
+        lhs, rhs = ridge_codistill_system(xtx, ptp, what[k], TOY_LAMBDA, np.array(alpha), what)
+        return ridge_codistill_solve(lhs, rhs, TOY_LAMBDA)
 
     reports = []
     for k in range(3):

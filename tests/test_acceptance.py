@@ -10,7 +10,6 @@ import numpy as np
 from fedckt.clustering import cmeans_fit
 from fedckt.data import (
     ClientDataBundle,
-    PublicPool,
     assign_data_fractions,
 )
 from fedckt.experiment import (
@@ -171,7 +170,7 @@ def test_criterion_4_theorem1_convergence():
         ClientRecord(id=i, spec=spec, params=init_params(spec, seed=300 + i), bundle=b)
         for i, b in enumerate(bundles)
     ]
-    pool = PublicPool(blobs(n_classes, dim, 30, 10.0, seed=655).inputs)
+    pool = blobs(n_classes, dim, 30, 10.0, seed=655).inputs
     cfg = FederationConfig(
         rounds=2000,
         local_iters=1,
@@ -271,7 +270,7 @@ def test_criterion_6_communication_accounting():
         ClientRecord(id=i, spec=spec, params=init_params(spec, seed=40 + i), bundle=b)
         for i, b in enumerate(bundles)
     ]
-    pool = PublicPool(blobs(n_classes, dim, 20, 4.0, seed=41).inputs)
+    pool = blobs(n_classes, dim, 20, 4.0, seed=41).inputs
     t, m, c = 6, 3, 2
     cfg = FederationConfig(
         rounds=t,
@@ -350,7 +349,7 @@ def _single_client_population(seed=3):
     )
     return (
         [ClientRecord(id=0, spec=spec, params=init_params(spec, seed=601), bundle=bundles[0])],
-        PublicPool(blobs(n_classes, dim, 20, 4.0, seed=602).inputs),
+        blobs(n_classes, dim, 20, 4.0, seed=602).inputs,
     )
 
 
@@ -380,7 +379,7 @@ def test_criterion_8_reduction_identities_bitwise():
             ClientRecord(id=i, spec=spec, params=init_params(spec, seed=710 + i), bundle=b)
             for i, b in enumerate(bundles)
         ]
-        pool = PublicPool(blobs(n_classes, dim, 20, 4.0, seed=720).inputs)
+        pool = blobs(n_classes, dim, 20, 4.0, seed=720).inputs
         return recs, pool
 
     recs_run, pool3 = population()
@@ -393,7 +392,7 @@ def test_criterion_8_reduction_identities_bitwise():
     # record ids equal positions; stack rows go in client-id order
     stack = np.stack(
         [
-            forward_logits(recs_ref[p].spec, recs_ref[p].params, pool3.inputs).ravel()
+            forward_logits(recs_ref[p].spec, recs_ref[p].params, pool3).ravel()
             for p in sorted(boot)
         ]
     )

@@ -241,6 +241,14 @@ class TestRunCommand:
         assert main(["run", "--config", str(cfg)]) == 2
         assert "bad.toml:1" in capsys.readouterr().err
 
+    def test_non_utf8_config_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.toml"
+        cfg.write_bytes(b'[run]\nalgorithm = "perfed_ckt"\n# \xff\xfe\nseed = 42\n')
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("config error: ") and "bad.toml:3" in err[0]
+
     def test_unwritable_out_exits_2(self, tmp_path):
         cfg = write(tmp_path, "smoke.toml", SMOKE_TOML)
         blocker = tmp_path / "file"

@@ -49,7 +49,7 @@ class TestBuildPopulation:
     def test_deterministic_under_master_seed(self):
         a, pool_a = build_population(small_data_cfg(), ModelConfig(), master_seed=2)
         b, pool_b = build_population(small_data_cfg(), ModelConfig(), master_seed=2)
-        assert np.array_equal(pool_a.inputs, pool_b.inputs)
+        assert np.array_equal(pool_a, pool_b)
         for x, y in zip(a, b):
             assert np.array_equal(x.params, y.params)
             assert np.array_equal(x.bundle.train.inputs, y.bundle.train.inputs)
@@ -62,12 +62,30 @@ class TestBuildPopulation:
         # pool samples concentrate around the shifted means, not the originals
         shifted = means + cfg.public_offset
         d_shift = np.min(
-            np.linalg.norm(pool.inputs[:, None, :] - shifted[None], axis=2), axis=1
+            np.linalg.norm(pool[:, None, :] - shifted[None], axis=2), axis=1
         ).mean()
         d_orig = np.min(
-            np.linalg.norm(pool.inputs[:, None, :] - means[None], axis=2), axis=1
+            np.linalg.norm(pool[:, None, :] - means[None], axis=2), axis=1
         ).mean()
         assert d_shift < d_orig
+
+    def test_largest_finite_separation_keeps_inputs_finite(self):
+        # the loader bounds abs(class_separation) + abs(public_offset); unit
+        # noise around a finite mean rounds back to a finite value
+        cfg = small_data_cfg(
+            class_separation=1.7976931348623157e308,
+            public_offset=0.0,
+            dim=1,
+            num_classes=2,
+            samples_per_class=20,
+            num_clients=2,
+            public_pool_size=10,
+        )
+        records, pool = build_population(cfg, ModelConfig(), master_seed=0)
+        for rec in records:
+            for split in (rec.bundle.train, rec.bundle.val, rec.bundle.test):
+                assert np.isfinite(split.inputs).all()
+        assert pool.shape == (10, 1) and np.isfinite(pool).all()
 
     def test_heterogeneous_specs_follow_share_terciles(self):
         records, _ = build_population(

@@ -4,7 +4,6 @@ import pytest
 from fedckt.clustering import cmeans_fit, assign_nearest
 from fedckt.data import (
     ClientDataBundle,
-    PublicPool,
     RawDataset,
     assign_data_fractions,
 )
@@ -54,7 +53,7 @@ def make_population(num_clients=4, num_classes=3, dim=2, seed=0, train=30, arch=
         for i, b in enumerate(bundles)
     ]
     pool_src = blobs(num_classes, dim, 40, 4.0, seed=seed + 991)
-    pool = PublicPool(pool_src.inputs)
+    pool = pool_src.inputs
     return records, pool
 
 
@@ -132,7 +131,7 @@ class TestClientLocalRound:
         cfg = config(lr=0.0)
         rec = records[0]
         before = rec.params.copy()
-        sbar = forward_logits(rec.spec, rec.params, pool.inputs)
+        sbar = forward_logits(rec.spec, rec.params, pool)
         params, logits = client_local_round(rec, sbar, pool, cfg, round_index=0)
         assert np.array_equal(params, before)
         assert np.array_equal(logits, sbar)
@@ -144,7 +143,7 @@ class TestClientLocalRound:
         records, pool = make_population()
         cfg = config(local_iters=1, distill_weight=0.0)
         rec = records[1]
-        sbar = forward_logits(rec.spec, rec.params, pool.inputs)
+        sbar = forward_logits(rec.spec, rec.params, pool)
         params, _ = client_local_round(rec, sbar, pool, cfg, round_index=2)
 
         rng = substream(cfg.seed, "batch", rec.id, 2)
@@ -170,7 +169,7 @@ class TestClientLocalRound:
             rec.params,
             rec.bundle.train.inputs,
             rec.bundle.train.labels,
-            pool.inputs,
+            pool,
             sbar,
             cfg.distill_weight,
         )
@@ -180,7 +179,7 @@ class TestClientLocalRound:
             params,
             rec.bundle.train.inputs,
             rec.bundle.train.labels,
-            pool.inputs,
+            pool,
             sbar,
             cfg.distill_weight,
         )
@@ -191,7 +190,7 @@ class TestClientLocalRound:
         records, pool = make_population()
         rec = records[2]
         cfg = config(local_iters=3, distill_weight=0.8)
-        sbar = forward_logits(rec.spec, records[0].params, pool.inputs)
+        sbar = forward_logits(rec.spec, records[0].params, pool)
         params, _ = client_local_round(rec, sbar, pool, cfg, round_index=1)
 
         from fedckt.data import minibatch
@@ -209,7 +208,7 @@ class TestClientLocalRound:
                 w,
                 train.inputs[idx],
                 train.labels[idx],
-                pool.inputs[pidx],
+                pool[pidx],
                 sbar[pidx],
                 cfg.distill_weight,
             )
@@ -255,7 +254,7 @@ class TestReductions:
         # record ids equal positions; stack rows go in client-id order
         stack = np.stack(
             [
-                forward_logits(records_b[p].spec, records_b[p].params, pool.inputs).ravel()
+                forward_logits(records_b[p].spec, records_b[p].params, pool).ravel()
                 for p in sorted(boot)
             ]
         )
@@ -317,7 +316,7 @@ class TestPersistence:
         boot = sample_clients(weights, 1, substream(cfg.seed, "select", "bootstrap"))
         (p,) = boot
         stack = forward_logits(
-            records_replay[p].spec, records_replay[p].params, pool.inputs
+            records_replay[p].spec, records_replay[p].params, pool
         ).reshape(1, -1)
         from fedckt.rng import derive_seed
 
@@ -328,7 +327,7 @@ class TestPersistence:
             picks = sample_clients(weights, 1, substream(cfg.seed, "select", t))
             cid = records_replay[picks[0]].id
             rec = by_id[cid]
-            own = forward_logits(rec.spec, rec.params, pool.inputs)
+            own = forward_logits(rec.spec, rec.params, pool)
             sbar = centroids.centroids[assign_nearest(own.ravel(), centroids)].reshape(
                 len(pool), rec.spec.num_classes
             )
@@ -477,7 +476,7 @@ class TestGradNormMonitor:
                 p,
                 rec.bundle.train.inputs,
                 rec.bundle.train.labels,
-                pool.inputs,
+                pool,
                 sbar,
                 lam,
             ),
