@@ -1,7 +1,7 @@
 """Command-line entry point.
 
-Subcommands: run, toy, and theory-check and partition-stats, which are `run`
-with `[run] algorithm` forced to theory_check or partition_stats. Exit codes
+Subcommands: run, which runs the mode the config's `[run] algorithm` selects
+(a federated algorithm, theory_check or partition_stats), and toy. Exit codes
 are stable across subcommands: 0 success, 1 failed verification, 2
 configuration error or an output that cannot be written, 3 numeric failure
 (a diverged client or a non-finite or unsolvable computation), 4 internal
@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -55,8 +55,6 @@ def _out_dir(args) -> Path:
 
 def cmd_run(args) -> int:
     cfg = load_config(args.config, seed_override=args.seed)
-    if args.algorithm is not None:
-        cfg = replace(cfg, algorithm=args.algorithm)
     out = _out_dir(args)
     if cfg.algorithm == "theory_check":
         return _theory_check(cfg.theory, cfg.seed, out)
@@ -95,14 +93,10 @@ def _theory_check(theory: TheoryConfig, master_seed: int, out: Path) -> int:
         )
         k = task_cfg.client
         closed = closed_form_lambda_alpha(task, k)
-        lam_grid = lambda_grid_around(
-            closed.lambda_star, theory.lambda_points, theory.lambda_span
-        )
+        lam_grid = lambda_grid_around(closed.lambda_star, theory.lambda_points, theory.lambda_span)
         alpha_grid = simplex_grid(task_cfg.num_clients, theory.alpha_resolution)
         mc_seed = derive_seed(master_seed, "theory-mc", index)
-        oracle = grid_search_oracle(
-            task, k, lam_grid, alpha_grid, theory.num_samples, mc_seed
-        )
+        oracle = grid_search_oracle(task, k, lam_grid, alpha_grid, theory.num_samples, mc_seed)
         closed_loss = oracle.closed_form_loss
         gap = closed_loss / oracle.best_loss - 1.0
         passed = closed_loss <= (1.0 + theory.tolerance) * oracle.best_loss
@@ -186,16 +180,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, help_text, algorithm in (
-        ("run", "run the algorithm selected by the config", None),
-        ("theory-check", "closed form vs grid-search oracle", "theory_check"),
-        ("partition-stats", "partition skew diagnostics", "partition_stats"),
-    ):
-        command = sub.add_parser(name, help=help_text)
-        command.add_argument("--config", required=True)
-        command.add_argument("--out", default=None)
-        command.add_argument("--seed", type=int, default=None, help="overrides the config seed")
-        command.set_defaults(func=cmd_run, algorithm=algorithm)
+    run = sub.add_parser("run", help="run the mode selected by the config's [run] algorithm")
+    run.add_argument("--config", required=True)
+    run.add_argument("--out", default=None)
+    run.add_argument("--seed", type=int, default=None, help="overrides the config seed")
+    run.set_defaults(func=cmd_run)
 
     toy = sub.add_parser("toy", help="three-client linear-regression toy")
     toy.add_argument("--seed", type=int, default=0)

@@ -42,40 +42,20 @@ LR_ROBBINS_MONRO = "robbins_monro"
 
 @dataclass(frozen=True)
 class FederationConfig:
-    rounds: int
-    local_iters: int
-    batch_size: int
-    public_batch_size: int
-    distill_weight: float
-    num_clusters: int
-    lr: float
-    num_selected: int
-    lr_mode: str = LR_CONSTANT
+    rounds: int = field(metadata={"min": 1})
+    local_iters: int = field(metadata={"min": 1})
+    batch_size: int = field(metadata={"min": 1})
+    public_batch_size: int = field(metadata={"min": 1})
+    distill_weight: float = field(metadata={"min": 0})
+    num_clusters: int = field(metadata={"min": 1})
+    lr: float = field(metadata={"min": 0})
+    num_selected: int = field(metadata={"min": 1})
+    lr_mode: str = field(
+        default=LR_CONSTANT, metadata={"choices": (LR_CONSTANT, LR_ROBBINS_MONRO)}
+    )
     lr_decay: float = 0.0
     seed: int = 0
-    eval_interval: int = 1
-
-    def __post_init__(self):
-        if self.rounds < 1:
-            raise ConfigurationError("rounds must be >= 1")
-        if self.local_iters < 1:
-            raise ConfigurationError("local_iters must be >= 1")
-        if self.batch_size < 1 or self.public_batch_size < 1:
-            raise ConfigurationError("batch sizes must be >= 1")
-        if self.distill_weight < 0:
-            raise ConfigurationError("distill_weight must be >= 0")
-        if self.num_clusters < 1:
-            raise ConfigurationError("num_clusters must be >= 1")
-        if self.num_selected < 1:
-            raise ConfigurationError("num_selected must be >= 1")
-        if self.lr < 0:
-            raise ConfigurationError("lr must be >= 0")
-        if self.lr_mode not in (LR_CONSTANT, LR_ROBBINS_MONRO):
-            raise ConfigurationError(f"unknown lr_mode {self.lr_mode!r}")
-        if self.lr_mode == LR_ROBBINS_MONRO and not self.lr_decay > 0:
-            raise ConfigurationError("robbins_monro needs lr_decay > 0")
-        if self.eval_interval < 1:
-            raise ConfigurationError("eval_interval must be >= 1")
+    eval_interval: int = field(default=1, metadata={"min": 1})
 
 
 def lr_at(config: FederationConfig, round_index: int) -> float:
@@ -309,11 +289,6 @@ def run_rounds(
     payload, models_down = 0, 1
     if perfed:
         payload = len(pool) * active[0].spec.num_classes
-        if config.num_clusters > m:
-            raise ConfigurationError(
-                f"[federation] num_clusters ({config.num_clusters}) must not exceed "
-                f"num_selected ({m})"
-            )
     elif fedavg:
         specs = {r.spec for r in active}
         if len(specs) != 1:

@@ -9,17 +9,16 @@ summary can be re-fed verbatim.
 
 from __future__ import annotations
 
+import codecs
 import json
 import math
+import operator
 import sys
-from dataclasses import asdict, dataclass, field
-from typing import get_origin, get_type_hints
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 
 from .errors import ConfigurationError
-from .experiment import ALGORITHMS, MAX_ELEMENTS, DataConfig, ModelConfig, check_budget
-from .federation import FederationConfig
-
-RUN_MODES = ALGORITHMS + ("theory_check", "partition_stats")
+from .experiment import ALGORITHMS, POPULATION_TWO_GROUP, DataConfig, ModelConfig
+from .federation import LR_ROBBINS_MONRO, FederationConfig
 
 
 # ---------------------------------------------------------------------------
@@ -79,8 +78,12 @@ def _parse_value(token: str, where: str):
     return _parse_scalar(token, where)
 
 
-def parse_flat_toml(text: str, source: str = "<config>") -> dict[str, dict]:
-    """Sections of key/value pairs; raises with file:line on malformed input."""
+def parse_flat_toml(
+    text: str, source: str = "<config>", locations: dict | None = None
+) -> dict[str, dict]:
+    """Sections of key/value pairs; raises with file:line on malformed input.
+    `locations`, if given, receives the "file:line" of each (section, key)
+    and, under (section, None), of each section header."""
     sections: dict[str, dict] = {}
     current: dict | None = None
     current_name = ""
@@ -97,6 +100,8 @@ def parse_flat_toml(text: str, source: str = "<config>") -> dict[str, dict]:
                 raise ConfigurationError(f"{where}: empty section name")
             current_name = name
             current = sections.setdefault(name, {})
+            if locations is not None:
+                locations.setdefault((name, None), where)
             continue
         if "=" not in line:
             raise ConfigurationError(f"{where}: expected 'key = value', got {line!r}")
@@ -109,6 +114,8 @@ def parse_flat_toml(text: str, source: str = "<config>") -> dict[str, dict]:
         if key in current:
             raise ConfigurationError(f"{where}: duplicate key {key!r} in [{current_name}]")
         current[key] = _parse_value(value, f"{where} (key {key!r})")
+        if locations is not None:
+            locations[current_name, key] = where
     return sections
 
 
@@ -116,75 +123,129 @@ def parse_flat_toml(text: str, source: str = "<config>") -> dict[str, dict]:
 # typed run configuration
 # ---------------------------------------------------------------------------
 
+RUN_MODES = ALGORITHMS + ("theory_check", "partition_stats")
+
+# float64 elements allowed in any one array a config implies: far above
+# every shipped config, far below what numpy fails to allocate
+MAX_ELEMENTS = 10**8
+
+# Rules on one value are metadata on its config field, rule name -> bound;
+# the rules across fields are the _check_* functions below.
+RULES = {
+    "min": (operator.ge, "must be >= {}"),
+    "gt": (operator.gt, "must be > {}"),
+    "max": (operator.le, "must be <= {}"),
+    "choices": (lambda value, choices: value in choices, "must be one of {}"),
+}
+
 
 @dataclass(frozen=True)
 class TheoryTaskConfig:
-    num_clients: int = 3
-    dim: int = 2
-    sigma: float = 1.0
-    beta: float = 1.0
-    nu: float = 1.0
-    upsilon: tuple[float, ...] = (0.5, 1.0, 2.0)
+    num_clients: int = field(default=3, metadata={"min": 2})
+    dim: int = field(default=2, metadata={"min": 1})
+    sigma: float = field(default=1.0, metadata={"gt": 0})
+    beta: float = field(default=1.0, metadata={"gt": 0})
+    nu: float = field(default=1.0, metadata={"gt": 0})
+    upsilon: tuple[float, ...] = field(default=(0.5, 1.0, 2.0), metadata={"min": 0})
     n_samples: int = 8
-    client: int = 0
-
-    def __post_init__(self):
-        if self.num_clients < 2:
-            raise ConfigurationError("num_clients must be >= 2")
-        if len(self.upsilon) != self.num_clients:
-            raise ConfigurationError("upsilon must list one value per client")
-        if not 0 <= self.client < self.num_clients:
-            raise ConfigurationError("client index out of range")
-        if self.dim < 1:
-            raise ConfigurationError("dim must be >= 1")
-        if self.n_samples < self.dim:
-            raise ConfigurationError("n_samples must be >= dim")
-        if not (self.sigma > 0 and self.beta > 0 and self.nu > 0):
-            raise ConfigurationError("sigma, beta, nu must be positive")
-        # the closed form divides by sigma^2 and by upsilon[client]^2 nu;
-        # float products, since an int field squares exactly and never to inf
-        s2 = float(self.sigma) * float(self.sigma)
-        if not (math.isfinite(s2) and s2 > 0):
-            raise ConfigurationError("sigma * sigma must be finite and > 0")
-        if min(self.upsilon) < 0:
-            raise ConfigurationError("upsilon values must be >= 0")
-        own = float(self.upsilon[self.client])
-        if not own * own * self.nu > 0:
-            raise ConfigurationError(
-                "upsilon[client] * upsilon[client] * nu must be > 0"
-            )
-        check_budget({"num_clients * n_samples * dim": self.num_clients * self.n_samples * self.dim})
+    client: int = field(default=0, metadata={"min": 0})
 
 
 @dataclass(frozen=True)
 class TheoryConfig:
     tasks: tuple[TheoryTaskConfig, ...] = ()
-    num_samples: int = 100_000
-    lambda_points: int = 15
-    lambda_span: float = 4.0
-    alpha_resolution: int = 16
-    tolerance: float = 0.02
+    num_samples: int = field(default=100_000, metadata={"min": 1})
+    lambda_points: int = field(default=15, metadata={"min": 1})
+    lambda_span: float = field(default=4.0, metadata={"gt": 1})
+    alpha_resolution: int = field(default=16, metadata={"min": 1})
+    tolerance: float = field(default=0.02, metadata={"gt": 0})
 
-    def __post_init__(self):
-        if min(self.num_samples, self.lambda_points, self.alpha_resolution) < 1:
-            raise ConfigurationError(
-                "num_samples, lambda_points and alpha_resolution must be >= 1"
-            )
-        if not self.lambda_span > 1:
-            raise ConfigurationError("lambda_span must be > 1")
-        if not self.tolerance > 0:
-            raise ConfigurationError("tolerance must be > 0")
-        max_dim = max((t.dim for t in self.tasks), default=1)
-        check_budget({"num_samples * dim": self.num_samples * max_dim})
-        # the oracle solves once per (lambda, alpha) point and holds the
-        # (comb, K) alpha grid
-        for index, task in enumerate(self.tasks):
-            k = task.num_clients
-            if _over_budget(max(self.lambda_points, k), self.alpha_resolution, k):
-                raise ConfigurationError(
-                    f"theory task {index}: max(lambda_points, K) * comb(alpha_resolution "
-                    f"+ K - 1, K - 1) with K = {k} exceeds the budget of {MAX_ELEMENTS} elements"
-                )
+
+@dataclass(frozen=True)
+class RunConfig:
+    algorithm: str = field(metadata={"choices": RUN_MODES})
+    seed: int = 0
+    data: DataConfig = field(default_factory=DataConfig)
+    models: ModelConfig = field(default_factory=ModelConfig)
+    federation: FederationConfig | None = None
+    theory: TheoryConfig | None = None
+
+
+class _Rejected(Exception):
+    """(section, key, value, why, *reads): a config value, or with key None a
+    whole section, that breaks a rule; `reads` are the other (section, key)
+    pairs the rule reads."""
+
+
+def _at(section: str, cfg, key: str, why: str, *reads: str) -> _Rejected:
+    """The rejection of `cfg`'s `key`, in [section], by a rule also reading `reads` there."""
+    return _Rejected(section, key, getattr(cfg, key), why, *((section, k) for k in reads))
+
+
+def _problem(hint: str, rules: dict, value) -> str | None:
+    """Why `value` does not fit a field annotated `hint` with `rules`, or
+    None; the config modules postpone annotations, so `hint` is the text.
+    Integer fields take ints only (never bools or floats); float fields take
+    finite ints or floats, and the bound compares exactly, so an int too
+    large for a float is refused rather than overflowing; `tuple[float, ...]`
+    fields take arrays whose every value fits a float field with `rules`."""
+    if hint == "tuple[float, ...]":
+        if not isinstance(value, (list, tuple)):
+            return "must be an array"
+        for item in value:
+            why = _problem("float", rules, item)
+            if why:
+                return f"every value {why}"
+        return None
+    if hint == "int" and (isinstance(value, bool) or not isinstance(value, int)):
+        return "must be an integer"
+    if hint == "float" and (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or not abs(value) <= sys.float_info.max
+    ):
+        return "must be a finite number"
+    for rule, bound in rules.items():
+        test, why = RULES[rule]
+        if not test(value, bound):
+            return why.format(bound)
+    return None
+
+
+def _build(cls, section: dict, name: str, **set_by_loader):
+    """`cls` from a config section, each key checked against its field's type
+    and rules; keys in `set_by_loader` are not accepted from the section."""
+    known = {f.name: f for f in fields(cls) if f.name not in set_by_loader}
+    for key, value in section.items():
+        spec = known.get(key)
+        why = _problem(spec.type, spec.metadata, value) if spec else "unknown key"
+        if why:
+            raise _Rejected(name, key, value, why)
+    missing = [key for key, f in known.items() if f.default is MISSING and key not in section]
+    if missing:
+        raise _Rejected(name, None, None, f"missing required keys: {', '.join(missing)}")
+    values = {key: tuple(v) if isinstance(v, list) else v for key, v in section.items()}
+    return cls(**set_by_loader, **values)
+
+
+def _at_largest(values: dict, why: str) -> _Rejected:
+    """The rejection of the largest of `values`, {(section, key): value}, by
+    a rule that reads them all."""
+    largest = max(values, key=values.get)
+    return _Rejected(*largest, values[largest], why, *(k for k in values if k != largest))
+
+
+def _check_budgets(budgets, parts: dict) -> None:
+    """Refuses a config whose implied arrays exceed MAX_ELEMENTS elements,
+    before anything is allocated. A budget is a product of factors, each a
+    (part, key, ...) tuple standing for the largest of those keys in the
+    (section, config) pair parts[part]; the error points at its largest key."""
+    for budget in budgets:
+        factors = [{(parts[p][0], k): getattr(parts[p][1], k) for k in keys} for p, *keys in budget]
+        if math.prod(max(factor.values()) for factor in factors) > MAX_ELEMENTS:
+            text = " * ".join(k[0] if len(k) == 1 else f"max({', '.join(k)})" for _, *k in budget)
+            why = f"{text} exceeds the budget of {MAX_ELEMENTS} elements"
+            raise _at_largest({k: v for factor in factors for k, v in factor.items()}, why)
 
 
 def _over_budget(factor: int, resolution: int, parts: int) -> bool:
@@ -205,87 +266,87 @@ def _over_budget(factor: int, resolution: int, parts: int) -> bool:
     return count > MAX_ELEMENTS
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    algorithm: str
-    seed: int = 0
-    data: DataConfig = field(default_factory=DataConfig)
-    models: ModelConfig = field(default_factory=ModelConfig)
-    federation: FederationConfig | None = None
-    theory: TheoryConfig | None = None
-
-    def __post_init__(self):
-        if self.algorithm not in RUN_MODES:
-            raise ConfigurationError(
-                f"[run]: algorithm must be one of {RUN_MODES}, got {self.algorithm!r}"
-            )
-        if self.algorithm in ALGORITHMS and self.federation is None:
-            raise ConfigurationError(f"[federation] section required for {self.algorithm}")
-        if self.algorithm == "theory_check" and (
-            self.theory is None or not self.theory.tasks
-        ):
-            raise ConfigurationError("theory_check needs at least one [theory.task*]")
-        d, m = self.data, self.models
-        # weights, then the hidden activations of a forward pass over the
-        # pool, the client data and a mini-batch
-        width = max(m.hidden, m.hidden_small)
-        sizes = {
-            "dim * hidden": d.dim * m.hidden,
-            "hidden * num_classes": m.hidden * d.num_classes,
-            "dim * hidden_small": d.dim * m.hidden_small,
-            "hidden_small * num_classes": m.hidden_small * d.num_classes,
-            "public_pool_size * max(hidden, hidden_small)": d.public_pool_size * width,
-            "num_classes * samples_per_class * max(hidden, hidden_small)": (
-                d.num_classes * d.samples_per_class * width
-            ),
-        }
-        if self.federation is not None:
-            f = self.federation
-            sizes["batch_size * dim"] = f.batch_size * d.dim
-            sizes["public_batch_size * dim"] = f.public_batch_size * d.dim
-            sizes["max(batch_size, public_batch_size) * max(hidden, hidden_small)"] = (
-                max(f.batch_size, f.public_batch_size) * width
-            )
-        check_budget(sizes)
+# The arrays a run allocates, as products of [data], [models] and
+# [federation] keys: data, pool and logit stack, then model weights, then
+# the hidden activations of a forward pass over the pool, the client data
+# and a mini-batch.
+RUN_BUDGETS = (
+    (("data", "num_classes"), ("data", "samples_per_class"), ("data", "dim")),
+    (("data", "public_pool_size"), ("data", "dim")),
+    (("data", "num_clients"), ("data", "public_pool_size"), ("data", "num_classes")),
+    (("data", "dim"), ("models", "hidden")),
+    (("models", "hidden"), ("data", "num_classes")),
+    (("data", "dim"), ("models", "hidden_small")),
+    (("models", "hidden_small"), ("data", "num_classes")),
+    (("data", "public_pool_size"), ("models", "hidden", "hidden_small")),
+    (("data", "num_classes"), ("data", "samples_per_class"), ("models", "hidden", "hidden_small")),
+)
+FEDERATION_BUDGETS = (
+    (("federation", "batch_size"), ("data", "dim")),
+    (("federation", "public_batch_size"), ("data", "dim")),
+    (("federation", "batch_size", "public_batch_size"), ("models", "hidden", "hidden_small")),
+)
+# a theory task's design matrices and its Monte-Carlo draws
+TASK_BUDGETS = (
+    (("task", "num_clients"), ("task", "n_samples"), ("task", "dim")),
+    (("theory", "num_samples"), ("task", "dim")),
+)
 
 
-def _check_type(name: str, key: str, value, hint) -> None:
-    """Integer fields take ints only (never bools or floats); float fields
-    take finite ints or floats; `tuple[float, ...]` fields take arrays of
-    those. The float bound compares exactly, so an int too large for a float
-    is refused rather than overflowing."""
-    if get_origin(hint) is tuple:
-        if not isinstance(value, (list, tuple)):
-            raise ConfigurationError(f"[{name}]: {key} must be an array, got {value!r}")
-        for item in value:
-            _check_type(name, key, item, float)
-    elif hint is int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigurationError(f"[{name}]: {key} must be an integer, got {value!r}")
-    elif hint is float:
-        if (
-            isinstance(value, bool)
-            or not isinstance(value, (int, float))
-            or not abs(value) <= sys.float_info.max
-        ):
-            raise ConfigurationError(f"[{name}]: {key} must be a finite number, got {value!r}")
+def _check_data(d: DataConfig) -> None:
+    if d.population == POPULATION_TWO_GROUP:
+        for key in ("num_classes", "num_clients"):
+            if getattr(d, key) % 2:
+                why = "must be even for the two_group population"
+                raise _at("data", d, key, why, "population")
+    # bounds every public-pool class mean, so the pool inputs stay finite
+    if not math.isfinite(abs(d.class_separation) + abs(d.public_offset)):
+        why = "abs(class_separation) + abs(public_offset) must be finite"
+        raise _at("data", d, "public_offset", why, "class_separation")
 
 
-def _build(cls, section: dict, name: str, **overrides):
-    """`cls` from a config section; keys in `overrides` are set by the loader
-    and are not accepted from the section."""
-    known = set(cls.__dataclass_fields__) - set(overrides)
-    hints = get_type_hints(cls)
-    merged = dict(overrides)
-    for key, value in section.items():
-        if key not in known:
-            raise ConfigurationError(f"[{name}]: unknown key {key!r}")
-        _check_type(name, key, value, hints[key])
-        merged[key] = tuple(value) if isinstance(value, list) else value
-    try:
-        return cls(**merged)
-    except (TypeError, ConfigurationError) as exc:
-        raise ConfigurationError(f"[{name}]: {exc}") from exc
+def _check_models(m: ModelConfig) -> None:
+    if m.kind != "softmax_linear" and m.hidden < 1:
+        raise _at("models", m, "hidden", f"must be >= 1 for kind {m.kind!r}", "kind")
+    if m.kind == "heterogeneous" and m.hidden_small < 1:
+        raise _at("models", m, "hidden_small", "must be >= 1 for kind 'heterogeneous'", "kind")
+
+
+def _check_federation(f: FederationConfig, algorithm: str) -> None:
+    if f.lr_mode == LR_ROBBINS_MONRO and not f.lr_decay > 0:
+        raise _at("federation", f, "lr_decay", f"must be > 0 for lr_mode {f.lr_mode!r}", "lr_mode")
+    if algorithm == "perfed_ckt" and f.num_clusters > f.num_selected:
+        why = f"must be <= num_selected ({f.num_selected}) for perfed_ckt"
+        reads = (("federation", "num_selected"), ("run", "algorithm"))
+        raise _Rejected("federation", "num_clusters", f.num_clusters, why, *reads)
+
+
+def _check_task(t: TheoryTaskConfig, name: str, theory: TheoryConfig) -> None:
+    _check_budgets(TASK_BUDGETS, {"task": (name, t), "theory": ("theory", theory)})
+    # the oracle solves once per (lambda, alpha) point and holds the
+    # (comb, K) alpha grid
+    k = t.num_clients
+    if _over_budget(max(theory.lambda_points, k), theory.alpha_resolution, k):
+        why = f"max(lambda_points, K) * comb(alpha_resolution + K - 1, K - 1) with K = {k} "
+        why += f"exceeds the budget of {MAX_ELEMENTS} elements"
+        reads = {("theory", "alpha_resolution"): theory.alpha_resolution, (name, "num_clients"): k}
+        raise _at_largest({("theory", "lambda_points"): theory.lambda_points, **reads}, why)
+    if len(t.upsilon) != k:
+        why = f"upsilon must list one value per client, got {len(t.upsilon)}"
+        raise _at(name, t, "num_clients", why, "upsilon")
+    if t.client >= k:
+        raise _at(name, t, "client", f"must be < num_clients ({k})", "num_clients")
+    if t.n_samples < t.dim:
+        raise _at(name, t, "n_samples", "must be >= dim", "dim")
+    # the closed form divides by sigma^2 and by upsilon[client]^2 nu; float
+    # products, since an int field squares exactly and never to inf
+    s2 = float(t.sigma) * float(t.sigma)
+    if not (math.isfinite(s2) and s2 > 0):
+        raise _at(name, t, "sigma", "sigma * sigma must be finite and > 0")
+    own = float(t.upsilon[t.client])
+    if not own * own * t.nu > 0:
+        why = "upsilon[client] * upsilon[client] * nu must be > 0"
+        raise _at(name, t, "upsilon", why, "client", "nu")
 
 
 def _task_sections(sections: dict) -> list[str]:
@@ -297,59 +358,70 @@ def _task_sections(sections: dict) -> list[str]:
             continue
         suffix = name[len("theory.task") :]
         if not (suffix.isascii() and suffix.isdigit()):
-            raise ConfigurationError(f"[{name}]: task sections are named theory.taskN, N an integer")
+            raise _Rejected(name, None, None, "task sections are named theory.taskN, N an integer")
         number = int(suffix)
         if number in by_number:
-            raise ConfigurationError(f"[{name}]: same task number as [{by_number[number]}]")
+            raise _Rejected(name, None, None, f"same task number as [{by_number[number]}]")
         by_number[number] = name
     return [by_number[n] for n in sorted(by_number)]
 
 
-def config_from_sections(sections: dict, seed_override: int | None = None) -> RunConfig:
+def _config(sections: dict, seed_override: int | None) -> RunConfig:
     for name, body in sections.items():
         if not isinstance(body, dict):
-            raise ConfigurationError(f"[{name}] must be a table of keys, got {body!r}")
-    sections = {name: dict(body) for name, body in sections.items()}
+            raise _Rejected(name, None, None, f"must be a table of keys, got {json.dumps(body)}")
+    sections = dict(sections)
     run = sections.pop("run", {})
-    algorithm = run.pop("algorithm", None)
-    if algorithm is None:
-        raise ConfigurationError("[run]: missing required key 'algorithm'")
-    seed = run.pop("seed", 0)
-    _check_type("run", "seed", seed, int)
-    if seed_override is not None:
-        seed = seed_override
-    for key in run:
-        raise ConfigurationError(f"[run]: unknown key {key!r}")
-
+    seed = run.get("seed", 0) if seed_override is None else seed_override
     data = _build(DataConfig, sections.pop("data", {}), "data")
     models = _build(ModelConfig, sections.pop("models", {}), "models")
-
     federation = None
     if "federation" in sections:
-        federation = _build(
-            FederationConfig, sections.pop("federation", {}), "federation", seed=seed
-        )
-
+        federation = _build(FederationConfig, sections.pop("federation"), "federation", seed=seed)
     task_sections = _task_sections(sections)
     theory_body = sections.pop("theory", None)
     theory = None
     if theory_body is not None or task_sections:
-        tasks = tuple(
-            _build(TheoryTaskConfig, sections.pop(name), name) for name in task_sections
-        )
+        tasks = tuple(_build(TheoryTaskConfig, sections.pop(n), n) for n in task_sections)
         theory = _build(TheoryConfig, theory_body or {}, "theory", tasks=tasks)
-
     for name in sections:
-        raise ConfigurationError(f"unknown section [{name}]")
-
-    return RunConfig(
-        algorithm=algorithm,
-        seed=seed,
-        data=data,
-        models=models,
-        federation=federation,
-        theory=theory,
+        raise _Rejected(name, None, None, "unknown section")
+    cfg = _build(
+        RunConfig, run, "run", data=data, models=models, federation=federation, theory=theory
     )
+
+    if cfg.algorithm in ALGORITHMS and federation is None:
+        raise _at("run", cfg, "algorithm", "needs a [federation] section")
+    if cfg.algorithm == "theory_check" and not (theory and theory.tasks):
+        raise _at("run", cfg, "algorithm", "needs at least one [theory.taskN] section")
+    _check_data(data)
+    _check_models(models)
+    parts = {"data": ("data", data), "models": ("models", models)}
+    _check_budgets(RUN_BUDGETS, parts)
+    if federation is not None:
+        _check_federation(federation, cfg.algorithm)
+        _check_budgets(FEDERATION_BUDGETS, {**parts, "federation": ("federation", federation)})
+    for name, task in zip(task_sections, theory.tasks if theory else ()):
+        _check_task(task, name, theory)
+    return cfg if seed_override is None else replace(cfg, seed=seed_override)
+
+
+def config_from_sections(
+    sections: dict, seed_override: int | None = None, locations: dict | None = None
+) -> RunConfig:
+    """The run configuration the parsed `sections` describe. An error about a
+    value reads `FILE:LINE: [section] key = value: why`, with the location
+    from `locations` (see parse_flat_toml) when it holds the key, and an
+    error about a whole section reads `[section]: why`. The error's `keys`
+    are the (section, key) pairs the broken rule reads, the reported first."""
+    try:
+        return _config(sections, seed_override)
+    except _Rejected as exc:
+        section, key, value, why, *reads = exc.args
+        where = (locations or {}).get((section, key))
+        subject = f"[{section}]" if key is None else f"[{section}] {key} = {json.dumps(value)}"
+        message = f"{subject}: {why}" if where is None else f"{where}: {subject}: {why}"
+        raise ConfigurationError(message, ((section, key), *reads)) from None
 
 
 def load_config(path, seed_override: int | None = None) -> RunConfig:
@@ -358,22 +430,27 @@ def load_config(path, seed_override: int | None = None) -> RunConfig:
             data = fh.read()
     except OSError as exc:
         raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
+    # skip the byte-order mark some editors write first, before decoding,
+    # so a decode error's offset counts lines of the rest
+    data = data.removeprefix(codecs.BOM_UTF8)
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         line = data[: exc.start].count(b"\n") + 1
         raise ConfigurationError(f"{path}:{line}: not UTF-8 text") from exc
-    stripped = text.lstrip()
-    if str(path).endswith(".json") or stripped.startswith("{"):
+    locations: dict = {}
+    if str(path).endswith(".json") or text.lstrip().startswith("{"):
         try:
             sections = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ConfigurationError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from exc
+        except ValueError as exc:  # an integer past Python's int-to-string digit limit
+            raise ConfigurationError(f"{path}: invalid JSON: {exc}") from exc
         if not isinstance(sections, dict):
             raise ConfigurationError(f"{path}: top-level JSON must be an object")
     else:
-        sections = parse_flat_toml(text, source=str(path))
-    return config_from_sections(sections, seed_override=seed_override)
+        sections = parse_flat_toml(text, str(path), locations)
+    return config_from_sections(sections, seed_override, locations)
 
 
 def config_to_sections(cfg: RunConfig) -> dict:

@@ -193,7 +193,7 @@ class TestConfig:
     )
     def test_bad_task_section_exits_2(self, tmp_path, capsys, sections, named):
         cfg = write(tmp_path, "theory.toml", THEORY_TOML.format(extra="") + sections)
-        assert main(["theory-check", "--config", str(cfg), "--out", str(tmp_path / "t")]) == 2
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "t")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:")
         assert named in err
@@ -248,6 +248,19 @@ class TestRunCommand:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert err[0].startswith("config error: ") and "bad.toml:3" in err[0]
+
+    def test_byte_order_mark_is_skipped(self, tmp_path, capsys):
+        bom = tmp_path / "bom.toml"
+        bom.write_bytes(b"\xef\xbb\xbf" + SMOKE_FILE.read_bytes())
+        for cfg in (SMOKE_FILE, bom):
+            assert main(["run", "--config", str(cfg), "--out", str(tmp_path / cfg.stem)]) == 0
+        assert (tmp_path / "bom/metrics.csv").read_bytes() == (
+            tmp_path / "smoke/metrics.csv"
+        ).read_bytes()
+        # a decode error after the mark still names its own line
+        bom.write_bytes(b'\xef\xbb\xbf[run]\nseed = 1\n\xff\n')
+        assert main(["run", "--config", str(bom), "--out", str(tmp_path / "bad")]) == 2
+        assert capsys.readouterr().err == f"config error: {bom}:3: not UTF-8 text\n"
 
     def test_unwritable_out_exits_2(self, tmp_path):
         cfg = write(tmp_path, "smoke.toml", SMOKE_TOML)
@@ -359,21 +372,55 @@ class TestRunCommand:
         assert not (tmp_path / "out" / "metrics.csv").exists()
 
     @pytest.mark.parametrize(
-        "old,new,named",
+        "old,new,message",
         [
-            ("seed = 42", 'seed = 42\nout_dir = "elsewhere"', "out_dir"),
-            ('algorithm = "perfed_ckt"', 'algorithm = "toy"', "algorithm"),
-            ("lr = 0.05", "lr = 0.05\n[toy]\nnum_seeds = 3", "[toy]"),
-            ("num_selected = 2", "selected_fraction = 1.0", "selected_fraction"),
-            ("lr = 0.05", "lr = 0.05\nkmeans_max_iters = 5", "kmeans_max_iters"),
-            ("lr = 0.05", "lr = 0.05\nkmeans_tol = 0.1", "kmeans_tol"),
-            ("lr = 0.05", "lr = 0.05\nseed = 999", "[federation]: unknown key 'seed'"),
+            (
+                "seed = 42",
+                'seed = 42\nout_dir = "elsewhere"',
+                'config error: spelling.toml:5: [run] out_dir = "elsewhere": unknown key',
+            ),
+            (
+                'algorithm = "perfed_ckt"',
+                'algorithm = "toy"',
+                'config error: spelling.toml:3: [run] algorithm = "toy": must be one of '
+                "('perfed_ckt', 'fedavg', 'local', 'theory_check', 'partition_stats')",
+            ),
+            (
+                "lr = 0.05",
+                "lr = 0.05\n[toy]\nnum_seeds = 3",
+                "config error: spelling.toml:30: [toy]: unknown section",
+            ),
+            (
+                "num_selected = 2",
+                "selected_fraction = 1.0",
+                "config error: spelling.toml:24: [federation] selected_fraction = 1.0: unknown key",
+            ),
+            (
+                "lr = 0.05",
+                "lr = 0.05\nkmeans_max_iters = 5",
+                "config error: spelling.toml:30: [federation] kmeans_max_iters = 5: unknown key",
+            ),
+            (
+                "lr = 0.05",
+                "lr = 0.05\nkmeans_tol = 0.1",
+                "config error: spelling.toml:30: [federation] kmeans_tol = 0.1: unknown key",
+            ),
+            (
+                "lr = 0.05",
+                "lr = 0.05\nseed = 999",
+                "config error: spelling.toml:30: [federation] seed = 999: unknown key",
+            ),
             (
                 "lr = 0.05",
                 "lr = 0.05\n[theory]\ncorrupt_lambda_factor = 10.0",
-                "[theory]: unknown key 'corrupt_lambda_factor'",
+                "config error: spelling.toml:31: [theory] corrupt_lambda_factor = 10.0: "
+                "unknown key",
             ),
-            ("lr = 0.05", "lr = 0.05\n[theory]\ntasks = []", "[theory]: unknown key 'tasks'"),
+            (
+                "lr = 0.05",
+                "lr = 0.05\n[theory]\ntasks = []",
+                "config error: spelling.toml:31: [theory] tasks = []: unknown key",
+            ),
         ],
         ids=[
             "out_dir",
@@ -387,48 +434,79 @@ class TestRunCommand:
             "theory_tasks",
         ],
     )
-    def test_deleted_spelling_exits_2(self, tmp_path, capsys, old, new, named):
+    def test_deleted_spelling_exits_2(self, tmp_path, capsys, monkeypatch, old, new, message):
         # each setting has one spelling: --out, `fedckt toy`, num_selected,
-        # the clustering defaults and [run] seed
-        cfg = write(tmp_path, "spelling.toml", SMOKE_TOML.replace(old, new))
-        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("config error:")
-        assert named in err
+        # the clustering defaults and [run] seed; a relative path, so each
+        # message's FILE:LINE is fixed
+        monkeypatch.chdir(tmp_path)
+        write(tmp_path, "spelling.toml", SMOKE_TOML.replace(old, new))
+        assert main(["run", "--config", "spelling.toml", "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == message + "\n"
         assert not (tmp_path / "out" / "metrics.csv").exists()
 
     @pytest.mark.parametrize(
-        "name,text,named",
+        "name,text,message",
         [
-            ("data.json", '{"run": {"algorithm": "perfed_ckt"}, "data": 5}', "[data]"),
+            (
+                "data.json",
+                '{"run": {"algorithm": "perfed_ckt"}, "data": 5}',
+                "config error: [data]: must be a table of keys, got 5",
+            ),
             (
                 "tasks.json",
                 '{"run": {"algorithm": "theory_check"}, "theory": {"tasks": [5]}}',
-                "[theory]: unknown key 'tasks'",
+                "config error: [theory] tasks = [5]: unknown key",
             ),
             (
                 "upsilon.toml",
                 THEORY_TOML.format(extra="").replace("[1.0, 1.0, 1.0]", '["a", "b", "c"]'),
-                "[theory.task1]: upsilon",
+                'config error: upsilon.toml:19: [theory.task1] upsilon = ["a", "b", "c"]: '
+                "every value must be a finite number",
             ),
-            ("dim0.toml", THEORY_TOML.format(extra="").replace("dim = 2", "dim = 0"), "dim"),
-            ("dim-1.toml", THEORY_TOML.format(extra="").replace("dim = 2", "dim = -1"), "dim"),
+            (
+                "dim0.toml",
+                THEORY_TOML.format(extra="").replace("dim = 2", "dim = 0"),
+                "config error: dim0.toml:15: [theory.task1] dim = 0: must be >= 1",
+            ),
+            (
+                "dim-1.toml",
+                THEORY_TOML.format(extra="").replace("dim = 2", "dim = -1"),
+                "config error: dim-1.toml:15: [theory.task1] dim = -1: must be >= 1",
+            ),
+            (
+                # an integer past Python's int-to-string digit limit
+                "digits.json",
+                '{"run": {"algorithm": "local"}, "data": {"dim": 1' + "0" * 4400 + "}}",
+                "config error: digits.json: invalid JSON: Exceeds the limit (4300 digits) for "
+                "integer string conversion: value has 4401 digits; "
+                "use sys.set_int_max_str_digits() to increase the limit",
+            ),
+            (
+                # a product too long to print
+                "product.toml",
+                SMOKE_TOML.replace("num_classes = 3", "num_classes = 1" + "0" * 4000).replace(
+                    "samples_per_class = 60", "samples_per_class = 1" + "0" * 4000
+                ),
+                f"config error: product.toml:8: [data] num_classes = 1{'0' * 4000}: "
+                "num_classes * samples_per_class * dim exceeds the budget of 100000000 elements",
+            ),
         ],
-        ids=["data", "tasks", "upsilon", "dim_zero", "dim_negative"],
+        ids=["data", "tasks", "upsilon", "dim_zero", "dim_negative", "int_digits", "long_product"],
     )
-    def test_malformed_section_exits_2(self, tmp_path, capsys, name, text, named):
-        cfg = write(tmp_path, name, text)
-        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("config error:")
-        assert named in err
-        assert "Traceback" not in err
+    def test_malformed_section_exits_2(self, tmp_path, capsys, monkeypatch, name, text, message):
+        # a relative path, so each message's FILE:LINE is fixed
+        monkeypatch.chdir(tmp_path)
+        write(tmp_path, name, text)
+        assert main(["run", "--config", name, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == message + "\n"
 
     def test_mistyped_seed_rejected_in_every_mode(self, tmp_path, capsys):
         text = THEORY_TOML.format(extra="").replace("seed = 5", "seed = 1.5")
         cfg = write(tmp_path, "seed.toml", text)
-        assert main(["theory-check", "--config", str(cfg), "--out", str(tmp_path / "t")]) == 2
-        assert "[run]: seed must be an integer" in capsys.readouterr().err
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "t")]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: {cfg}:4: [run] seed = 1.5: must be an integer\n"
+        )
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -440,18 +518,40 @@ class TestRunCommand:
     # sigma squared overflows at 1e200 and underflows to 0 at 1e-200
     @example(target=("theory", "sigma"), value="1e200")
     @example(target=("theory", "sigma"), value="1e-200")
+    # n_samples = 6 < dim = 7 is reported at n_samples, a key the rule reads
+    @example(target=("theory", "dim"), value="7")
     def test_single_key_mutation_never_escapes(self, target, value):
         # "huge" means a huge float: a huge round or step count asks for
         # unbounded time rather than being malformed; huge data sizes are
         # covered by test_huge_size_exits_2_before_allocating
         name, key = target
-        text = re.sub(rf"^{key} = .*$", f"{key} = {value}", MUTATION_BASES[name], flags=re.M)
-        stdout = io.StringIO()
-        with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(stdout):
+        base = MUTATION_BASES[name]
+        text = re.sub(rf"^{key} = .*$", f"{key} = {value}", base, flags=re.M)
+        line = base[: re.search(rf"^{key} = ", base, flags=re.M).start()].count("\n") + 1
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with (
+            tempfile.TemporaryDirectory() as tmp,
+            contextlib.redirect_stdout(stdout),
+            contextlib.redirect_stderr(stderr),
+        ):
             cfg = write(Path(tmp), "mutated.toml", text)
+            locations = {}
+            parse_flat_toml(text, str(cfg), locations)
+            try:
+                load_config(cfg)
+                reads = None
+            except ConfigurationError as exc:
+                reads = exc.keys
             code = main(["run", "--config", str(cfg), "--out", str(Path(tmp) / "out")])
         # exit 1 only for a failed theory check
         assert code in (0, 2, 3) or (code == 1 and "FAIL" in stdout.getvalue())
+        # a value the loader refuses breaks a rule that reads the mutated key,
+        # and is reported at the line of a key that rule reads
+        if reads is not None:
+            mutated = next(k for k, where in locations.items() if where == f"{cfg}:{line}")
+            assert mutated in reads
+            err = stderr.getvalue()
+            assert any(err.startswith(f"config error: {locations.get(k)}: ") for k in reads)
 
     def test_internal_error_exits_4(self, tmp_path, capsys, monkeypatch):
         import fedckt.cli
@@ -548,93 +648,99 @@ class TestRunCommand:
         [
             (
                 SMOKE_TOML.replace("dim = 2", "dim = 0"),
-                "config error: [data]: dim and samples_per_class must be >= 1",
+                "config error: range.toml:9: [data] dim = 0: must be >= 1",
             ),
             (
                 SMOKE_TOML.replace("lr = 0.05", "lr = -1.0"),
-                "config error: [federation]: lr must be >= 0",
+                "config error: range.toml:29: [federation] lr = -1.0: must be >= 0",
             ),
             (
                 SMOKE_TOML.replace("num_clusters = 1", "num_clusters = 50"),
-                "config error: [federation] num_clusters (50) must not exceed num_selected (2)",
+                "config error: range.toml:28: [federation] num_clusters = 50: "
+                "must be <= num_selected (2) for perfed_ckt",
             ),
             (
                 THEORY_TOML.format(extra="").replace("dim = 2", "dim = 0"),
-                "config error: [theory.task1]: dim must be >= 1",
+                "config error: range.toml:15: [theory.task1] dim = 0: must be >= 1",
             ),
             (
                 theory_task2_with("sigma = 1.5", "sigma = 0.0"),
-                "config error: [theory.task2]: sigma, beta, nu must be positive",
+                "config error: range.toml:26: [theory.task2] sigma = 0.0: must be > 0",
             ),
             (
                 theory_task2_with("beta = 2.0", "beta = -1.0"),
-                "config error: [theory.task2]: sigma, beta, nu must be positive",
+                "config error: range.toml:27: [theory.task2] beta = -1.0: must be > 0",
             ),
             (
                 theory_task2_with("n_samples = 8", "n_samples = 2"),
-                "config error: [theory.task2]: n_samples must be >= dim",
+                "config error: range.toml:30: [theory.task2] n_samples = 2: must be >= dim",
             ),
             (
                 theory_task2_with("upsilon = [0.5,", "upsilon = [0.0,"),
-                "config error: [theory.task2]: upsilon[client] * upsilon[client] * nu must be > 0",
+                "config error: range.toml:29: [theory.task2] upsilon = [0.0, 0.8, 2.0, 4.0]: "
+                "upsilon[client] * upsilon[client] * nu must be > 0",
             ),
             (
                 # a positive upsilon[client] whose square underflows to 0
                 theory_task2_with("upsilon = [0.5,", "upsilon = [1e-200,"),
-                "config error: [theory.task2]: upsilon[client] * upsilon[client] * nu must be > 0",
+                "config error: range.toml:29: [theory.task2] upsilon = [1e-200, 0.8, 2.0, 4.0]: "
+                "upsilon[client] * upsilon[client] * nu must be > 0",
             ),
             (
                 theory_task2_with("sigma = 1.5", "sigma = 1e200"),
-                "config error: [theory.task2]: sigma * sigma must be finite and > 0",
+                "config error: range.toml:26: [theory.task2] sigma = 1e+200: "
+                "sigma * sigma must be finite and > 0",
             ),
             (
                 theory_task2_with("sigma = 1.5", "sigma = 1e-200"),
-                "config error: [theory.task2]: sigma * sigma must be finite and > 0",
+                "config error: range.toml:26: [theory.task2] sigma = 1e-200: "
+                "sigma * sigma must be finite and > 0",
             ),
             (
                 theory_task2_with("0.8, 2.0", "-0.8, 2.0"),
-                "config error: [theory.task2]: upsilon values must be >= 0",
+                "config error: range.toml:29: [theory.task2] upsilon = [0.5, -0.8, 2.0, 4.0]: "
+                "every value must be >= 0",
             ),
             (
                 theory_task2_with("num_clients = 4", "num_clients = 1"),
-                "config error: [theory.task2]: num_clients must be >= 2",
+                "config error: range.toml:24: [theory.task2] num_clients = 1: must be >= 2",
             ),
             (
                 THEORY_FILE.read_text().replace("lambda_span = 4.0", "lambda_span = 1.0"),
-                "config error: [theory]: lambda_span must be > 1",
+                "config error: range.toml:9: [theory] lambda_span = 1.0: must be > 1",
             ),
             (
                 THEORY_FILE.read_text().replace("alpha_resolution = 15", "alpha_resolution = 0"),
-                "config error: [theory]: num_samples, lambda_points and alpha_resolution "
-                "must be >= 1",
+                "config error: range.toml:10: [theory] alpha_resolution = 0: must be >= 1",
             ),
             (
                 THEORY_FILE.read_text().replace("lambda_points = 15", "lambda_points = 0"),
-                "config error: [theory]: num_samples, lambda_points and alpha_resolution "
-                "must be >= 1",
+                "config error: range.toml:8: [theory] lambda_points = 0: must be >= 1",
             ),
             (
                 SMOKE_TOML.replace(
                     'kind = "softmax_linear"', 'kind = "heterogeneous"\nhidden_small = 0'
                 ),
-                "config error: [models]: heterogeneous needs hidden_small >= 1",
+                "config error: range.toml:19: [models] hidden_small = 0: "
+                "must be >= 1 for kind 'heterogeneous'",
             ),
             (
                 SMOKE_TOML.replace('kind = "softmax_linear"', 'kind = "linear_regressor"'),
-                "config error: [models]: unknown model kind 'linear_regressor'",
+                'config error: range.toml:18: [models] kind = "linear_regressor": '
+                "must be one of ('softmax_linear', 'mlp', 'heterogeneous')",
             ),
             (
                 SMOKE_TOML.replace("num_clusters = 1", "num_clusters = 0"),
-                "config error: [federation]: num_clusters must be >= 1",
+                "config error: range.toml:28: [federation] num_clusters = 0: must be >= 1",
             ),
             (
                 SMOKE_TOML.replace("public_pool_size = 30", "public_pool_size = 0"),
-                "config error: [data]: public_pool_size must be >= 1",
+                "config error: range.toml:14: [data] public_pool_size = 0: must be >= 1",
             ),
             (
                 SMOKE_TOML.replace('algorithm = "perfed_ckt"', "algorithm = 7"),
-                "config error: [run]: algorithm must be one of ('perfed_ckt', 'fedavg', "
-                "'local', 'theory_check', 'partition_stats'), got 7",
+                "config error: range.toml:3: [run] algorithm = 7: must be one of "
+                "('perfed_ckt', 'fedavg', 'local', 'theory_check', 'partition_stats')",
             ),
             (
                 # seven rows per class leave one of the two clients active
@@ -645,7 +751,8 @@ class TestRunCommand:
                 SMOKE_TOML.replace("class_separation = 4.0", "class_separation = 1e308").replace(
                     "public_offset = 1.0", "public_offset = 1e308"
                 ),
-                "config error: [data]: abs(class_separation) + abs(public_offset) must be finite",
+                "config error: range.toml:15: [data] public_offset = 1e+308: "
+                "abs(class_separation) + abs(public_offset) must be finite",
             ),
             (
                 # 70 rows over 100 clients: no shard is large enough for three splits
@@ -654,6 +761,74 @@ class TestRunCommand:
                 ),
                 "config error: [data] no active client holds training data",
             ),
+            (
+                THEORY_TOML.format(extra="").replace("tolerance = 0.02", "tolerance = 0.0"),
+                "config error: range.toml:11: [theory] tolerance = 0.0: must be > 0",
+            ),
+            (
+                THEORY_TOML.format(extra="").replace("num_clients = 3", "num_clients = 4"),
+                "config error: range.toml:14: [theory.task1] num_clients = 4: "
+                "upsilon must list one value per client, got 3",
+            ),
+            (
+                THEORY_TOML.format(extra="").replace("client = 0", "client = 3"),
+                "config error: range.toml:21: [theory.task1] client = 3: must be < num_clients (3)",
+            ),
+            (
+                THEORY_TOML.format(extra="").replace("upsilon = [1.0, 1.0, 1.0]", "upsilon = 1.0"),
+                "config error: range.toml:19: [theory.task1] upsilon = 1.0: must be an array",
+            ),
+            (
+                SMOKE_TOML.replace("lr = 0.05", 'lr = 0.05\nlr_mode = "cosine"'),
+                'config error: range.toml:30: [federation] lr_mode = "cosine": '
+                "must be one of ('constant', 'robbins_monro')",
+            ),
+            (
+                # the file does not set lr_decay, so its error has no location
+                SMOKE_TOML.replace("lr = 0.05", 'lr = 0.05\nlr_mode = "robbins_monro"'),
+                "config error: [federation] lr_decay = 0.0: "
+                "must be > 0 for lr_mode 'robbins_monro'",
+            ),
+            (
+                SMOKE_TOML.replace("lr = 0.05", "lr = 0.05\neval_interval = 0"),
+                "config error: range.toml:30: [federation] eval_interval = 0: must be >= 1",
+            ),
+            (
+                SMOKE_TOML.replace('kind = "softmax_linear"', 'kind = "mlp"\nhidden = 0'),
+                "config error: range.toml:19: [models] hidden = 0: must be >= 1 for kind 'mlp'",
+            ),
+            (
+                SMOKE_TOML.partition("[federation]")[0],
+                'config error: range.toml:3: [run] algorithm = "perfed_ckt": '
+                "needs a [federation] section",
+            ),
+            (
+                SMOKE_TOML.partition("[federation]")[0] + "[federation]\nrounds = 1\n",
+                "config error: range.toml:21: [federation]: missing required keys: local_iters, "
+                "batch_size, public_batch_size, distill_weight, num_clusters, lr, num_selected",
+            ),
+            (
+                SMOKE_TOML.replace('algorithm = "perfed_ckt"\n', ""),
+                "config error: range.toml:2: [run]: missing required keys: algorithm",
+            ),
+            (
+                SMOKE_TOML.replace('"dirichlet"', '"dirichlet'),
+                "config error: range.toml:7 (key 'population'): unterminated string '\"dirichlet'",
+            ),
+            (
+                SMOKE_TOML.replace("dim = 2", "= 2"),
+                "config error: range.toml:9: missing key name",
+            ),
+            (
+                SMOKE_TOML.replace("[models]", "[ ]"),
+                "config error: range.toml:17: empty section name",
+            ),
+            (
+                '{"run": {"algorithm": "local"},\n "data": {"dim": 0}}',
+                "config error: [data] dim = 0: must be >= 1",
+            ),
+            ('{"run": \n', "config error: range.toml:2: invalid JSON: Expecting value"),
+            ("[1, 2]\n", "config error: range.json: top-level JSON must be an object"),
         ],
         ids=[
             "dim",
@@ -680,11 +855,31 @@ class TestRunCommand:
             "num_selected",
             "pool_offset",
             "empty_population",
+            "tolerance",
+            "upsilon_length",
+            "client_index",
+            "upsilon_scalar",
+            "lr_mode",
+            "robbins_monro_without_decay",
+            "eval_interval",
+            "mlp_hidden",
+            "missing_federation",
+            "federation_missing_keys",
+            "missing_algorithm",
+            "unterminated_string",
+            "missing_key_name",
+            "empty_section_name",
+            "json_value",
+            "invalid_json",
+            "non_object_json",
         ],
     )
-    def test_range_error_names_its_section(self, tmp_path, capsys, text, message):
-        cfg = write(tmp_path, "range.toml", text)
-        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    def test_range_error_names_its_section(self, tmp_path, capsys, monkeypatch, text, message):
+        # a relative path, so each message's FILE:LINE is fixed
+        monkeypatch.chdir(tmp_path)
+        name = "range.json" if "range.json" in message else "range.toml"
+        write(tmp_path, name, text)
+        assert main(["run", "--config", name, "--out", str(tmp_path / "out")]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == message + "\n"
@@ -750,7 +945,7 @@ class TestTheoryCheckCommand:
     def test_pass_and_report(self, tmp_path, capsys):
         cfg = write(tmp_path, "theory.toml", THEORY_TOML.format(extra=""))
         out = tmp_path / "t"
-        assert main(["theory-check", "--config", str(cfg), "--out", str(out)]) == 0
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
         assert "PASS" in capsys.readouterr().out
         report = json.loads((out / "theory_report.json").read_text())
         assert report["all_passed"] is True
@@ -770,7 +965,7 @@ class TestTheoryCheckCommand:
         monkeypatch.setattr(theory, "closed_form_lambda_alpha", corrupted)
         cfg = write(tmp_path, "theory.toml", THEORY_TOML.format(extra=""))
         out = tmp_path / "t"
-        assert main(["theory-check", "--config", str(cfg), "--out", str(out)]) == 1
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
         assert "FAIL" in capsys.readouterr().out
         report = json.loads((out / "theory_report.json").read_text())
         assert report["all_passed"] is False
@@ -793,16 +988,20 @@ class TestTheoryCheckCommand:
         }[case]
         monkeypatch.setattr(target, name, stand_in)
         cfg = write(tmp_path, "theory.toml", THEORY_TOML.format(extra=""))
-        assert main(["theory-check", "--config", str(cfg), "--out", str(tmp_path / "t")]) == 3
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "t")]) == 3
         err = capsys.readouterr().err
         assert err.startswith(f"numeric error: {message} (lambda=")
         assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
     def test_config_without_tasks_exits_2(self, tmp_path, capsys):
-        cfg = write(tmp_path, "smoke.toml", SMOKE_TOML)
-        assert main(["theory-check", "--config", str(cfg), "--out", str(tmp_path / "t")]) == 2
-        assert "theory_check needs at least one" in capsys.readouterr().err
+        text = SMOKE_TOML.replace('algorithm = "perfed_ckt"', 'algorithm = "theory_check"')
+        cfg = write(tmp_path, "smoke.toml", text)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "t")]) == 2
+        assert capsys.readouterr().err == (
+            f'config error: {cfg}:3: [run] algorithm = "theory_check": '
+            "needs at least one [theory.taskN] section\n"
+        )
 
 
 class TestToyCommand:
@@ -844,7 +1043,8 @@ class TestShippedConfigs:
 class TestPartitionStatsCommand:
     def stats(self, tmp_path, alpha, clients, classes=10, samples=500, seed=3):
         text = (
-            SMOKE_TOML.replace("alpha = 10.0", f"alpha = {alpha}")
+            SMOKE_TOML.replace('algorithm = "perfed_ckt"', 'algorithm = "partition_stats"')
+            .replace("alpha = 10.0", f"alpha = {alpha}")
             .replace("num_clients = 2", f"num_clients = {clients}")
             .replace("num_classes = 3", f"num_classes = {classes}")
             .replace("samples_per_class = 60", f"samples_per_class = {samples}")
@@ -854,7 +1054,7 @@ class TestPartitionStatsCommand:
         assert (
             main(
                 [
-                    "partition-stats",
+                    "run",
                     "--config",
                     str(cfg),
                     "--out",
@@ -882,14 +1082,15 @@ class TestPartitionStatsCommand:
     @pytest.mark.parametrize("population", ["dirichlet", "two_group"])
     def test_describes_the_shards_run_trains_on(self, tmp_path, population):
         text = (
-            SMOKE_TOML.replace('"dirichlet"', f'"{population}"')
+            SMOKE_TOML.replace('algorithm = "perfed_ckt"', 'algorithm = "partition_stats"')
+            .replace('"dirichlet"', f'"{population}"')
             .replace("alpha = 10.0", "alpha = 0.5")
             .replace("num_clients = 2", "num_clients = 6")
             .replace("num_classes = 3", "num_classes = 4")
         )
         cfg = write(tmp_path, "pop.toml", text)
         out = tmp_path / "stats"
-        assert main(["partition-stats", "--config", str(cfg), "--out", str(out), "--seed", "3"]) == 0
+        assert main(["run", "--config", str(cfg), "--out", str(out), "--seed", "3"]) == 0
         stats = json.loads((out / "partition_stats.json").read_text())
         run_cfg = load_config(cfg, seed_override=3)
         records, _ = build_population(run_cfg.data, run_cfg.models, run_cfg.seed)

@@ -18,6 +18,7 @@ from fedckt.experiment import (
 from fedckt.federation import RoundMetrics
 from fedckt.models import ARCH_MLP, ARCH_SOFTMAX, param_count
 from fedckt.rng import derive_seed
+from fedckt.runconfig import config_from_sections
 
 from helpers import read_checkpoints
 
@@ -145,8 +146,13 @@ class TestBuildPopulation:
         assert len(tenths) > 1
 
     def test_two_group_requires_even_counts(self):
-        with pytest.raises(ConfigurationError):
-            small_data_cfg(population="two_group", num_classes=5)
+        data = {**vars(small_data_cfg()), "population": "two_group", "num_classes": 5}
+        sections = {"run": {"algorithm": "partition_stats"}, "data": data}
+        with pytest.raises(ConfigurationError) as raised:
+            config_from_sections(sections)
+        assert str(raised.value) == (
+            "[data] num_classes = 5: must be even for the two_group population"
+        )
 
 
 class TestCheckpoints:

@@ -65,7 +65,7 @@ THEORY_CONFIG = Path(__file__).resolve().parents[1] / "configs/theory_check.toml
 
 
 def shipped_task(index, master_seed=None):
-    """Task `index` of configs/theory_check.toml as `theory-check` draws it at
+    """Task `index` of configs/theory_check.toml as `fedckt run` draws it at
     the config's seed, or at `master_seed`: (task, client, config, MC seed)."""
     cfg = load_config(THEORY_CONFIG)
     seed = cfg.seed if master_seed is None else master_seed
