@@ -151,15 +151,16 @@ def cmd_toy(args) -> int:
             rows.append(
                 f"{seed},{rep.client},true,{float(rep.true_w[0])!r},{float(rep.true_w[1])!r},0.0"
             )
-            for sol in rep.solutions:
+            for kind, sol in rep.solutions.items():
                 rows.append(
-                    f"{seed},{rep.client},{sol.kind},"
+                    f"{seed},{rep.client},{kind},"
                     f"{float(sol.weights[0])!r},{float(sol.weights[1])!r},{sol.distance!r}"
                 )
+        dist = [{kind: sol.distance for kind, sol in rep.solutions.items()} for rep in reports]
         for client in (0, 1):
-            if reports[client].distance("clustered_kt") < reports[client].distance("uniform_kt"):
+            if dist[client]["clustered_kt"] < dist[client]["uniform_kt"]:
                 wins[client] += 1
-        if reports[2].distance("uniform_kt") < reports[2].distance("fedavg"):
+        if dist[2]["uniform_kt"] < dist[2]["fedavg"]:
             uniform_beats_fedavg_client2 += 1
     with _atomic_open(out / "toy.csv") as fh:
         fh.write(TOY_CSV_HEADER + "\n")

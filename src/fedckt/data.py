@@ -99,14 +99,7 @@ def partition_dirichlet(
         cuts = np.floor(np.cumsum(proportions) * idx.size).astype(np.int64)[:-1]
         for client, chunk in enumerate(np.split(idx, cuts)):
             per_client[client].append(chunk)
-    shards = []
-    for chunks in per_client:
-        if chunks:
-            merged = np.concatenate(chunks)
-        else:
-            merged = np.empty(0, dtype=np.int64)
-        shards.append(data.take(merged))
-    return shards
+    return [data.take(np.concatenate(chunks)) for chunks in per_client]
 
 
 def split_train_val_test(

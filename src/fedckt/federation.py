@@ -289,11 +289,8 @@ def run_rounds(
     payload, models_down = 0, 1
     if perfed:
         payload = len(pool) * active[0].spec.num_classes
-    elif fedavg:
-        specs = {r.spec for r in active}
-        if len(specs) != 1:
-            raise ConfigurationError("fedavg requires a homogeneous model spec")
-        payload = param_count(specs.pop())
+    elif fedavg:  # one architecture: the loader refuses heterogeneous models
+        payload = param_count(active[0].spec)
         _broadcast_average(active, weights, [r.params for r in active])
 
     def monitor(r: ClientRecord) -> float:

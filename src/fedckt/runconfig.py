@@ -81,10 +81,12 @@ def _parse_value(token: str, where: str):
 def parse_flat_toml(
     text: str, source: str = "<config>", locations: dict | None = None
 ) -> dict[str, dict]:
-    """Sections of key/value pairs; raises with file:line on malformed input.
-    `locations`, if given, receives the "file:line" of each (section, key)
-    and, under (section, None), of each section header."""
+    """Sections of key/value pairs; raises with file:line on malformed input,
+    a repeated section header included. `locations`, if given, receives the
+    "file:line" of each (section, key) and, under (section, None), of each
+    section header."""
     sections: dict[str, dict] = {}
+    header_lines: dict[str, int] = {}
     current: dict | None = None
     current_name = ""
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -98,10 +100,14 @@ def parse_flat_toml(
             name = line[1:-1].strip()
             if not name:
                 raise ConfigurationError(f"{where}: empty section name")
+            if name in header_lines:
+                why = f"repeated section (first at line {header_lines[name]})"
+                raise ConfigurationError(f"{where}: [{name}]: {why}")
+            header_lines[name] = lineno
             current_name = name
-            current = sections.setdefault(name, {})
+            current = sections[name] = {}
             if locations is not None:
-                locations.setdefault((name, None), where)
+                locations[name, None] = where
             continue
         if "=" not in line:
             raise ConfigurationError(f"{where}: expected 'key = value', got {line!r}")
@@ -305,11 +311,14 @@ def _check_data(d: DataConfig) -> None:
         raise _at("data", d, "public_offset", why, "class_separation")
 
 
-def _check_models(m: ModelConfig) -> None:
+def _check_models(m: ModelConfig, algorithm: str) -> None:
     if m.kind != "softmax_linear" and m.hidden < 1:
         raise _at("models", m, "hidden", f"must be >= 1 for kind {m.kind!r}", "kind")
     if m.kind == "heterogeneous" and m.hidden_small < 1:
         raise _at("models", m, "hidden_small", "must be >= 1 for kind 'heterogeneous'", "kind")
+    if algorithm == "fedavg" and m.kind == "heterogeneous":
+        why = "fedavg averages parameters, so every client needs the same architecture"
+        raise _Rejected("models", "kind", m.kind, why, ("run", "algorithm"))
 
 
 def _check_federation(f: FederationConfig, algorithm: str) -> None:
@@ -395,7 +404,7 @@ def _config(sections: dict, seed_override: int | None) -> RunConfig:
     if cfg.algorithm == "theory_check" and not (theory and theory.tasks):
         raise _at("run", cfg, "algorithm", "needs at least one [theory.taskN] section")
     _check_data(data)
-    _check_models(models)
+    _check_models(models, cfg.algorithm)
     parts = {"data": ("data", data), "models": ("models", models)}
     _check_budgets(RUN_BUDGETS, parts)
     if federation is not None:
@@ -424,6 +433,17 @@ def config_from_sections(
         raise ConfigurationError(message, ((section, key), *reads)) from None
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's dict; a repeated key raises ValueError, where
+    json.loads would keep only its last value."""
+    body = {}
+    for key, value in pairs:
+        if key in body:
+            raise ValueError(f"repeated key {json.dumps(key)}")
+        body[key] = value
+    return body
+
+
 def load_config(path, seed_override: int | None = None) -> RunConfig:
     try:
         with open(path, "rb") as fh:
@@ -441,10 +461,10 @@ def load_config(path, seed_override: int | None = None) -> RunConfig:
     locations: dict = {}
     if str(path).endswith(".json") or text.lstrip().startswith("{"):
         try:
-            sections = json.loads(text)
+            sections = json.loads(text, object_pairs_hook=_unique_keys)
         except json.JSONDecodeError as exc:
             raise ConfigurationError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from exc
-        except ValueError as exc:  # an integer past Python's int-to-string digit limit
+        except ValueError as exc:  # a repeated key, or an integer past the int digit limit
             raise ConfigurationError(f"{path}: invalid JSON: {exc}") from exc
         if not isinstance(sections, dict):
             raise ConfigurationError(f"{path}: top-level JSON must be an object")

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericError
+from .errors import NumericError
 from .rng import substream
 
 THETA_BOX = 10.0  # flat-prior stand-in: theta ~ Uniform(-THETA_BOX, THETA_BOX)^d
@@ -38,10 +38,9 @@ THETA_BOX = 10.0  # flat-prior stand-in: theta ~ Uniform(-THETA_BOX, THETA_BOX)^
 
 @dataclass(frozen=True)
 class BayesLinRegTask:
-    """One realization of the generative model, with designs structured so
-    X_k' X_k = beta I and P' P = nu I hold exactly (checked to 1e-8 times
-    max(1, beta) and max(1, nu): rounding in the Gram products grows with
-    their scale)."""
+    """One realization of the generative model, with designs sqrt(beta) and
+    sqrt(nu) times orthonormal columns, so X_k' X_k = beta I and P' P = nu I
+    hold up to rounding in the Gram products, which grows with their scale."""
 
     dim: int
     num_clients: int
@@ -55,14 +54,6 @@ class BayesLinRegTask:
     designs: np.ndarray  # (K, n, d)
     targets: np.ndarray  # (K, n)
     public_design: np.ndarray  # (d, d)
-
-    def __post_init__(self):
-        grams = np.matmul(self.designs.transpose(0, 2, 1), self.designs)
-        if not np.allclose(grams, self.beta * np.eye(self.dim), atol=1e-8 * max(1.0, self.beta)):
-            raise ConfigurationError("X_k' X_k must equal beta I")
-        gram = self.public_design.T @ self.public_design
-        if not np.allclose(gram, self.nu * np.eye(self.dim), atol=1e-8 * max(1.0, self.nu)):
-            raise ConfigurationError("P' P must equal nu I")
 
 
 @dataclass(frozen=True)
@@ -263,19 +254,17 @@ def expected_loss_mc(
     alpha: np.ndarray,
     num_samples: int,
     seed: int,
-    what_all: np.ndarray | None = None,
+    what_all: np.ndarray,
     noise: np.ndarray | None = None,
     candidate: np.ndarray | None = None,
 ) -> float:
     """Monte-Carlo estimate of E ||w_tilde - w_k||^2 with w_k drawn from its
-    posterior given the realized least-squares estimates.
+    posterior given the realized least-squares estimates `what_all`.
 
     `noise` provides common random numbers across calls; `candidate`
     substitutes an arbitrary vector for the ridge minimizer (used to probe
     the posterior-mean floor).
     """
-    if what_all is None:
-        what_all = all_ols(task)
     mean, variance = posterior_moments_scalar(task, k, what_all)
     if candidate is None:
         candidate = ridge_codistill_minimizer(task, k, lam, alpha, what_all)
@@ -397,7 +386,6 @@ _TOY_UNIFORM = (1 / 3, 1 / 3, 1 / 3)
 
 @dataclass(frozen=True)
 class ToySolution:
-    kind: str
     weights: np.ndarray
     distance: float
 
@@ -406,13 +394,7 @@ class ToySolution:
 class ToyClientReport:
     client: int
     true_w: np.ndarray
-    solutions: tuple[ToySolution, ...]
-
-    def distance(self, kind: str) -> float:
-        for sol in self.solutions:
-            if sol.kind == kind:
-                return sol.distance
-        raise KeyError(kind)
+    solutions: dict[str, ToySolution]  # by kind, in report order
 
 
 def run_toy_example(seed: int, sigmas=TOY_SIGMAS) -> list[ToyClientReport]:
@@ -451,13 +433,13 @@ def run_toy_example(seed: int, sigmas=TOY_SIGMAS) -> list[ToyClientReport]:
     for k in range(3):
         uniform = codistilled(k, _TOY_UNIFORM)
         clustered = codistilled(k, _TOY_CLUSTERS[k])
-        sols = tuple(
-            ToySolution(kind, w, float(np.linalg.norm(w - true_w[k])))
+        sols = {
+            kind: ToySolution(w, float(np.linalg.norm(w - true_w[k])))
             for kind, w in (
                 ("fedavg", fedavg),
                 ("uniform_kt", uniform),
                 ("clustered_kt", clustered),
             )
-        )
+        }
         reports.append(ToyClientReport(client=k, true_w=true_w[k], solutions=sols))
     return reports

@@ -105,10 +105,11 @@ def test_criterion_2_toy_reproduction():
     outlier_wins = 0
     for seed in range(10):
         reports = run_toy_example(seed)  # sigmas (2, 5, 200), lambda 50
+        dist = [{kind: sol.distance for kind, sol in rep.solutions.items()} for rep in reports]
         for client in (0, 1):
-            if reports[client].distance("clustered_kt") < reports[client].distance("uniform_kt"):
+            if dist[client]["clustered_kt"] < dist[client]["uniform_kt"]:
                 wins[client] += 1
-        if reports[2].distance("uniform_kt") < reports[2].distance("fedavg"):
+        if dist[2]["uniform_kt"] < dist[2]["fedavg"]:
             outlier_wins += 1
     elapsed = time.time() - start
     passed = wins[0] >= 9 and wins[1] >= 9 and outlier_wins > 5 and elapsed <= 10

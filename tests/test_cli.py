@@ -829,6 +829,21 @@ class TestRunCommand:
             ),
             ('{"run": \n', "config error: range.toml:2: invalid JSON: Expecting value"),
             ("[1, 2]\n", "config error: range.json: top-level JSON must be an object"),
+            (
+                SMOKE_TOML.replace('"perfed_ckt"', '"fedavg"').replace(
+                    '"softmax_linear"', '"heterogeneous"'
+                ),
+                'config error: range.toml:18: [models] kind = "heterogeneous": '
+                "fedavg averages parameters, so every client needs the same architecture",
+            ),
+            (
+                SMOKE_TOML.replace("alpha = 10.0\n", "") + "[data]\nalpha = 0.5\n",
+                "config error: range.toml:29: [data]: repeated section (first at line 6)",
+            ),
+            (
+                '{"run": {"algorithm": "local"},\n "data": {"dim": 2},\n "data": {"dim": 3}}',
+                'config error: range.json: invalid JSON: repeated key "data"',
+            ),
         ],
         ids=[
             "dim",
@@ -872,6 +887,9 @@ class TestRunCommand:
             "json_value",
             "invalid_json",
             "non_object_json",
+            "fedavg_heterogeneous",
+            "repeated_section",
+            "repeated_json_key",
         ],
     )
     def test_range_error_names_its_section(self, tmp_path, capsys, monkeypatch, text, message):

@@ -363,13 +363,6 @@ class TestLedgers:
         result = run_rounds("local", records, None, config(rounds=4, num_selected=3))
         assert result.ledger.total_scalars == 0
 
-    def test_heterogeneous_specs_rejected_by_fedavg(self):
-        records, _ = make_population(num_clients=3)
-        records[1].spec = ModelSpec(ARCH_SOFTMAX, dim=2, num_classes=3, init_scale=0.2)
-        records[1].params = init_params(records[1].spec, seed=0)
-        with pytest.raises(ConfigurationError):
-            run_rounds("fedavg", records, None, config(num_selected=2))
-
 
 class TestDeterminismAndParallel:
     def metrics_fingerprint(self, result):

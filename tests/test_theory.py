@@ -93,6 +93,16 @@ def inline_minimizer(task, k, lam, alpha, what):
     )
 
 
+def assert_gram_identities(task):
+    """X_k' X_k = beta I and P' P = nu I to 1e-8 times max(1, beta) and
+    max(1, nu): rounding in the Gram products grows with their scale."""
+    eye = np.eye(task.dim)
+    grams = np.matmul(task.designs.transpose(0, 2, 1), task.designs)
+    assert np.allclose(grams, task.beta * eye, atol=1e-8 * max(1.0, task.beta))
+    gram = task.public_design.T @ task.public_design
+    assert np.allclose(gram, task.nu * eye, atol=1e-8 * max(1.0, task.nu))
+
+
 class TestGenTask:
     def test_design_grams_are_beta_identity(self):
         task = small_task(seed=1, beta=3.0, nu=0.5, n=7)
@@ -102,6 +112,9 @@ class TestGenTask:
         assert np.allclose(
             task.public_design.T @ task.public_design, 0.5 * np.eye(task.dim), atol=1e-8
         )
+        # the shipped task shapes, each at five master seeds
+        for index, seed in itertools.product(range(3), range(5)):
+            assert_gram_identities(shipped_task(index, seed)[0])
 
     def test_zero_upsilon_gives_identical_models(self):
         task = small_task(seed=2, upsilon=(0.0, 0.0))
@@ -119,11 +132,12 @@ class TestGenTask:
         assert np.all(np.abs(var / upsilon**2 - 1.0) <= 0.05)
 
     def test_large_beta_and_nu_build(self):
-        # the Gram postcondition's tolerance grows with beta and nu, so
-        # float rounding at this scale does not fail it
+        # the Gram tolerance grows with beta and nu, so float rounding at
+        # this scale does not fail it
         task = small_task(seed=3, beta=1e9, nu=1e9, n=7)
         gram = task.designs[0].T @ task.designs[0]
         assert np.allclose(gram, 1e9 * np.eye(task.dim), rtol=1e-12, atol=1e-3)
+        assert_gram_identities(task)
 
 
 class TestOls:
@@ -529,7 +543,7 @@ class TestToy:
         theta = reports[0].true_w
         for rep in reports:
             assert np.allclose(rep.true_w, theta, atol=1e-9)
-            for sol in rep.solutions:
+            for sol in rep.solutions.values():
                 assert np.allclose(sol.weights, theta, atol=1e-6)
 
     def test_clustered_beats_uniform_for_similar_pair(self):
@@ -537,19 +551,17 @@ class TestToy:
         for seed in range(10):
             reports = run_toy_example(seed)
             for client in (0, 1):
-                if reports[client].distance("clustered_kt") < reports[client].distance(
-                    "uniform_kt"
-                ):
+                sols = reports[client].solutions
+                if sols["clustered_kt"].distance < sols["uniform_kt"].distance:
                     wins[client] += 1
         assert wins[0] >= 9
         assert wins[1] >= 9
 
     def test_uniform_beats_fedavg_for_outlier(self):
-        wins = sum(
-            run_toy_example(seed)[2].distance("uniform_kt")
-            < run_toy_example(seed)[2].distance("fedavg")
-            for seed in range(10)
-        )
+        wins = 0
+        for seed in range(10):
+            sols = run_toy_example(seed)[2].solutions
+            wins += sols["uniform_kt"].distance < sols["fedavg"].distance
         assert wins > 5
 
     def test_fedavg_is_mean_of_true_models(self):
@@ -558,7 +570,5 @@ class TestToy:
         for seed in range(5):
             reports = run_toy_example(seed)
             true = np.stack([r.true_w for r in reports])
-            fedavg = next(
-                sol.weights for sol in reports[0].solutions if sol.kind == "fedavg"
-            )
+            fedavg = reports[0].solutions["fedavg"].weights
             assert np.allclose(fedavg, true.mean(axis=0), atol=1e-8)
