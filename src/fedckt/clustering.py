@@ -3,7 +3,7 @@ seeding and deterministic tie-breaking."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -13,26 +13,40 @@ LLOYD_MAX_ITERS = 100
 LLOYD_TOL = 1e-8
 
 
+def _sq_norms(rows: np.ndarray) -> np.ndarray:
+    """(m,) squared l2 norm of each row."""
+    return np.einsum("ij,ij->i", rows, rows)
+
+
 @dataclass(frozen=True)
 class CentroidSet:
     centroids: np.ndarray  # (c, L)
     member_counts: tuple[int, ...]
     objective_trace: tuple[float, ...] = ()  # per-iteration Lloyd objective
+    # (c,) squared centroid norms, computed once for every assign_nearest
+    norms: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "norms", _sq_norms(self.centroids))
 
 
-def _sq_dists(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """(m, c) squared euclidean distances via the expanded form."""
-    p2 = np.einsum("ij,ij->i", points, points)[:, None]
-    c2 = np.einsum("ij,ij->i", centroids, centroids)[None, :]
-    d2 = p2 + c2 - 2.0 * points @ centroids.T
+def _sq_dists(
+    points: np.ndarray, p2: np.ndarray, centroids: np.ndarray, c2: np.ndarray
+) -> np.ndarray:
+    """(m, c) squared euclidean distances via the expanded form, from the
+    (m,) point and (c,) centroid squared norms."""
+    d2 = p2[:, None] + c2[None, :] - 2.0 * points @ centroids.T
     np.maximum(d2, 0.0, out=d2)
     return d2
 
 
-def _kmeanspp_init(points: np.ndarray, c: int, rng: np.random.Generator) -> np.ndarray:
+def _kmeanspp_init(
+    points: np.ndarray, p2: np.ndarray, c: int, rng: np.random.Generator
+) -> np.ndarray:
     m = points.shape[0]
     chosen = [int(rng.integers(m))]
-    d2 = _sq_dists(points, points[chosen[-1]][None, :])[:, 0]
+    pick = points[chosen[-1]][None, :]
+    d2 = _sq_dists(points, p2, pick, _sq_norms(pick))[:, 0]
     for _ in range(1, c):
         total = d2.sum()
         if total <= 0.0:
@@ -40,7 +54,8 @@ def _kmeanspp_init(points: np.ndarray, c: int, rng: np.random.Generator) -> np.n
         else:
             nxt = int(rng.choice(m, p=d2 / total))
         chosen.append(nxt)
-        d2 = np.minimum(d2, _sq_dists(points, points[nxt][None, :])[:, 0])
+        pick = points[nxt][None, :]
+        d2 = np.minimum(d2, _sq_dists(points, p2, pick, _sq_norms(pick))[:, 0])
     return points[chosen].copy()
 
 
@@ -57,12 +72,15 @@ def cmeans_fit(points: np.ndarray, c: int, seed: int = 0) -> tuple[CentroidSet, 
     """
     m = len(points)
     rng = substream(seed, "cmeans")
-    centroids = _kmeanspp_init(points, c, rng)
+    # the point norms once per fit; 2.0 * points is not kept, as it would
+    # hold a second copy of the stack for the whole fit
+    p2 = _sq_norms(points)
+    centroids = _kmeanspp_init(points, p2, c, rng)
 
     assign = np.zeros(m, dtype=np.int64)
     trace: list[float] = []
     for _ in range(LLOYD_MAX_ITERS):
-        d2 = _sq_dists(points, centroids)
+        d2 = _sq_dists(points, p2, centroids, _sq_norms(centroids))
         assign = d2.argmin(axis=1)  # ties resolve to the lowest index
         counts = np.bincount(assign, minlength=c)
         for j in np.flatnonzero(counts == 0):
@@ -94,7 +112,8 @@ def cmeans_fit(points: np.ndarray, c: int, seed: int = 0) -> tuple[CentroidSet, 
 def assign_nearest(logit_vec: np.ndarray, centroids: CentroidSet) -> int:
     """Index of the centroid l2-nearest the flat (L,) logit row; ties break
     to the lowest index."""
-    d2 = _sq_dists(logit_vec[None, :], centroids.centroids)[0]
+    row = logit_vec[None, :]
+    d2 = _sq_dists(row, _sq_norms(row), centroids.centroids, centroids.norms)[0]
     return int(d2.argmin())
 
 

@@ -152,7 +152,8 @@ def _local_sgd_steps(
             )
         else:
             grad = grad_local(record.spec, w, xb, yb)
-        w -= eta * grad
+        grad *= eta  # the kernels return a fresh gradient
+        w -= grad
         if not np.isfinite(w).all():
             raise NumericError(f"non-finite parameters at local step {step}")
     return w

@@ -78,8 +78,12 @@ def _unpack(spec: ModelSpec, params: np.ndarray):
 
 
 def stable_softmax(scores: np.ndarray) -> np.ndarray:
-    """Row-wise softmax with max-shift stabilization."""
-    e = scores - np.maximum.reduce(scores, axis=1, keepdims=True)
+    """Row-wise softmax with max-shift stabilization. A row is non-finite
+    exactly when its denominator is NaN, and then every entry is NaN; any
+    other denominator lies in [1, num_classes]."""
+    # a max does not depend on order, and numpy's reduce along the long
+    # axis of the transposed copy is several times faster on a tall block
+    e = scores - np.maximum.reduce(scores.T.copy(), axis=0)[:, None]
     np.exp(e, out=e)
     e /= np.add.reduce(e, axis=1, keepdims=True)
     return e
@@ -91,26 +95,26 @@ def _log_softmax(scores: np.ndarray) -> np.ndarray:
 
 
 def _forward_parts(spec: ModelSpec, params: np.ndarray, inputs: np.ndarray):
-    """Class scores plus the hidden activations needed for backprop."""
+    """Class scores plus what backprop needs of the MLP: its hidden
+    activations and output weights (both None for softmax_linear)."""
     if spec.arch == ARCH_SOFTMAX:
         w, b = _unpack(spec, params)
         scores = inputs @ w
         scores += b
-        return scores, None
+        return scores, None, None
     w1, b1, w2, b2 = _unpack(spec, params)
     hidden = inputs @ w1
     hidden += b1
     np.tanh(hidden, out=hidden)
     scores = hidden @ w2
     scores += b2
-    return scores, hidden
+    return scores, hidden, w2
 
 
 def forward_logits(spec: ModelSpec, params: np.ndarray, inputs: np.ndarray) -> np.ndarray:
     """Probability rows over classes."""
-    scores, _ = _forward_parts(spec, params, inputs)
-    out = stable_softmax(scores)
-    if not np.isfinite(out).all():
+    out = stable_softmax(_forward_parts(spec, params, inputs)[0])
+    if not np.isfinite(out[:, 0]).all():  # one entry per row tells (see stable_softmax)
         bad = int(np.flatnonzero(~np.isfinite(out).all(axis=1))[0])
         raise NumericError(f"non-finite model output at row {bad}")
     return out
@@ -118,38 +122,37 @@ def forward_logits(spec: ModelSpec, params: np.ndarray, inputs: np.ndarray) -> n
 
 def local_loss(spec: ModelSpec, params: np.ndarray, inputs: np.ndarray, targets: np.ndarray) -> float:
     """Mean cross-entropy."""
-    scores, _ = _forward_parts(spec, params, inputs)
-    logp = _log_softmax(scores)
+    logp = _log_softmax(_forward_parts(spec, params, inputs)[0])
     return float(-logp[np.arange(len(targets)), targets.astype(np.int64)].mean())
 
 
-def _backprop_scores(spec, params, inputs, hidden, score_grad):
-    """Chain a gradient at the class scores back to a flat parameter gradient."""
+def _backprop_scores(spec, params, inputs, hidden, w2, score_grad):
+    """Chain a gradient at the class scores back to a flat parameter
+    gradient, written in place through views laid out as the parameters."""
+    grad = np.empty(params.size)
     if spec.arch == ARCH_SOFTMAX:
-        return np.concatenate(
-            [(inputs.T @ score_grad).ravel(), np.add.reduce(score_grad, axis=0)]
-        )
-    _, _, w2, _ = _unpack(spec, params)
+        gw, gb = _unpack(spec, grad)
+        np.matmul(inputs.T, score_grad, out=gw)
+        np.add.reduce(score_grad, axis=0, out=gb)
+        return grad
+    gw1, gb1, gw2, gb2 = _unpack(spec, grad)
     d_hidden = score_grad @ w2.T
     d_hidden *= 1.0 - hidden * hidden
-    return np.concatenate(
-        [
-            (inputs.T @ d_hidden).ravel(),
-            np.add.reduce(d_hidden, axis=0),
-            (hidden.T @ score_grad).ravel(),
-            np.add.reduce(score_grad, axis=0),
-        ]
-    )
+    np.matmul(inputs.T, d_hidden, out=gw1)
+    np.add.reduce(d_hidden, axis=0, out=gb1)
+    np.matmul(hidden.T, score_grad, out=gw2)
+    np.add.reduce(score_grad, axis=0, out=gb2)
+    return grad
 
 
 def grad_local(spec: ModelSpec, params: np.ndarray, inputs: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """Exact gradient of local_loss."""
-    scores, hidden = _forward_parts(spec, params, inputs)
+    scores, hidden, w2 = _forward_parts(spec, params, inputs)
     score_grad = stable_softmax(scores)
     n = len(targets)
     score_grad[np.arange(n), targets.astype(np.int64, copy=False)] -= 1.0
     score_grad /= n
-    return _backprop_scores(spec, params, inputs, hidden, score_grad)
+    return _backprop_scores(spec, params, inputs, hidden, w2, score_grad)
 
 
 def distill_penalty(spec: ModelSpec, params: np.ndarray, public_inputs: np.ndarray, sbar_rows: np.ndarray) -> float:
@@ -188,7 +191,7 @@ def grad_phi_stochastic(
     """Exact gradient of objective_phi with respect to the flat parameters."""
     grad = grad_local(spec, params, batch_inputs, batch_targets)
     if lam > 0:
-        scores, hidden = _forward_parts(spec, params, public_inputs)
+        scores, hidden, w2 = _forward_parts(spec, params, public_inputs)
         scale = 2.0 * lam / len(public_inputs)
         probs = stable_softmax(scores)
         diff = probs - sbar_rows
@@ -198,7 +201,7 @@ def grad_phi_stochastic(
         score_grad = probs
         score_grad *= scale
         score_grad *= diff
-        grad += _backprop_scores(spec, params, public_inputs, hidden, score_grad)
+        grad += _backprop_scores(spec, params, public_inputs, hidden, w2, score_grad)
     if not np.isfinite(grad).all():
         raise NumericError("non-finite gradient")
     return grad

@@ -47,7 +47,8 @@ def substream(master_seed: int, *path: int | str) -> np.random.Generator:
     entropy = list(_encode(master_seed))
     for part in path:
         entropy += _encode(part)
-    return np.random.default_rng(np.random.SeedSequence(np.array(entropy, dtype=np.uint32)))
+    seq = np.random.SeedSequence(np.array(entropy, dtype=np.uint32))
+    return np.random.Generator(np.random.PCG64(seq))  # what default_rng(seq) builds
 
 
 def derive_seed(master_seed: int, *path: int | str) -> int:

@@ -1,7 +1,7 @@
 """Shared independent oracles for the test suite: finite differences,
 exhaustive scans, brute-force Gaussian conditioning, and out-of-place
-copies of the model kernels, which the in-place kernels must match
-bitwise. These stay deliberately naive and separate from the
+copies of the model kernels and of k-means, which the package's kernels
+must match bitwise. These stay deliberately naive and separate from the
 implementation paths they check. Also the Gaussian-blob data the tests
 train on, and a reader for the checkpoint files the package writes but
 does not read."""
@@ -13,7 +13,9 @@ from pathlib import Path
 
 import numpy as np
 
+from fedckt.clustering import LLOYD_MAX_ITERS, LLOYD_TOL
 from fedckt.data import class_means, sample_blobs
+from fedckt.rng import substream
 
 
 def blobs(num_classes, dim, samples_per_class, class_separation, seed):
@@ -129,6 +131,65 @@ def brute_force_two_clusters(points):
         if obj < best[0]:
             best = (obj, frozenset({frozenset(left), frozenset(right)}))
     return best
+
+
+def _reference_sq_dists(points, centroids):
+    p2 = np.einsum("ij,ij->i", points, points)[:, None]
+    c2 = np.einsum("ij,ij->i", centroids, centroids)[None, :]
+    d2 = p2 + c2 - 2.0 * points @ centroids.T
+    np.maximum(d2, 0.0, out=d2)
+    return d2
+
+
+def reference_cmeans_fit(points, c, seed=0):
+    """k-means++ seeding and Lloyd's iterations written plainly, every
+    squared norm recomputed at each use: the bitwise reference for
+    clustering.cmeans_fit. Returns the centroids, the assignment, the
+    member counts and the objective trace."""
+    m = len(points)
+    rng = substream(seed, "cmeans")
+    chosen = [int(rng.integers(m))]
+    d2 = _reference_sq_dists(points, points[chosen[-1]][None, :])[:, 0]
+    for _ in range(1, c):
+        total = d2.sum()
+        if total <= 0.0:
+            nxt = int(rng.integers(m))
+        else:
+            nxt = int(rng.choice(m, p=d2 / total))
+        chosen.append(nxt)
+        d2 = np.minimum(d2, _reference_sq_dists(points, points[nxt][None, :])[:, 0])
+    centroids = points[chosen].copy()
+
+    assign = np.zeros(m, dtype=np.int64)
+    trace = []
+    for _ in range(LLOYD_MAX_ITERS):
+        d2 = _reference_sq_dists(points, centroids)
+        assign = d2.argmin(axis=1)
+        counts = np.bincount(assign, minlength=c)
+        for j in np.flatnonzero(counts == 0):
+            own = d2[np.arange(m), assign]
+            donors = counts[assign] >= 2
+            candidates = np.flatnonzero(donors)
+            far = candidates[np.argmax(own[candidates])]
+            counts[assign[far]] -= 1
+            assign[far] = j
+            counts[j] += 1
+        new_centroids = np.empty_like(centroids)
+        for j in range(c):
+            new_centroids[j] = points[assign == j].mean(axis=0)
+        move = float(np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max())
+        centroids = new_centroids
+        diffs = points - centroids[assign]
+        trace.append(float(np.einsum("ij,ij->", diffs, diffs)))
+        if move <= LLOYD_TOL:
+            break
+    counts = np.bincount(assign, minlength=c)
+    return centroids, assign, tuple(int(x) for x in counts), tuple(trace)
+
+
+def reference_assign_nearest(vec, centroids):
+    """clustering.assign_nearest with the centroid norms recomputed."""
+    return int(_reference_sq_dists(vec[None, :], centroids)[0].argmin())
 
 
 def exhaustive_nearest(vec, centroids):

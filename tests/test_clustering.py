@@ -1,9 +1,15 @@
 import numpy as np
+import pytest
 
 from fedckt.clustering import CentroidSet, assign_nearest, cmeans_fit
 from fedckt.rng import substream
 
-from helpers import brute_force_two_clusters, exhaustive_nearest
+from helpers import (
+    brute_force_two_clusters,
+    exhaustive_nearest,
+    reference_assign_nearest,
+    reference_cmeans_fit,
+)
 
 
 def stack_of(vectors):
@@ -149,3 +155,60 @@ class TestObjective:
         )
         assert np.isclose(centroids.objective_trace[-1], manual)
 
+
+def logit_stack(rng, m, pool, classes=10):
+    """m flattened (pool, classes) probability matrices, as clients upload."""
+    return rng.dirichlet(np.ones(classes), size=(m, pool)).reshape(m, pool * classes)
+
+
+class TestReference:
+    """cmeans_fit and assign_nearest against the copies in helpers that
+    recompute every norm at each use: equal bit for bit."""
+
+    def assert_fit_matches(self, points, c, seed):
+        fit, assignment = cmeans_fit(points, c, seed=seed)
+        centroids, ref_assignment, counts, trace = reference_cmeans_fit(points, c, seed=seed)
+        assert np.array_equal(fit.centroids, centroids)
+        assert np.array_equal(assignment, ref_assignment)
+        assert fit.member_counts == counts
+        assert np.array(fit.objective_trace).tobytes() == np.array(trace).tobytes()
+        return fit
+
+    @pytest.mark.parametrize("m, dim, c", [(12, 4, 3), (30, 50, 5), (7, 1, 7), (9, 3, 1)])
+    def test_fit_matches_reference(self, m, dim, c):
+        rng = substream(210, m, dim)
+        for seed in range(5):
+            self.assert_fit_matches(rng.normal(size=(m, dim)) * rng.uniform(0.5, 3.0), c, seed)
+
+    def test_fit_matches_reference_at_pool_width(self):
+        # perfed_dirichlet100's shape: 10 uploads of a 2000 x 10 pool block, c = 3
+        rng = substream(211)
+        for seed in range(3):
+            self.assert_fit_matches(logit_stack(rng, 10, 2000), 3, seed)
+
+    @pytest.mark.parametrize("c", [2, 3, 5])
+    def test_coincident_points_match_reference(self, c):
+        # all points coincide: k-means++ finds no distance left to draw by
+        # (total <= 0), and Lloyd repairs every cluster but the first
+        stack = stack_of([[1.0, -2.0, 0.5]] * 6)
+        fit = self.assert_fit_matches(stack, c, seed=c)
+        assert fit.objective_trace[-1] == 0.0
+        assert min(fit.member_counts) >= 1
+
+    def test_repeated_locations_match_reference(self):
+        # 3 distinct locations and c = 5: seeding runs out of distance after
+        # 3 picks, and two clusters start empty and are repaired
+        rng = substream(212)
+        stack = np.repeat(rng.normal(size=(3, 6)), [4, 3, 2], axis=0)
+        for seed in range(4):
+            fit = self.assert_fit_matches(stack, 5, seed)
+            assert min(fit.member_counts) >= 1
+
+    def test_assign_nearest_matches_reference(self):
+        rng = substream(213)
+        for seed in range(3):
+            fit, _ = cmeans_fit(logit_stack(rng, 10, 200), 3, seed=seed)
+            for vec in logit_stack(rng, 20, 200):
+                pick = assign_nearest(vec, fit)
+                assert pick == reference_assign_nearest(vec, fit.centroids)
+                assert pick == exhaustive_nearest(vec, fit.centroids)

@@ -34,6 +34,8 @@ SOFTMAX = ModelSpec(ARCH_SOFTMAX, dim=10, num_classes=10)
 MLP = ModelSpec(ARCH_MLP, dim=4, num_classes=3, hidden=8)
 
 ALL_SPECS = [SOFTMAX, MLP]
+# perfed_dirichlet100's widest model; its pool block is 2000 rows by 10 classes
+POOL_MLP = ModelSpec(ARCH_MLP, dim=8, num_classes=10, hidden=24)
 
 
 def random_instance(spec, rng, batch=6, public=5):
@@ -231,19 +233,63 @@ class TestReferenceKernels:
     bit, with every input array left as it was."""
 
     def test_softmax_matches_reference(self):
-        scores = substream(31).normal(0.0, 30.0, size=(50, 7))
-        before = scores.copy()
-        assert np.array_equal(stable_softmax(scores), reference_softmax(scores))
-        assert np.array_equal(scores, before)
+        for n, k in [(50, 7), (2000, 10)]:  # 2000 x 10: perfed_dirichlet100's pool block
+            scores = substream(31, n).normal(0.0, 30.0, size=(n, k))
+            special = {  # non-finite entries, and +0.0 and -0.0 tied at the max
+                3: [np.inf] + [1.0] * (k - 1),
+                11: [np.inf, -np.inf] + [0.5] * (k - 2),
+                40: [-np.inf] + [2.0] * (k - 1),
+                41: [-np.inf, 3.0, -np.inf] + [-1.0] * (k - 3),
+                42: [np.nan] + [1.0] * (k - 1),
+                43: [-np.inf] * k,
+                44: [-0.0, 0.0] + [-1.0] * (k - 2),
+                45: [0.0, -0.0] + [-1.0] * (k - 2),
+                46: [-1.0] * (k - 2) + [-0.0, 0.0],
+                47: [-0.0] * (k // 2) + [0.0] * (k - k // 2),
+                n - 1: [5.0] * k,
+            }
+            for row, values in special.items():
+                scores[row] = values
+            before = scores.copy()
+            with np.errstate(invalid="ignore"):
+                got, want = stable_softmax(scores), reference_softmax(scores)
+            assert np.array_equal(got, want, equal_nan=True)
+            assert np.array_equal(scores, before, equal_nan=True)
+            # a row is non-finite exactly when all of it is NaN
+            bad = ~np.isfinite(want).all(axis=1)
+            assert np.flatnonzero(bad).tolist() == [3, 11, 42, 43]
+            assert np.isnan(want[bad]).all()
 
-    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.arch)
-    def test_forward_matches_reference(self, spec):
-        params, x, _, _, _ = random_instance(spec, substream(32, spec.arch), batch=40)
+    @pytest.mark.parametrize(
+        "spec, batch",
+        [(SOFTMAX, 40), (MLP, 40), (SOFTMAX, 2000), (POOL_MLP, 2000)],
+        ids=["softmax_linear", "mlp", "softmax_linear_pool", "mlp_pool"],
+    )
+    def test_forward_matches_reference(self, spec, batch):
+        params, x, _, _, _ = random_instance(spec, substream(32, spec.arch), batch=batch)
         before = [params.copy(), x.copy()]
         out = forward_logits(spec, params, x)
         assert np.array_equal(out, reference_forward_logits(spec, params, x))
         for arr, old in zip([params, x], before):
             assert np.array_equal(arr, old)
+
+    @pytest.mark.parametrize("spec", [SOFTMAX, POOL_MLP], ids=lambda s: s.arch)
+    @pytest.mark.parametrize(
+        "rows",
+        [{7: np.inf}, {7: -np.inf}, {0: np.nan}, {1234: np.nan, 7: 0.0}, {1500: -np.inf, 0: np.inf}],
+        ids=["inf", "neg_inf", "nan_first_row", "zero_row_then_nan", "two_bad_rows"],
+    )
+    def test_forward_nonfinite_rows_match_reference(self, spec, rows):
+        params, x, _, _, _ = random_instance(spec, substream(36, spec.arch), batch=2000)
+        for row, value in rows.items():
+            x[row] = value
+        with np.errstate(invalid="ignore", over="ignore"):
+            want = reference_forward_logits(spec, params, x)
+            with pytest.raises(NumericError) as err:
+                forward_logits(spec, params, x)
+        first_bad = np.flatnonzero(~np.isfinite(want).all(axis=1))[0]
+        assert first_bad == min(row for row, value in rows.items() if value != 0.0)
+        assert str(err.value) == f"non-finite model output at row {first_bad}"
 
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.arch)
     @pytest.mark.parametrize("lam", [0.0, 0.8])
