@@ -34,8 +34,19 @@ def _sq_dists(
     points: np.ndarray, p2: np.ndarray, centroids: np.ndarray, c2: np.ndarray
 ) -> np.ndarray:
     """(m, c) squared euclidean distances via the expanded form, from the
-    (m,) point and (c,) centroid squared norms."""
-    d2 = p2[:, None] + c2[None, :] - 2.0 * points @ centroids.T
+    (m,) point and (c,) centroid squared norms.
+
+    The factor 2 goes on whichever operand has fewer rows, so no (m, L)
+    copy of a wide stack is made. Doubling a float is exact unless it
+    overflows, so (2a)*b and a*(2b) are the same real number and round
+    the same, subnormal products included, and so does every sum of them:
+    points @ (2 * centroids).T equals (2 * points) @ centroids.T bit for
+    bit while no entry exceeds half the largest float."""
+    if len(points) <= len(centroids):
+        cross = (2.0 * points) @ centroids.T
+    else:
+        cross = points @ (2.0 * centroids).T
+    d2 = p2[:, None] + c2[None, :] - cross
     np.maximum(d2, 0.0, out=d2)
     return d2
 
@@ -72,8 +83,8 @@ def cmeans_fit(points: np.ndarray, c: int, seed: int = 0) -> tuple[CentroidSet, 
     """
     m = len(points)
     rng = substream(seed, "cmeans")
-    # the point norms once per fit; 2.0 * points is not kept, as it would
-    # hold a second copy of the stack for the whole fit
+    # the point norms once per fit; _sq_dists doubles the operand with
+    # fewer rows, so while c < m no pass copies the stack
     p2 = _sq_norms(points)
     centroids = _kmeanspp_init(points, p2, c, rng)
 
@@ -118,6 +129,7 @@ def assign_nearest(logit_vec: np.ndarray, centroids: CentroidSet) -> int:
 
 
 def _objective(points: np.ndarray, centroids: np.ndarray, assign: np.ndarray) -> float:
-    diffs = points - centroids[assign]
+    diffs = centroids[assign]  # the one (m, L) temporary, overwritten below
+    np.subtract(points, diffs, out=diffs)
     return float(np.einsum("ij,ij->", diffs, diffs))
 

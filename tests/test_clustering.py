@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -204,6 +206,34 @@ class TestReference:
             fit = self.assert_fit_matches(stack, 5, seed)
             assert min(fit.member_counts) >= 1
 
+    def assert_assign_matches(self, fit, vectors):
+        for vec in vectors:
+            pick = assign_nearest(vec, fit)
+            assert pick == reference_assign_nearest(vec, fit.centroids)
+
+    @pytest.mark.parametrize("scale", [3e-161, 1e150])
+    def test_scaled_stacks_match_reference(self, scale):
+        # _sq_dists doubles the centroids where the reference doubles the
+        # points; the two agree bit for bit at any scale short of overflow.
+        # At 3e-161 the cross products are subnormal, where doubling after
+        # the product, 2.0 * (points @ centroids.T), rounds differently and
+        # fails every seed; at 1e150 they near 1e300
+        rng = substream(214)
+        for seed in range(8):
+            stack = logit_stack(rng, 20, 2) * scale
+            fit = self.assert_fit_matches(stack, 4, seed)
+            self.assert_assign_matches(fit, stack)
+
+    def test_unaligned_rows_match_reference(self):
+        # width 5: k-means++ picks rows at 40-byte offsets into the stack;
+        # the reference's product reads such a row unaligned where
+        # _sq_dists reads a fresh doubled copy of it
+        rng = substream(215)
+        for seed in range(6):
+            stack = rng.normal(size=(40, 5)) * rng.uniform(0.5, 3.0)
+            fit = self.assert_fit_matches(stack, 4, seed)
+            self.assert_assign_matches(fit, stack)
+
     def test_assign_nearest_matches_reference(self):
         rng = substream(213)
         for seed in range(3):
@@ -212,3 +242,22 @@ class TestReference:
                 pick = assign_nearest(vec, fit)
                 assert pick == reference_assign_nearest(vec, fit.centroids)
                 assert pick == exhaustive_nearest(vec, fit.centroids)
+
+
+class TestMemory:
+    def test_fit_holds_no_second_copy_of_the_stack(self):
+        # perfed_dirichlet100's shape, the stack allocated before tracing
+        # starts. Besides the centroids a fit holds at most one (m, L)
+        # array: the objective's gathered centroids, overwritten in place,
+        # or one cluster's rows in the update. Subtracting into a fresh
+        # array in the objective holds a second one (2.3x)
+        rng = substream(216)
+        for seed in range(3):
+            stack = logit_stack(rng, 10, 2000)
+            tracemalloc.start()
+            try:
+                cmeans_fit(stack, 3, seed=seed)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 1.6 * stack.nbytes, (seed, peak / stack.nbytes)
