@@ -2,10 +2,11 @@
 
 Subcommands: run, which runs the mode the config's `[run] algorithm` selects
 (a federated algorithm, theory_check or partition_stats), and toy. Exit codes
-are stable across subcommands: 0 success, 1 failed verification, 2
-configuration error or an output that cannot be written, 3 numeric failure
-(a diverged client or a non-finite or unsolvable computation), 4 internal
-error (any other exception, reported as one line instead of a traceback).
+are stable across subcommands: 0 success, 1 failed verification, 2 a
+malformed config or command line or an output that cannot be written, 3
+numeric failure (a diverged client or a non-finite or unsolvable
+computation), 4 internal error (any other exception, reported as one line
+instead of a traceback).
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ def _out_dir(args) -> Path:
 
 
 def cmd_run(args) -> int:
-    cfg = load_config(args.config, seed_override=args.seed)
+    cfg = load_config(args.config)
     out = _out_dir(args)
     if cfg.algorithm == "theory_check":
         return _theory_check(cfg.theory, cfg.seed, out)
@@ -141,22 +142,22 @@ def cmd_toy(args) -> int:
     start_seed, num_seeds = args.seed, args.num_seeds
     if num_seeds < 1:
         raise ConfigurationError(f"--num-seeds must be >= 1, got {num_seeds}")
+    if start_seed < 0 or start_seed + num_seeds > 2**64:
+        why = f"--seed {start_seed} --num-seeds {num_seeds}: seeds must lie in [0, 2**64)"
+        raise ConfigurationError(why)
     out = _out_dir(args)
     rows = []
     wins = {0: 0, 1: 0}
     uniform_beats_fedavg_client2 = 0
     for seed in range(start_seed, start_seed + num_seeds):
-        reports = run_toy_example(seed)
-        for rep in reports:
-            rows.append(
-                f"{seed},{rep.client},true,{float(rep.true_w[0])!r},{float(rep.true_w[1])!r},0.0"
-            )
-            for kind, sol in rep.solutions.items():
-                rows.append(
-                    f"{seed},{rep.client},{kind},"
-                    f"{float(sol.weights[0])!r},{float(sol.weights[1])!r},{sol.distance!r}"
-                )
-        dist = [{kind: sol.distance for kind, sol in rep.solutions.items()} for rep in reports]
+        true_w, solutions = run_toy_example(seed)
+        dist = [{} for _ in range(3)]
+        for k, true in enumerate(true_w):
+            rows.append(f"{seed},{k},true,{float(true[0])!r},{float(true[1])!r},0.0")
+            for kind, weights in solutions.items():
+                w = weights[k]
+                dist[k][kind] = float(np.linalg.norm(w - true))
+                rows.append(f"{seed},{k},{kind},{float(w[0])!r},{float(w[1])!r},{dist[k][kind]!r}")
         for client in (0, 1):
             if dist[client]["clustered_kt"] < dist[client]["uniform_kt"]:
                 wins[client] += 1
@@ -174,8 +175,16 @@ def cmd_toy(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a malformed command line as a ConfigurationError, so it exits 2
+    with one stderr line like every other refusal; subparsers inherit it."""
+
+    def error(self, message):
+        raise ConfigurationError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fedckt",
         description="Desk-scale federated co-distillation experiments and theory checks",
     )
@@ -184,7 +193,6 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run the mode selected by the config's [run] algorithm")
     run.add_argument("--config", required=True)
     run.add_argument("--out", default=None)
-    run.add_argument("--seed", type=int, default=None, help="overrides the config seed")
     run.set_defaults(func=cmd_run)
 
     toy = sub.add_parser("toy", help="three-client linear-regression toy")
@@ -197,8 +205,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         # numeric failures are reported by the checks that raise
         # NumericError, not by numpy's RuntimeWarnings; np.linalg sets its
         # own errstate, so singular systems still raise

@@ -70,7 +70,7 @@ def _kmeanspp_init(
     return points[chosen].copy()
 
 
-def cmeans_fit(points: np.ndarray, c: int, seed: int = 0) -> tuple[CentroidSet, np.ndarray]:
+def cmeans_fit(points: np.ndarray, c: int, seed: int) -> tuple[CentroidSet, np.ndarray]:
     """Lloyd's iterations from k-means++ seeding over the (m, L) stack of
     flattened client logit rows; returns the centroids and each row's
     cluster index (int64, in row order).

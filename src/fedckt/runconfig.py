@@ -14,7 +14,7 @@ import json
 import math
 import operator
 import sys
-from dataclasses import MISSING, asdict, dataclass, field, fields, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
 from .errors import ConfigurationError
 from .experiment import ALGORITHMS, POPULATION_TWO_GROUP, DataConfig, ModelConfig
@@ -170,7 +170,7 @@ class TheoryConfig:
 @dataclass(frozen=True)
 class RunConfig:
     algorithm: str = field(metadata={"choices": RUN_MODES})
-    seed: int = 0
+    seed: int = field(default=0, metadata={"min": 0, "max": 2**64 - 1})
     data: DataConfig = field(default_factory=DataConfig)
     models: ModelConfig = field(default_factory=ModelConfig)
     federation: FederationConfig | None = None
@@ -375,13 +375,13 @@ def _task_sections(sections: dict) -> list[str]:
     return [by_number[n] for n in sorted(by_number)]
 
 
-def _config(sections: dict, seed_override: int | None) -> RunConfig:
+def _config(sections: dict) -> RunConfig:
     for name, body in sections.items():
         if not isinstance(body, dict):
             raise _Rejected(name, None, None, f"must be a table of keys, got {json.dumps(body)}")
     sections = dict(sections)
     run = sections.pop("run", {})
-    seed = run.get("seed", 0) if seed_override is None else seed_override
+    seed = run.get("seed", 0)
     data = _build(DataConfig, sections.pop("data", {}), "data")
     models = _build(ModelConfig, sections.pop("models", {}), "models")
     federation = None
@@ -412,19 +412,17 @@ def _config(sections: dict, seed_override: int | None) -> RunConfig:
         _check_budgets(FEDERATION_BUDGETS, {**parts, "federation": ("federation", federation)})
     for name, task in zip(task_sections, theory.tasks if theory else ()):
         _check_task(task, name, theory)
-    return cfg if seed_override is None else replace(cfg, seed=seed_override)
+    return cfg
 
 
-def config_from_sections(
-    sections: dict, seed_override: int | None = None, locations: dict | None = None
-) -> RunConfig:
+def config_from_sections(sections: dict, locations: dict | None = None) -> RunConfig:
     """The run configuration the parsed `sections` describe. An error about a
     value reads `FILE:LINE: [section] key = value: why`, with the location
     from `locations` (see parse_flat_toml) when it holds the key, and an
     error about a whole section reads `[section]: why`. The error's `keys`
     are the (section, key) pairs the broken rule reads, the reported first."""
     try:
-        return _config(sections, seed_override)
+        return _config(sections)
     except _Rejected as exc:
         section, key, value, why, *reads = exc.args
         where = (locations or {}).get((section, key))
@@ -444,7 +442,7 @@ def _unique_keys(pairs: list) -> dict:
     return body
 
 
-def load_config(path, seed_override: int | None = None) -> RunConfig:
+def load_config(path) -> RunConfig:
     try:
         with open(path, "rb") as fh:
             data = fh.read()
@@ -470,7 +468,7 @@ def load_config(path, seed_override: int | None = None) -> RunConfig:
             raise ConfigurationError(f"{path}: top-level JSON must be an object")
     else:
         sections = parse_flat_toml(text, str(path), locations)
-    return config_from_sections(sections, seed_override, locations)
+    return config_from_sections(sections, locations)
 
 
 def config_to_sections(cfg: RunConfig) -> dict:

@@ -255,22 +255,18 @@ def expected_loss_mc(
     num_samples: int,
     seed: int,
     what_all: np.ndarray,
-    noise: np.ndarray | None = None,
     candidate: np.ndarray | None = None,
 ) -> float:
     """Monte-Carlo estimate of E ||w_tilde - w_k||^2 with w_k drawn from its
     posterior given the realized least-squares estimates `what_all`.
 
-    `noise` provides common random numbers across calls; `candidate`
-    substitutes an arbitrary vector for the ridge minimizer (used to probe
-    the posterior-mean floor).
+    `candidate` substitutes an arbitrary vector for the ridge minimizer (used
+    to probe the posterior-mean floor).
     """
     mean, variance = posterior_moments_scalar(task, k, what_all)
     if candidate is None:
         candidate = ridge_codistill_minimizer(task, k, lam, alpha, what_all)
-    if noise is None:
-        noise = _mc_noise(num_samples, task.dim, seed)
-    samples = mean + np.sqrt(variance) * noise[:num_samples]
+    samples = mean + np.sqrt(variance) * _mc_noise(num_samples, task.dim, seed)
     diffs = candidate - samples
     return float(np.mean(np.einsum("ij,ij->i", diffs, diffs)))
 
@@ -384,23 +380,14 @@ _TOY_CLUSTERS = ((0.5, 0.5, 0.0), (0.5, 0.5, 0.0), (0.0, 0.0, 1.0))
 _TOY_UNIFORM = (1 / 3, 1 / 3, 1 / 3)
 
 
-@dataclass(frozen=True)
-class ToySolution:
-    weights: np.ndarray
-    distance: float
-
-
-@dataclass(frozen=True)
-class ToyClientReport:
-    client: int
-    true_w: np.ndarray
-    solutions: dict[str, ToySolution]  # by kind, in report order
-
-
-def run_toy_example(seed: int, sigmas=TOY_SIGMAS) -> list[ToyClientReport]:
+def run_toy_example(seed: int, sigmas=TOY_SIGMAS) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """Three-client linear-regression toy: the pair 0/1 is similar, client 2
     is an outlier. Compares pooled least squares against co-distillation with
     uniform weights and with cluster-restricted weights.
+
+    Returns the (3, 2) true client models and, by kind in report order
+    (fedavg, uniform_kt, clustered_kt), the (3, 2) weights each client ends
+    with; row k is client k.
 
     Observations are noiseless, so each least-squares estimate recovers the
     true client model and all differences come from the regularizer.
@@ -429,17 +416,8 @@ def run_toy_example(seed: int, sigmas=TOY_SIGMAS) -> list[ToyClientReport]:
         lhs, rhs = ridge_codistill_system(xtx, ptp, what[k], TOY_LAMBDA, np.array(alpha), what)
         return ridge_codistill_solve(lhs, rhs, TOY_LAMBDA)
 
-    reports = []
-    for k in range(3):
-        uniform = codistilled(k, _TOY_UNIFORM)
-        clustered = codistilled(k, _TOY_CLUSTERS[k])
-        sols = {
-            kind: ToySolution(w, float(np.linalg.norm(w - true_w[k])))
-            for kind, w in (
-                ("fedavg", fedavg),
-                ("uniform_kt", uniform),
-                ("clustered_kt", clustered),
-            )
-        }
-        reports.append(ToyClientReport(client=k, true_w=true_w[k], solutions=sols))
-    return reports
+    return true_w, {
+        "fedavg": np.stack([fedavg] * 3),
+        "uniform_kt": np.stack([codistilled(k, _TOY_UNIFORM) for k in range(3)]),
+        "clustered_kt": np.stack([codistilled(k, _TOY_CLUSTERS[k]) for k in range(3)]),
+    }

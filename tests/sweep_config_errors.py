@@ -24,9 +24,9 @@ from fedckt.runconfig import load_config, parse_flat_toml
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 # the values of test_single_key_mutation_never_escapes, plus an integer far
-# above every element budget
+# above every element budget and the first integer past 64 bits
 VALUES = ["7", "0.5", "true", '"x"', "0", "-1", "-1.5", "1e308", "-1e308", "1e200", "1e-200"]
-VALUES.append(str(10**18))
+VALUES += [str(10**18), str(2**64)]
 
 
 def main() -> int:

@@ -104,8 +104,11 @@ def test_criterion_2_toy_reproduction():
     wins = {0: 0, 1: 0}
     outlier_wins = 0
     for seed in range(10):
-        reports = run_toy_example(seed)  # sigmas (2, 5, 200), lambda 50
-        dist = [{kind: sol.distance for kind, sol in rep.solutions.items()} for rep in reports]
+        true_w, solutions = run_toy_example(seed)  # sigmas (2, 5, 200), lambda 50
+        dist = [
+            {kind: np.linalg.norm(weights[k] - true_w[k]) for kind, weights in solutions.items()}
+            for k in range(3)
+        ]
         for client in (0, 1):
             if dist[client]["clustered_kt"] < dist[client]["uniform_kt"]:
                 wins[client] += 1

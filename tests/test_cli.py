@@ -148,12 +148,6 @@ class TestConfig:
         with pytest.raises(ConfigurationError, match="algorithm"):
             load_config(path)
 
-    def test_seed_override(self, tmp_path):
-        path = write(tmp_path, "smoke.toml", SMOKE_TOML)
-        cfg = load_config(path, seed_override=7)
-        assert cfg.seed == 7
-        assert cfg.federation.seed == 7
-
     def test_json_roundtrip_preserves_config(self, tmp_path):
         from fedckt.runconfig import config_to_sections
 
@@ -844,6 +838,15 @@ class TestRunCommand:
                 '{"run": {"algorithm": "local"},\n "data": {"dim": 2},\n "data": {"dim": 3}}',
                 'config error: range.json: invalid JSON: repeated key "data"',
             ),
+            (
+                SMOKE_TOML.replace("seed = 42", "seed = -1"),
+                "config error: range.toml:4: [run] seed = -1: must be >= 0",
+            ),
+            (
+                SMOKE_TOML.replace("seed = 42", f"seed = {2**64}"),
+                "config error: range.toml:4: [run] seed = 18446744073709551616: "
+                "must be <= 18446744073709551615",
+            ),
         ],
         ids=[
             "dim",
@@ -890,6 +893,8 @@ class TestRunCommand:
             "fedavg_heterogeneous",
             "repeated_section",
             "repeated_json_key",
+            "seed_negative",
+            "seed_past_64_bits",
         ],
     )
     def test_range_error_names_its_section(self, tmp_path, capsys, monkeypatch, text, message):
@@ -957,6 +962,36 @@ class TestRunCommand:
         step = 3 * 30 * 3
         assert totals[2] - totals[1] == step
         assert totals[3] - totals[2] == step
+
+
+class TestArguments:
+    @pytest.mark.parametrize(
+        "argv, fragment",
+        [
+            (["run", "--config", str(SMOKE_FILE), "--bogus", "1"], "unrecognized arguments"),
+            (["run", "--config", str(SMOKE_FILE), "--seed", "3"], "unrecognized arguments"),
+            (["toy", "--num-seeds", "x"], "invalid int value"),
+            ([], "required: command"),
+            (["run"], "required: --config"),
+        ],
+        ids=["unknown_flag", "run_seed", "toy_num_seeds", "no_subcommand", "run_without_config"],
+    )
+    def test_exits_2_with_one_line(self, tmp_path, capsys, monkeypatch, argv, fragment):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error: fedckt")
+        assert fragment in captured.err
+        assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_run_help_exits_0_listing_config_and_out(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "-h"])
+        assert exc.value.code == 0
+        options = re.findall(r"^  (-[-\w]+)", capsys.readouterr().out, re.MULTILINE)
+        assert options == ["-h", "--config", "--out"]
 
 
 class TestTheoryCheckCommand:
@@ -1035,10 +1070,36 @@ class TestToyCommand:
         assert kinds == {"true", "fedavg", "uniform_kt", "clustered_kt"}
         # float cells parse cleanly
         float(lines[1].split(",")[3])
+        # each distance is its row's norm from the true row of its seed and client
+        true = {}
+        for line in lines[1:]:
+            seed, client, kind, w0, w1, dist = line.split(",")
+            w = np.array([float(w0), float(w1)])
+            if kind == "true":
+                true[seed, client] = w
+                assert dist == "0.0"
+            else:
+                assert float(dist) == float(np.linalg.norm(w - true[seed, client]))
 
     def test_nonpositive_num_seeds_exits_2(self, tmp_path, capsys):
         assert main(["toy", "--num-seeds", "0", "--out", str(tmp_path / "toy")]) == 2
         assert "config error: --num-seeds" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed, num_seeds", [(-1, 1), (2**64 - 1, 2), (2**64, 1)])
+    def test_seeds_outside_64_bits_exit_2(self, tmp_path, capsys, seed, num_seeds):
+        out = tmp_path / "toy"
+        argv = ["toy", "--seed", str(seed), "--num-seeds", str(num_seeds), "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"config error: --seed {seed} --num-seeds {num_seeds}: "
+            "seeds must lie in [0, 2**64)\n"
+        )
+        assert not out.exists()
+
+    def test_last_64_bit_seed_runs(self, tmp_path):
+        argv = ["toy", "--seed", str(2**64 - 2), "--num-seeds", "2", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        assert len((tmp_path / "toy.csv").read_text().splitlines()) == 1 + 4 * 3 * 2
 
 
 class TestShippedConfigs:
@@ -1066,23 +1127,11 @@ class TestPartitionStatsCommand:
             .replace("num_clients = 2", f"num_clients = {clients}")
             .replace("num_classes = 3", f"num_classes = {classes}")
             .replace("samples_per_class = 60", f"samples_per_class = {samples}")
+            .replace("seed = 42", f"seed = {seed}")
         )
         cfg = write(tmp_path, "part.toml", text)
         out = tmp_path / f"stats-{alpha}"
-        assert (
-            main(
-                [
-                    "run",
-                    "--config",
-                    str(cfg),
-                    "--out",
-                    str(out),
-                    "--seed",
-                    str(seed),
-                ]
-            )
-            == 0
-        )
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
         return json.loads((out / "partition_stats.json").read_text())
 
     def test_uniform_limit(self, tmp_path):
@@ -1105,12 +1154,14 @@ class TestPartitionStatsCommand:
             .replace("alpha = 10.0", "alpha = 0.5")
             .replace("num_clients = 2", "num_clients = 6")
             .replace("num_classes = 3", "num_classes = 4")
+            .replace("seed = 42", "seed = 3")
         )
         cfg = write(tmp_path, "pop.toml", text)
         out = tmp_path / "stats"
-        assert main(["run", "--config", str(cfg), "--out", str(out), "--seed", "3"]) == 0
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
         stats = json.loads((out / "partition_stats.json").read_text())
-        run_cfg = load_config(cfg, seed_override=3)
+        run_cfg = load_config(cfg)
+        assert run_cfg.seed == 3
         records, _ = build_population(run_cfg.data, run_cfg.models, run_cfg.seed)
         assert len(stats["clients"]) == len(records)
         active = [r for r in records if r.bundle.active]
