@@ -21,7 +21,6 @@ def _sq_norms(rows: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class CentroidSet:
     centroids: np.ndarray  # (c, L)
-    member_counts: tuple[int, ...]
     objective_trace: tuple[float, ...] = ()  # per-iteration Lloyd objective
     # (c,) squared centroid norms, computed once for every assign_nearest
     norms: np.ndarray = field(init=False, repr=False, compare=False)
@@ -67,7 +66,7 @@ def _kmeanspp_init(
         chosen.append(nxt)
         pick = points[nxt][None, :]
         d2 = np.minimum(d2, _sq_dists(points, p2, pick, _sq_norms(pick))[:, 0])
-    return points[chosen].copy()
+    return points[chosen]  # list indexing copies
 
 
 def cmeans_fit(points: np.ndarray, c: int, seed: int) -> tuple[CentroidSet, np.ndarray]:
@@ -79,7 +78,8 @@ def cmeans_fit(points: np.ndarray, c: int, seed: int) -> tuple[CentroidSet, np.n
     LLOYD_MAX_ITERS iterations.
     Empty clusters are repaired by reassigning the point farthest from its
     own centroid (drawn from a cluster with at least two members), which
-    keeps the objective non-increasing across iterations.
+    keeps the objective non-increasing across iterations. The returned
+    arrays share no memory with `points`, which the caller may overwrite.
     """
     m = len(points)
     rng = substream(seed, "cmeans")
@@ -111,13 +111,7 @@ def cmeans_fit(points: np.ndarray, c: int, seed: int) -> tuple[CentroidSet, np.n
         if move <= LLOYD_TOL:
             break
 
-    counts = np.bincount(assign, minlength=c)
-    centroid_set = CentroidSet(
-        centroids=centroids,
-        member_counts=tuple(int(x) for x in counts),
-        objective_trace=tuple(trace),
-    )
-    return centroid_set, assign
+    return CentroidSet(centroids=centroids, objective_trace=tuple(trace)), assign
 
 
 def assign_nearest(logit_vec: np.ndarray, centroids: CentroidSet) -> int:

@@ -267,7 +267,10 @@ def run_rounds(
 
     - perfed_ckt clusters the uploaded full-pool logits; next round each
       client distils toward its nearest centroid. Round 0 clusters a
-      bootstrap sample's initial models, uncharged.
+      bootstrap sample's initial models, uncharged. The logits live in one
+      (m, |P|·N) buffer: once a round's fit has read it (cmeans_fit's
+      centroids share no memory with their points), each upload overwrites
+      the next row, and the next fit reads the filled rows.
     - fedavg averages the returned parameters by data share and broadcasts
       them: every active record holds the global model throughout.
     - local does nothing and charges nothing.
@@ -306,7 +309,7 @@ def run_rounds(
         if perfed:
             boot = sample_clients(weights, m, substream(config.seed, "select", "bootstrap"))
             # one flattened logit row per client, in client-id order
-            stack = np.stack(
+            stack = rows = np.stack(
                 _per_client(
                     lambda r: forward_logits(r.spec, r.params, pool).ravel(),
                     sorted((active[p] for p in boot), key=lambda r: r.id),
@@ -330,14 +333,15 @@ def run_rounds(
             if eval_round and perfed:  # perfed monitors the start-of-round state
                 grad_norms = _per_client(monitor, active)
 
-            uploaded: list[tuple[ClientRecord, np.ndarray]] = []
+            uploaded: list[ClientRecord] = []
             for rec in selected:
                 try:
                     if perfed:
                         sbar = _nearest_centroid(rec, pool, centroids)
                         rec.params, upload = client_local_round(rec, sbar, pool, config, t)
+                        rows[len(uploaded)] = upload.ravel()
                     else:
-                        rec.params = upload = _local_sgd_steps(rec, config, t)
+                        rec.params = _local_sgd_steps(rec, config, t)
                 except NumericError:
                     diverged.append((rec.id, t))
                     if not fedavg:
@@ -345,16 +349,16 @@ def run_rounds(
                             rec.spec, derive_seed(config.seed, "reinit", rec.id, t)
                         )
                 else:
-                    uploaded.append((rec, upload))
+                    uploaded.append(rec)
                     rec.last_selected_round = t
             ledger.uplink_scalars += len(uploaded) * payload
 
             if perfed and uploaded:
-                stack = np.stack([logits.ravel() for _, logits in uploaded])
+                stack = rows[: len(uploaded)]
             elif fedavg and uploaded:
-                total = sum(r.bundle.p_k for r, _ in uploaded)
+                total = sum(r.bundle.p_k for r in uploaded)
                 _broadcast_average(
-                    active, [r.bundle.p_k / total for r, _ in uploaded], [w for _, w in uploaded]
+                    active, [r.bundle.p_k / total for r in uploaded], [r.params for r in uploaded]
                 )
 
             if eval_round:

@@ -137,7 +137,9 @@ def _backprop_scores(spec, params, inputs, hidden, w2, score_grad):
         return grad
     gw1, gb1, gw2, gb2 = _unpack(spec, grad)
     d_hidden = score_grad @ w2.T
-    d_hidden *= 1.0 - hidden * hidden
+    slope = hidden * hidden  # tanh' = 1 - hidden^2, formed in place
+    np.subtract(1.0, slope, out=slope)
+    d_hidden *= slope
     np.matmul(inputs.T, d_hidden, out=gw1)
     np.add.reduce(d_hidden, axis=0, out=gb1)
     np.matmul(hidden.T, score_grad, out=gw2)

@@ -144,8 +144,8 @@ def _reference_sq_dists(points, centroids):
 def reference_cmeans_fit(points, c, seed=0):
     """k-means++ seeding and Lloyd's iterations written plainly, every
     squared norm recomputed at each use: the bitwise reference for
-    clustering.cmeans_fit. Returns the centroids, the assignment, the
-    member counts and the objective trace."""
+    clustering.cmeans_fit. Returns the centroids, the assignment and the
+    objective trace."""
     m = len(points)
     rng = substream(seed, "cmeans")
     chosen = [int(rng.integers(m))]
@@ -183,8 +183,7 @@ def reference_cmeans_fit(points, c, seed=0):
         trace.append(float(np.einsum("ij,ij->", diffs, diffs)))
         if move <= LLOYD_TOL:
             break
-    counts = np.bincount(assign, minlength=c)
-    return centroids, assign, tuple(int(x) for x in counts), tuple(trace)
+    return centroids, assign, tuple(trace)
 
 
 def reference_assign_nearest(vec, centroids):

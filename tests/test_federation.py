@@ -1,13 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from fedckt import federation
 from fedckt.clustering import cmeans_fit, assign_nearest
 from fedckt.data import (
     ClientDataBundle,
     RawDataset,
     assign_data_fractions,
 )
-from fedckt.errors import ConfigurationError
+from fedckt.errors import ConfigurationError, NumericError
 from fedckt.federation import (
     ClientRecord,
     FederationConfig,
@@ -489,3 +492,60 @@ class TestDivergence:
         assert result.diverged, "exploding step size must be detected"
         assert result.error is None, "caught in training, not in evaluation"
         assert np.all(np.isfinite(records[0].params))
+
+
+class TestLogitBuffer:
+    def test_next_fit_reads_the_surviving_uploads_in_id_order(self, monkeypatch):
+        # round 1 drops its second client, round 2 drops every client
+        records, pool = make_population(num_clients=5, seed=51)
+        cfg = config(rounds=4, num_selected=3, seed=13)
+        fit_inputs, uploads = [], {t: [] for t in range(cfg.rounds)}
+        calls = {t: 0 for t in range(cfg.rounds)}
+        real_fit, real_round = federation.cmeans_fit, federation.client_local_round
+
+        def recording_fit(points, c, seed):
+            fit_inputs.append(points.copy())
+            return real_fit(points, c, seed)
+
+        def failing_round(rec, sbar, pool, config, t):
+            calls[t] += 1
+            if t == 2 or (t == 1 and calls[t] == 2):
+                raise NumericError("injected")
+            params, logits = real_round(rec, sbar, pool, config, t)
+            uploads[t].append((rec.id, logits.ravel().copy()))
+            return params, logits
+
+        monkeypatch.setattr(federation, "cmeans_fit", recording_fit)
+        monkeypatch.setattr(federation, "client_local_round", failing_round)
+        result = run_rounds("perfed_ckt", records, pool, cfg)
+
+        assert [len(uploads[t]) for t in range(cfg.rounds)] == [3, 2, 0, 3]
+        assert len(result.diverged) == 4 and result.error is None
+        for t in (0, 1):
+            ids = [cid for cid, _ in uploads[t]]
+            assert ids == sorted(ids)
+            expected = np.stack([row for _, row in uploads[t]])
+            assert np.array_equal(fit_inputs[t + 1], expected)
+        # a round without uploads leaves the next fit round 1's rows
+        assert np.array_equal(fit_inputs[3], fit_inputs[2])
+
+    def test_perfed_round_holds_one_logit_buffer(self):
+        # perfed_dirichlet100's shape: 10 uploads of a 2000 x 10 pool block.
+        # The peak is a fit's: the buffer plus cmeans_fit's own working set
+        # (under 1.6 buffers, see test_clustering.TestMemory), measured at
+        # 2.81 buffers. Keeping the previous round's uploads alive next to
+        # their stack, as a list of logit matrices, measured 3.71.
+
+        # a process's first run imports numpy.ma (np.median), about 1 MB
+        run_rounds("perfed_ckt", *make_population(num_clients=2, num_classes=10), config())
+        records, _ = make_population(num_clients=10, num_classes=10, train=40)
+        pool = substream(217).normal(size=(2000, 2))
+        cfg = config(rounds=3, local_iters=1, num_clusters=3, num_selected=10)
+        buffer_bytes = 10 * len(pool) * 10 * 8
+        tracemalloc.start()
+        try:
+            run_rounds("perfed_ckt", records, pool, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.25 * buffer_bytes, peak / buffer_bytes
