@@ -102,9 +102,12 @@ def cmeans_fit(points: np.ndarray, c: int, seed: int) -> tuple[CentroidSet, np.n
             counts[assign[far]] -= 1
             assign[far] = j
             counts[j] += 1
-        new_centroids = np.empty_like(centroids)
-        for j in range(c):
-            new_centroids[j] = points[assign == j].mean(axis=0)
+        # .mean(axis=0) without copying rows: from zeros, in row order (L >= 2;
+        # numpy sums a lone column pairwise), then one division by the count
+        new_centroids = np.zeros_like(centroids)
+        for i, j in enumerate(assign.tolist()):
+            new_centroids[j] += points[i]
+        new_centroids /= counts[:, None]
         move = float(np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max())
         centroids = new_centroids
         trace.append(float(_objective(points, centroids, assign)))

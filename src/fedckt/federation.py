@@ -114,11 +114,13 @@ class RunResult:
 def sample_clients(weights: np.ndarray, m: int, rng: np.random.Generator) -> list[int]:
     """m successive draws without replacement, each proportional to the
     remaining weights; positions into the weights array, in draw order.
-    run_rounds guarantees m <= len(weights) and positive weights."""
+    run_rounds guarantees m <= len(weights) and positive weights. Each pick
+    is rng.choice(n, p=weights / weights.sum())'s, from its cdf unvalidated."""
     weights = np.asarray(weights, dtype=np.float64).copy()
     chosen: list[int] = []
     for _ in range(m):
-        pick = int(rng.choice(weights.size, p=weights / weights.sum()))
+        cdf = (weights / weights.sum()).cumsum()
+        pick = int((cdf / cdf[-1]).searchsorted(rng.random(), side="right"))
         chosen.append(pick)
         weights[pick] = 0.0
     return chosen
@@ -228,11 +230,19 @@ def _metrics_row(round_index, accuracies, grad_norms, ledger) -> RoundMetrics:
         mean_accuracy=float(accuracies.mean()),
         std_accuracy=float(accuracies.std()),
         grad_norm_mean=float(norms.mean()),
-        grad_norm_median=float(np.median(norms)),
+        grad_norm_median=_median(norms),
         grad_norm_max=float(norms.max()),
         uplink_scalars=ledger.uplink_scalars,
         downlink_scalars=ledger.downlink_scalars,
     )
+
+
+def _median(values: np.ndarray) -> float:
+    """np.median of non-empty norms without its NaN check, which imports
+    numpy.ma (np.sort puts NaN last); bitwise but for the sign of a 0.0 tie."""
+    s, h = np.sort(values), len(values) // 2
+    mid = s[h] if len(s) % 2 else (s[h - 1] + s[h]) / 2.0
+    return float(s[-1] if np.isnan(s[-1]) else mid)
 
 
 def _nearest_centroid(rec, pool, centroids) -> np.ndarray:

@@ -143,12 +143,13 @@ def ridge_codistill_system(
 
 def ridge_codistill_solve(lhs: np.ndarray, rhs: np.ndarray, lam: float) -> np.ndarray:
     """General-matrix minimizer lhs^{-1} rhs of one ridge/co-distillation
-    system; `lam` only names the system in a NumericError."""
+    system, for one (d,) `rhs`; `lam` only names it in a NumericError. At
+    d <= 4 checking finiteness over Python floats beats a numpy reduction."""
     try:
         solution = np.linalg.solve(lhs, rhs)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"singular ridge system (lambda={lam})") from exc
-    if not np.isfinite(solution).all():
+    if not all(map(math.isfinite, solution.tolist())):
         raise NumericError(f"non-finite ridge solution (lambda={lam})")
     return solution
 

@@ -1,10 +1,10 @@
 """Shared independent oracles for the test suite: finite differences,
 exhaustive scans, brute-force Gaussian conditioning, and out-of-place
-copies of the model kernels and of k-means, which the package's kernels
-must match bitwise. These stay deliberately naive and separate from the
-implementation paths they check. Also the Gaussian-blob data the tests
-train on, and a reader for the checkpoint files the package writes but
-does not read."""
+copies of the model kernels, of k-means and of client sampling, which the
+package's kernels must match bitwise. These stay deliberately naive and
+separate from the implementation paths they check. Also the Gaussian-blob
+data the tests train on, and a reader for the checkpoint files the package
+writes but does not read."""
 
 import itertools
 import json
@@ -189,6 +189,18 @@ def reference_cmeans_fit(points, c, seed=0):
 def reference_assign_nearest(vec, centroids):
     """clustering.assign_nearest with the centroid norms recomputed."""
     return int(_reference_sq_dists(vec[None, :], centroids)[0].argmin())
+
+
+def reference_sample_clients(weights, m, rng):
+    """federation.sample_clients through rng.choice with p=, which validates
+    p and then draws from the same cdf: the bitwise reference."""
+    weights = np.asarray(weights, dtype=np.float64).copy()
+    chosen = []
+    for _ in range(m):
+        pick = int(rng.choice(weights.size, p=weights / weights.sum()))
+        chosen.append(pick)
+        weights[pick] = 0.0
+    return chosen
 
 
 def exhaustive_nearest(vec, centroids):

@@ -922,6 +922,29 @@ class TestRunCommand:
         assert "diverged clients" in proc.stderr
         assert "RuntimeWarning" not in proc.stderr
 
+    @pytest.mark.parametrize("algorithm", ["perfed_ckt", "fedavg"])
+    def test_run_leaves_numpy_ma_unimported(self, tmp_path, algorithm):
+        # a fresh interpreter, as the test process has numpy.ma already:
+        # np.median's NaN check imports it (about 11 ms), the run must not
+        text = SMOKE_FILE.read_text().replace('"perfed_ckt"', f'"{algorithm}"')
+        cfg = write(tmp_path, "smoke.toml", text)
+        out = tmp_path / "out"
+        code = (
+            "import sys; from fedckt.cli import main; "
+            f"assert main(['run', '--config', {str(cfg)!r}, '--out', {str(out)!r}]) == 0; "
+            "print('numpy.ma' in sys.modules)"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=str(SRC_DIR)),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "False"
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["final"]["grad_norm_median"] > 0.0
+
     def test_int_accepted_for_float_field(self, tmp_path):
         cfg = write(tmp_path, "intlr.toml", SMOKE_TOML.replace("lr = 0.05", "lr = 0"))
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0

@@ -205,6 +205,19 @@ class TestReference:
             _, assignment = self.assert_fit_matches(stack, 5, seed)
             assert np.bincount(assignment, minlength=5).min() >= 1
 
+    def test_centroid_update_matches_mean_bitwise(self):
+        # the update adds a cluster's rows to zeros in row order and divides
+        # once, as .mean(axis=0) does: entries over 30 binades make the
+        # order of the additions show, and all-(-0.0) columns a start from
+        # the first row instead of +0.0
+        rng = substream(217)
+        for seed in range(4):
+            stack = rng.normal(size=(40, 300)) * 2.0 ** rng.integers(-15, 15, size=(40, 300))
+            stack[:, :5] = -0.0
+            fit, _ = cmeans_fit(stack, 3, seed=seed)
+            centroids, _, _ = reference_cmeans_fit(stack, 3, seed=seed)
+            assert fit.centroids.tobytes() == centroids.tobytes()
+
     def assert_assign_matches(self, fit, vectors):
         for vec in vectors:
             pick = assign_nearest(vec, fit)
@@ -246,10 +259,10 @@ class TestReference:
 class TestMemory:
     def test_fit_holds_no_second_copy_of_the_stack(self):
         # perfed_dirichlet100's shape, the stack allocated before tracing
-        # starts. Besides the centroids a fit holds at most one (m, L)
-        # array: the objective's gathered centroids, overwritten in place,
-        # or one cluster's rows in the update. Subtracting into a fresh
-        # array in the objective holds a second one (2.3x)
+        # starts. Besides the centroids a fit holds one (m, L) array, the
+        # objective's gathered centroids, overwritten in place (1.30x).
+        # Copying a cluster's rows in the update (1.50x at seed 2) or
+        # subtracting into a fresh array in the objective (2.3x) fails
         rng = substream(216)
         for seed in range(3):
             stack = logit_stack(rng, 10, 2000)
@@ -259,7 +272,7 @@ class TestMemory:
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            assert peak < 1.6 * stack.nbytes, (seed, peak / stack.nbytes)
+            assert peak < 1.4 * stack.nbytes, (seed, peak / stack.nbytes)
 
     @pytest.mark.parametrize(
         "stack, c",

@@ -32,7 +32,7 @@ from fedckt.models import (
 )
 from fedckt.rng import substream
 
-from helpers import blobs, finite_difference_gradient
+from helpers import blobs, finite_difference_gradient, reference_sample_clients
 
 
 def make_bundle(num_classes=3, dim=2, train=30, val=6, test=30, seed=0, separation=4.0):
@@ -96,6 +96,20 @@ class TestSampleClients:
             light += 9 in picks
         assert heavy > light * 2
 
+    def test_matches_choice_with_p_bitwise(self):
+        # the same picks as rng.choice(n, p=...) and the stream left in the
+        # same state, over weights spanning 12 binades
+        rng = substream(218)
+        for case in range(300):
+            n = int(rng.integers(1, 40))
+            weights = rng.uniform(0.01, 1.0, n) * 10.0 ** rng.integers(-6, 6, n)
+            m = int(rng.integers(1, n + 1))
+            got_rng, want_rng = substream(218, case), substream(218, case)
+            assert sample_clients(weights, m, got_rng) == reference_sample_clients(
+                weights, m, want_rng
+            )
+            assert got_rng.random() == want_rng.random()
+
     def test_oversized_request_rejected(self):
         # run_rounds refuses it at setup; local takes every active client
         for algorithm in ("perfed_ckt", "fedavg"):
@@ -107,6 +121,22 @@ class TestSampleClients:
                 run_rounds(algorithm, records, pool, config(num_selected=3, num_clusters=1))
         records, pool = make_population(num_clients=2)
         run_rounds("local", records, pool, config(rounds=1, num_selected=3))
+
+
+class TestMedian:
+    def test_matches_np_median_bitwise(self):
+        # gradient norms: non-negative, ties, +inf and NaN at every length
+        rng = substream(219)
+        for n in range(1, 41):
+            for case in range(25):
+                values = rng.choice([0.0, 0.5, 2.0, np.inf, np.nan], size=n)
+                if case % 2:
+                    values = rng.exponential(size=n)
+                    values[rng.integers(n)] = [0.0, np.inf, np.nan][case % 3]
+                got, want = federation._median(values), np.median(values)
+                assert np.float64(got).tobytes() == want.tobytes() or (
+                    np.isnan(got) and np.isnan(want)
+                ), (values, got, want)
 
 
 class TestLrSchedule:
@@ -532,12 +562,11 @@ class TestLogitBuffer:
     def test_perfed_round_holds_one_logit_buffer(self):
         # perfed_dirichlet100's shape: 10 uploads of a 2000 x 10 pool block.
         # The peak is a fit's: the buffer plus cmeans_fit's own working set
-        # (under 1.6 buffers, see test_clustering.TestMemory), measured at
-        # 2.81 buffers. Keeping the previous round's uploads alive next to
-        # their stack, as a list of logit matrices, measured 3.71.
-
-        # a process's first run imports numpy.ma (np.median), about 1 MB
-        run_rounds("perfed_ckt", *make_population(num_clients=2, num_classes=10), config())
+        # (under 1.4 buffers, see test_clustering.TestMemory), measured at
+        # 2.71 buffers. Keeping the previous round's uploads alive next to
+        # their stack, as a list of logit matrices, measured 3.71. No warm-up
+        # run: a process's first run reads the same as a later one, since
+        # the metrics median no longer imports numpy.ma (about 1 MB).
         records, _ = make_population(num_clients=10, num_classes=10, train=40)
         pool = substream(217).normal(size=(2000, 2))
         cfg = config(rounds=3, local_iters=1, num_clusters=3, num_selected=10)

@@ -217,6 +217,21 @@ class TestRidgeMinimizer:
             with pytest.raises(NumericError, match="non-finite ridge solution"):
                 theory.ridge_codistill_solve(np.eye(2), np.array([bad, 1.0]), 1.0)
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_entry_anywhere_raises_numeric_error(self, monkeypatch, d, bad):
+        # the solver hands back a finite solution but for one entry, so the
+        # check must read every position, the last one included
+        for position in range(d):
+            solution = np.arange(1.0, d + 1.0)
+            solution[position] = bad
+            monkeypatch.setattr(np.linalg, "solve", lambda a, b, s=solution: s.copy())
+            with pytest.raises(NumericError, match="non-finite ridge solution"):
+                theory.ridge_codistill_solve(np.eye(d), np.ones(d), 1.0)
+        monkeypatch.undo()
+        finite = theory.ridge_codistill_solve(np.eye(d), np.ones(d), 1.0)
+        assert finite.tobytes() == np.ones(d).tobytes()
+
 
 class TestPosterior:
     def test_scalar_matches_matrix_form(self):
