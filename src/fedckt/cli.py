@@ -208,8 +208,9 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         # numeric failures are reported by the checks that raise
-        # NumericError, not by numpy's RuntimeWarnings; np.linalg sets its
-        # own errstate, so singular systems still raise
+        # NumericError, not by numpy's RuntimeWarnings;
+        # theory.ridge_codistill_solve sets its own errstate, so singular
+        # systems still raise
         with np.errstate(all="ignore"):
             return args.func(args)
     except ConfigurationError as exc:

@@ -166,6 +166,15 @@ def label_entropy(data: RawDataset) -> float:
     return float(-(p * np.log(p)).sum())
 
 
+def _median(values) -> float:
+    """np.median of a non-empty 1-D sequence, bit for bit, without its NaN
+    check, which imports numpy.ma (np.sort puts NaN last). np.median sums
+    the middle entries from +0.0, so a -0.0 middle reads +0.0 here too."""
+    s, h = np.sort(values), len(values) // 2
+    mid = 0.0 + s[h] if len(s) % 2 else (0.0 + s[h - 1] + s[h]) / 2.0
+    return float(s[-1] if np.isnan(s[-1]) else mid)
+
+
 def partition_summary(shards: list[RawDataset]) -> dict:
     """Per-client label histograms plus imbalance metrics, JSON-ready."""
     sizes = np.array([len(s) for s in shards], dtype=np.int64)
@@ -187,6 +196,6 @@ def partition_summary(shards: list[RawDataset]) -> dict:
             float(populated.max() / populated.min()) if populated.size else math.nan
         ),
         "mean_label_entropy": float(np.mean(filled)) if filled else 0.0,
-        "median_label_entropy": float(np.median(filled)) if filled else 0.0,
+        "median_label_entropy": _median(filled) if filled else 0.0,
         "empty_shards": int((sizes == 0).sum()),
     }

@@ -106,8 +106,7 @@ def _assign_specs(bundles, model_cfg: ModelConfig, dim: int, num_classes: int):
         hidden=model_cfg.hidden_small,
         init_scale=model_cfg.init_scale,
     )
-    shares = np.array([b.p_k for b in bundles])
-    lo, hi = np.quantile(shares[shares > 0], [1 / 3, 2 / 3])
+    lo, hi = _terciles([b.p_k for b in bundles if b.p_k > 0])
     specs = []
     for b in bundles:
         if not b.active or b.p_k <= lo:
@@ -117,6 +116,23 @@ def _assign_specs(bundles, model_cfg: ModelConfig, dim: int, num_classes: int):
         else:
             specs.append(big)
     return specs
+
+
+def _terciles(shares: list[float]) -> tuple[float, float]:
+    """np.quantile(shares, [1/3, 2/3]) of non-empty finite shares, bit for
+    bit: numpy's "linear" interpolation over the sorted shares, without
+    np.quantile's np.unique, which imports numpy.ma."""
+    s, n = sorted(shares), len(shares)
+
+    def cut(q):
+        v = (n - 1) * q
+        if v >= n - 1:
+            return s[-1]
+        i = math.floor(v)
+        g, a, b = v - i, s[i], s[i + 1]
+        return b - (b - a) * (1 - g) if g >= 0.5 else a + (b - a) * g
+
+    return cut(1 / 3), cut(2 / 3)
 
 
 def _population_shards(data_cfg: DataConfig, master_seed: int):

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .clustering import assign_nearest, cmeans_fit
-from .data import ClientDataBundle, minibatch
+from .data import ClientDataBundle, _median, minibatch
 from .errors import ConfigurationError, NumericError
 from .models import (
     ModelSpec,
@@ -235,14 +235,6 @@ def _metrics_row(round_index, accuracies, grad_norms, ledger) -> RoundMetrics:
         uplink_scalars=ledger.uplink_scalars,
         downlink_scalars=ledger.downlink_scalars,
     )
-
-
-def _median(values: np.ndarray) -> float:
-    """np.median of non-empty norms without its NaN check, which imports
-    numpy.ma (np.sort puts NaN last); bitwise but for the sign of a 0.0 tie."""
-    s, h = np.sort(values), len(values) // 2
-    mid = s[h] if len(s) % 2 else (s[h - 1] + s[h]) / 2.0
-    return float(s[-1] if np.isnan(s[-1]) else mid)
 
 
 def _nearest_centroid(rec, pool, centroids) -> np.ndarray:

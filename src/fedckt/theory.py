@@ -29,9 +29,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import NumericError
 from .rng import substream
+
+# the gufunc np.linalg.solve dispatches to for a 1-D rhs: the same LAPACK
+# gesv on the same float64 operands, without the wrapper's per-call Python
+# validation, which costs more than the solve itself at d <= 4
+_solve1 = _umath_linalg.solve1
 
 THETA_BOX = 10.0  # flat-prior stand-in: theta ~ Uniform(-THETA_BOX, THETA_BOX)^d
 
@@ -143,11 +149,15 @@ def ridge_codistill_system(
 
 def ridge_codistill_solve(lhs: np.ndarray, rhs: np.ndarray, lam: float) -> np.ndarray:
     """General-matrix minimizer lhs^{-1} rhs of one ridge/co-distillation
-    system, for one (d,) `rhs`; `lam` only names it in a NumericError. At
-    d <= 4 checking finiteness over Python floats beats a numpy reduction."""
+    system, for one (d,) float64 `rhs`; `lam` only names it in a
+    NumericError. Bitwise np.linalg.solve(lhs, rhs). A singular lhs sets
+    the invalid flag, raised here whatever the caller's errstate, as
+    np.linalg.solve does. At d <= 4 checking finiteness over Python floats
+    beats a numpy reduction."""
     try:
-        solution = np.linalg.solve(lhs, rhs)
-    except np.linalg.LinAlgError as exc:
+        with np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore"):
+            solution = _solve1(lhs, rhs, signature="dd->d")
+    except FloatingPointError as exc:
         raise NumericError(f"singular ridge system (lambda={lam})") from exc
     if not all(map(math.isfinite, solution.tolist())):
         raise NumericError(f"non-finite ridge solution (lambda={lam})")

@@ -54,6 +54,7 @@ SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 SMOKE_FILE = Path(__file__).resolve().parents[1] / "configs/smoke.toml"
 THEORY_FILE = Path(__file__).resolve().parents[1] / "configs/theory_check.toml"
 DIRICHLET_FILE = Path(__file__).resolve().parents[1] / "configs/dirichlet_perfed.toml"
+PARTITION_FILE = Path(__file__).resolve().parents[1] / "configs/partition_stats.toml"
 
 THEORY_TOML = """
 [run]
@@ -922,12 +923,25 @@ class TestRunCommand:
         assert "diverged clients" in proc.stderr
         assert "RuntimeWarning" not in proc.stderr
 
-    @pytest.mark.parametrize("algorithm", ["perfed_ckt", "fedavg"])
-    def test_run_leaves_numpy_ma_unimported(self, tmp_path, algorithm):
+    @pytest.mark.parametrize(
+        "case", ["perfed_ckt", "fedavg", "heterogeneous", "partition_stats", "theory_check"]
+    )
+    def test_run_leaves_numpy_ma_unimported(self, tmp_path, case):
         # a fresh interpreter, as the test process has numpy.ma already:
-        # np.median's NaN check imports it (about 11 ms), the run must not
-        text = SMOKE_FILE.read_text().replace('"perfed_ckt"', f'"{algorithm}"')
-        cfg = write(tmp_path, "smoke.toml", text)
+        # np.median's NaN check and np.quantile's np.unique import it
+        # (about 11 ms), no run may
+        smoke = SMOKE_FILE.read_text()
+        text, output = {
+            "perfed_ckt": (smoke, "summary.json"),
+            "fedavg": (smoke.replace('"perfed_ckt"', '"fedavg"'), "summary.json"),
+            "heterogeneous": (
+                smoke.replace('"softmax_linear"', '"heterogeneous"'),
+                "summary.json",
+            ),
+            "partition_stats": (PARTITION_FILE.read_text(), "partition_stats.json"),
+            "theory_check": (THEORY_TOML.format(extra=""), "theory_report.json"),
+        }[case]
+        cfg = write(tmp_path, "run.toml", text)
         out = tmp_path / "out"
         code = (
             "import sys; from fedckt.cli import main; "
@@ -942,8 +956,9 @@ class TestRunCommand:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "False"
-        summary = json.loads((out / "summary.json").read_text())
-        assert summary["final"]["grad_norm_median"] > 0.0
+        report = json.loads((out / output).read_text())
+        if output == "summary.json":
+            assert report["final"]["grad_norm_median"] > 0.0
 
     def test_int_accepted_for_float_field(self, tmp_path):
         cfg = write(tmp_path, "intlr.toml", SMOKE_TOML.replace("lr = 0.05", "lr = 0"))
@@ -1048,18 +1063,20 @@ class TestTheoryCheckCommand:
 
     @pytest.mark.parametrize("case", ["singular", "non_finite_solution", "non_finite_loss"])
     def test_numeric_failure_in_oracle_exits_3(self, tmp_path, capsys, monkeypatch, case):
-        def singular(a, b):
-            raise np.linalg.LinAlgError("Singular matrix")
+        real_solve1 = theory._solve1
 
-        def nan_solution(a, b):
+        def singular(a, b, signature):
+            return real_solve1(np.zeros_like(a), b, signature=signature)
+
+        def nan_solution(a, b, signature):
             return np.full(np.shape(b), np.nan)
 
         def huge(lhs, rhs, lam):
             return np.full(np.shape(rhs), 1e200)
 
         target, name, stand_in, message = {
-            "singular": (np.linalg, "solve", singular, "singular ridge system"),
-            "non_finite_solution": (np.linalg, "solve", nan_solution, "non-finite ridge solution"),
+            "singular": (theory, "_solve1", singular, "singular ridge system"),
+            "non_finite_solution": (theory, "_solve1", nan_solution, "non-finite ridge solution"),
             "non_finite_loss": (theory, "ridge_codistill_solve", huge, "non-finite oracle loss"),
         }[case]
         monkeypatch.setattr(target, name, stand_in)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fedckt.data
 from fedckt.data import (
     RawDataset,
     assign_data_fractions,
@@ -226,6 +227,26 @@ class TestMinibatch:
         p = batch / n
         sigma = np.sqrt(trials * p * (1 - p))
         assert np.all(np.abs(counts - trials * p) <= 3 * sigma)
+
+
+class TestMedian:
+    def test_matches_np_median_bitwise(self):
+        # gradient norms and label entropies (-0.0 for one-class shards):
+        # ties, +-0.0, +inf and NaN at every length, as arrays and lists
+        rng = substream(219)
+        for n in range(1, 41):
+            for case in range(30):
+                values = rng.choice([0.0, -0.0, 0.5, 2.0, np.inf, np.nan], size=n)
+                if case % 3 == 1:
+                    values = rng.exponential(size=n)
+                    values[rng.integers(n)] = [0.0, np.inf, np.nan][case // 3 % 3]
+                elif case % 3 == 2:
+                    values = np.where(rng.random(n) < 0.5, -0.0, rng.exponential(size=n))
+                want = np.median(values)
+                for got in (fedckt.data._median(values), fedckt.data._median(values.tolist())):
+                    assert np.float64(got).tobytes() == want.tobytes() or (
+                        np.isnan(got) and np.isnan(want)
+                    ), (values, got, want)
 
 
 class TestSerialization:

@@ -17,7 +17,7 @@ from fedckt.experiment import (
 )
 from fedckt.federation import RoundMetrics
 from fedckt.models import ARCH_MLP, ARCH_SOFTMAX, param_count
-from fedckt.rng import derive_seed
+from fedckt.rng import derive_seed, substream
 from fedckt.runconfig import config_from_sections
 
 from helpers import read_checkpoints
@@ -105,6 +105,21 @@ class TestBuildPopulation:
             for j in range(i + 1, len(order))
         )
         assert {r.spec.arch for r in active} <= {ARCH_SOFTMAX, ARCH_MLP}
+
+    def test_terciles_match_np_quantile_bitwise(self):
+        # shares as build_population makes them (train size / total), with
+        # ties, and Dirichlet draws spanning several binades
+        rng = substream(91)
+        for n in range(1, 201):
+            for case in range(6):
+                if case % 2:
+                    shares = rng.dirichlet(np.full(n, 0.1 * case))
+                else:
+                    sizes = rng.integers(1, 3 + 4 * case, size=n)
+                    shares = sizes / sizes.sum()
+                want = np.quantile(shares, [1 / 3, 2 / 3])
+                got = np.array(fedckt.experiment._terciles(list(shares)))
+                assert got.tobytes() == want.tobytes(), (shares, got, want)
 
     def test_two_group_label_supports_disjoint(self):
         cfg = small_data_cfg(

@@ -123,22 +123,6 @@ class TestSampleClients:
         run_rounds("local", records, pool, config(rounds=1, num_selected=3))
 
 
-class TestMedian:
-    def test_matches_np_median_bitwise(self):
-        # gradient norms: non-negative, ties, +inf and NaN at every length
-        rng = substream(219)
-        for n in range(1, 41):
-            for case in range(25):
-                values = rng.choice([0.0, 0.5, 2.0, np.inf, np.nan], size=n)
-                if case % 2:
-                    values = rng.exponential(size=n)
-                    values[rng.integers(n)] = [0.0, np.inf, np.nan][case % 3]
-                got, want = federation._median(values), np.median(values)
-                assert np.float64(got).tobytes() == want.tobytes() or (
-                    np.isnan(got) and np.isnan(want)
-                ), (values, got, want)
-
-
 class TestLrSchedule:
     def test_robbins_monro_values(self):
         cfg = config(lr=0.5, lr_mode="robbins_monro", lr_decay=0.01)

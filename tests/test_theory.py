@@ -208,8 +208,45 @@ class TestRidgeMinimizer:
             assert got.tobytes() == want.tobytes()
 
     def test_singular_system_raises_numeric_error(self):
-        with pytest.raises(NumericError, match="singular ridge system"):
-            theory.ridge_codistill_solve(np.zeros((2, 2)), np.ones(2), 0.0)
+        # under numpy's default errstate and under the CLI's all="ignore"
+        for policy in ({}, {"all": "ignore"}):
+            with np.errstate(**policy):
+                with pytest.raises(NumericError, match="singular ridge system"):
+                    theory.ridge_codistill_solve(np.zeros((2, 2)), np.ones(2), 0.0)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_solve_matches_np_linalg_solve_bitwise(self, d):
+        # the solve1 gufunc called directly must give np.linalg.solve's bits
+        # on general, SPD and the shipped tasks' (lambda, alpha) systems
+        rng = substream(23, "solve-fact", d)
+        systems = []
+        for _ in range(200):
+            a = rng.normal(size=(d, d))
+            systems.append((a, rng.normal(size=d)))
+            systems.append((a @ a.T + 1e-3 * np.eye(d), rng.normal(size=d)))
+        if d > 1:
+            task, k, cfg, _ = shipped_task(d - 2)
+            what = all_ols(task)
+            xtx = task.designs[k].T @ task.designs[k]
+            ptp = task.public_design.T @ task.public_design
+            closed = closed_form_lambda_alpha(task, k)
+            lam_grid = lambda_grid_around(
+                closed.lambda_star, cfg.theory.lambda_points, cfg.theory.lambda_span
+            )
+            alpha_grid = simplex_grid(task.num_clients, cfg.theory.alpha_resolution)
+            for lam in [*lam_grid, closed.lambda_star]:
+                for alpha in [*alpha_grid[::50], closed.alpha_star]:
+                    systems.append(
+                        theory.ridge_codistill_system(xtx, ptp, what[k], lam, alpha, what)
+                    )
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        for lhs, rhs in systems:
+            got = theory.ridge_codistill_solve(lhs, rhs, 1.0)
+            want = np.linalg.solve(lhs, rhs)
+            assert got.tobytes() == want.tobytes(), (
+                f"solve1 differs from np.linalg.solve on numpy {np.__version__}, "
+                f"{blas['name']} {blas['version']}"
+            )
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_non_finite_rhs_raises_numeric_error(self, bad):
@@ -225,7 +262,7 @@ class TestRidgeMinimizer:
         for position in range(d):
             solution = np.arange(1.0, d + 1.0)
             solution[position] = bad
-            monkeypatch.setattr(np.linalg, "solve", lambda a, b, s=solution: s.copy())
+            monkeypatch.setattr(theory, "_solve1", lambda a, b, signature, s=solution: s.copy())
             with pytest.raises(NumericError, match="non-finite ridge solution"):
                 theory.ridge_codistill_solve(np.eye(d), np.ones(d), 1.0)
         monkeypatch.undo()
