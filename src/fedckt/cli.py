@@ -209,8 +209,9 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         # numeric failures are reported by the checks that raise
         # NumericError, not by numpy's RuntimeWarnings;
-        # theory.ridge_codistill_solve sets its own errstate, so singular
-        # systems still raise
+        # theory.ridge_codistill_solve swaps in its own prebuilt policy
+        # (invalid="raise") around each solve and restores this one after,
+        # so singular systems still raise
         with np.errstate(all="ignore"):
             return args.func(args)
     except ConfigurationError as exc:

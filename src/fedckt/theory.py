@@ -29,6 +29,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy._core._ufunc_config import _extobj_contextvar, _make_extobj
 from numpy.linalg import _umath_linalg
 
 from .errors import NumericError
@@ -38,6 +39,11 @@ from .rng import substream
 # gesv on the same float64 operands, without the wrapper's per-call Python
 # validation, which costs more than the solve itself at d <= 4
 _solve1 = _umath_linalg.solve1
+
+# np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore")
+# built once: the policy object its __enter__ makes on every call, set and
+# reset around each solve through the context variable numpy reads it from
+_RAISE_INVALID = _make_extobj(invalid="raise", over="ignore", divide="ignore", under="ignore")
 
 THETA_BOX = 10.0  # flat-prior stand-in: theta ~ Uniform(-THETA_BOX, THETA_BOX)^d
 
@@ -147,18 +153,24 @@ def ridge_codistill_system(
     return lhs, rhs
 
 
-def ridge_codistill_solve(lhs: np.ndarray, rhs: np.ndarray, lam: float) -> np.ndarray:
+def ridge_codistill_solve(
+    lhs: np.ndarray, rhs: np.ndarray, lam: float, out: np.ndarray | None = None
+) -> np.ndarray:
     """General-matrix minimizer lhs^{-1} rhs of one ridge/co-distillation
-    system, for one (d,) float64 `rhs`; `lam` only names it in a
-    NumericError. Bitwise np.linalg.solve(lhs, rhs). A singular lhs sets
-    the invalid flag, raised here whatever the caller's errstate, as
-    np.linalg.solve does. At d <= 4 checking finiteness over Python floats
-    beats a numpy reduction."""
+    system, for one (d,) float64 `rhs`, written into `out` if given (a (d,)
+    float64 view, such as a row of the caller's block); `lam` only names it
+    in a NumericError. Bitwise np.linalg.solve(lhs, rhs): float64 operands
+    resolve to solve1's one dd->d loop. A singular lhs sets the invalid
+    flag, raised here whatever the caller's errstate, as np.linalg.solve
+    does; the caller's errstate is restored on every exit. At d <= 4
+    checking finiteness over Python floats beats a numpy reduction."""
+    token = _extobj_contextvar.set(_RAISE_INVALID)
     try:
-        with np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore"):
-            solution = _solve1(lhs, rhs, signature="dd->d")
+        solution = _solve1(lhs, rhs, out=out)
     except FloatingPointError as exc:
         raise NumericError(f"singular ridge system (lambda={lam})") from exc
+    finally:
+        _extobj_contextvar.reset(token)
     if not all(map(math.isfinite, solution.tolist())):
         raise NumericError(f"non-finite ridge solution (lambda={lam})")
     return solution
@@ -349,7 +361,7 @@ def grid_search_oracle(
         pulled[j] = ptp @ (alpha @ what_all)
     rhs = np.empty_like(pulled)
 
-    # one solve per grid point into an (A, d) block per lambda
+    # one solve per grid point, written straight into an (A, d) block per lambda
     losses = np.empty((len(lambda_grid), len(alpha_grid)))
     block = np.empty_like(pulled)
     for i, lam in enumerate(lambda_grid):
@@ -357,7 +369,7 @@ def grid_search_oracle(
         np.multiply(lam, pulled, out=rhs)
         rhs += own
         for j in range(len(alpha_grid)):
-            block[j] = ridge_codistill_solve(lhs, rhs[j], lam)
+            ridge_codistill_solve(lhs, rhs[j], lam, out=block[j])
         losses[i] = _losses_from_noise_stats(block, mean, sd, noise_mean, noise_sq_mean)
         if not np.isfinite(losses[i]).all():
             raise NumericError(f"non-finite oracle loss (lambda={lam})")

@@ -230,6 +230,16 @@ def posterior_mean_brute_force(sigma, beta, upsilon, what, k, prior_var=1e10):
     return coef @ what, float(var)
 
 
+def solved_into(solution, out):
+    """What a stand-in solver returns: `solution` as it is, or written into
+    `out` when the caller passes one, as theory.ridge_codistill_solve and
+    the solve1 gufunc do."""
+    if out is None:
+        return solution
+    out[...] = solution
+    return out
+
+
 def all_simplex_vertices(num_weights):
     return [
         np.array(v, dtype=float)

@@ -18,6 +18,7 @@ from fedckt.cli import main
 from fedckt.experiment import build_population
 from fedckt.runconfig import config_from_sections, load_config, parse_flat_toml
 from fedckt.errors import ConfigurationError
+from helpers import solved_into
 
 SMOKE_TOML = """
 [run]
@@ -1065,14 +1066,14 @@ class TestTheoryCheckCommand:
     def test_numeric_failure_in_oracle_exits_3(self, tmp_path, capsys, monkeypatch, case):
         real_solve1 = theory._solve1
 
-        def singular(a, b, signature):
-            return real_solve1(np.zeros_like(a), b, signature=signature)
+        def singular(a, b, out):
+            return real_solve1(np.zeros_like(a), b, out=out)
 
-        def nan_solution(a, b, signature):
-            return np.full(np.shape(b), np.nan)
+        def nan_solution(a, b, out):
+            return solved_into(np.full(np.shape(b), np.nan), out)
 
-        def huge(lhs, rhs, lam):
-            return np.full(np.shape(rhs), 1e200)
+        def huge(lhs, rhs, lam, out=None):
+            return solved_into(np.full(np.shape(rhs), 1e200), out)
 
         target, name, stand_in, message = {
             "singular": (theory, "_solve1", singular, "singular ridge system"),

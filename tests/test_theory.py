@@ -1,4 +1,5 @@
 import itertools
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +26,7 @@ from fedckt.theory import (
     simplex_grid,
 )
 
-from helpers import posterior_mean_brute_force
+from helpers import posterior_mean_brute_force, solved_into
 
 
 def small_task(seed=0, upsilon=(0.5, 1.0, 2.0), sigma=1.0, beta=1.0, nu=1.0, d=2, n=6):
@@ -62,6 +63,11 @@ def noiseless_task(seed=0, upsilon=(0.5, 1.0, 2.0), beta=2.0, nu=1.5, d=2, n=5):
 
 
 THEORY_CONFIG = Path(__file__).resolve().parents[1] / "configs/theory_check.toml"
+
+# errstates a caller may hold around a ridge solve: numpy's default, the
+# CLI's all="ignore", all="raise", and invalid="call" (the callback is set
+# by the test)
+CALLER_ERRSTATES = ({}, {"all": "ignore"}, {"all": "raise"}, {"invalid": "call"})
 
 
 def shipped_task(index, master_seed=None):
@@ -208,11 +214,44 @@ class TestRidgeMinimizer:
             assert got.tobytes() == want.tobytes()
 
     def test_singular_system_raises_numeric_error(self):
-        # under numpy's default errstate and under the CLI's all="ignore"
-        for policy in ({}, {"all": "ignore"}):
-            with np.errstate(**policy):
+        # under every caller errstate, the CLI's all="ignore" included, a
+        # singular system raises, no RuntimeWarning escapes, an invalid
+        # callback never fires, and the caller's errstate is back afterwards
+        fired = []
+        singular = (np.zeros((1, 1)), np.zeros((2, 2)), np.array([[1.0, 2.0], [2.0, 4.0]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for policy in CALLER_ERRSTATES:
+                with np.errstate(call=lambda kind, flag: fired.append(kind), **policy):
+                    caller = np.geterr()
+                    for lhs in singular:
+                        with pytest.raises(NumericError, match=r"^singular ridge system \(lambda=0\.5\)$"):
+                            theory.ridge_codistill_solve(lhs, np.ones(len(lhs)), 0.5)
+                        assert np.geterr() == caller
+                    block = np.empty((3, 2))
+                    got = theory.ridge_codistill_solve(2.0 * np.eye(2), np.ones(2), 0.5, out=block[1])
+                    assert np.shares_memory(got, block[1])
+                    assert block[1].tolist() == [0.5, 0.5]
+                    assert np.geterr() == caller
+        assert fired == []
+
+    def test_solver_runs_under_raise_invalid_ignore_the_rest(self, monkeypatch):
+        # the policy the gufunc sees is fixed, whatever the caller's
+        seen = []
+        real_solve1 = theory._solve1
+
+        def recording(a, b, out):
+            seen.append(np.geterr())
+            return real_solve1(a, b, out=out)
+
+        monkeypatch.setattr(theory, "_solve1", recording)
+        for policy in CALLER_ERRSTATES:
+            with np.errstate(call=lambda kind, flag: None, **policy):
+                theory.ridge_codistill_solve(np.eye(2), np.ones(2), 1.0)
                 with pytest.raises(NumericError, match="singular ridge system"):
-                    theory.ridge_codistill_solve(np.zeros((2, 2)), np.ones(2), 0.0)
+                    theory.ridge_codistill_solve(np.zeros((2, 2)), np.ones(2), 1.0)
+        policy = {"invalid": "raise", "over": "ignore", "divide": "ignore", "under": "ignore"}
+        assert seen == [policy] * (2 * len(CALLER_ERRSTATES))
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     def test_solve_matches_np_linalg_solve_bitwise(self, d):
@@ -239,11 +278,13 @@ class TestRidgeMinimizer:
                     systems.append(
                         theory.ridge_codistill_system(xtx, ptp, what[k], lam, alpha, what)
                     )
+        # each solution goes into a row of an (A, d) block, as in the oracle
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-        for lhs, rhs in systems:
-            got = theory.ridge_codistill_solve(lhs, rhs, 1.0)
+        block = np.empty((len(systems), d))
+        for j, (lhs, rhs) in enumerate(systems):
+            theory.ridge_codistill_solve(lhs, rhs, 1.0, out=block[j])
             want = np.linalg.solve(lhs, rhs)
-            assert got.tobytes() == want.tobytes(), (
+            assert block[j].tobytes() == want.tobytes(), (
                 f"solve1 differs from np.linalg.solve on numpy {np.__version__}, "
                 f"{blas['name']} {blas['version']}"
             )
@@ -262,7 +303,7 @@ class TestRidgeMinimizer:
         for position in range(d):
             solution = np.arange(1.0, d + 1.0)
             solution[position] = bad
-            monkeypatch.setattr(theory, "_solve1", lambda a, b, signature, s=solution: s.copy())
+            monkeypatch.setattr(theory, "_solve1", lambda a, b, out, s=solution: solved_into(s.copy(), out))
             with pytest.raises(NumericError, match="non-finite ridge solution"):
                 theory.ridge_codistill_solve(np.eye(d), np.ones(d), 1.0)
         monkeypatch.undo()
@@ -526,8 +567,8 @@ class TestGridOracle:
         alpha_grid = simplex_grid(3, 4)
         mixtures = itertools.cycle([alpha @ what for alpha in alpha_grid])
 
-        def mixing_only(lhs, rhs, lam):
-            return next(mixtures)
+        def mixing_only(lhs, rhs, lam, out=None):
+            return solved_into(next(mixtures), out)
 
         monkeypatch.setattr(theory, "ridge_codistill_solve", mixing_only)
         lam_grid = lambda_grid_around(closed.lambda_star, 5, 4.0)
@@ -541,8 +582,8 @@ class TestGridOracle:
     def test_overflowing_loss_raises_numeric_error(self, monkeypatch):
         task = small_task(seed=28)
 
-        def huge(lhs, rhs, lam):
-            return np.full(task.dim, 1e200)
+        def huge(lhs, rhs, lam, out=None):
+            return solved_into(np.full(task.dim, 1e200), out)
 
         monkeypatch.setattr(theory, "ridge_codistill_solve", huge)
         with np.errstate(over="ignore", invalid="ignore"):
