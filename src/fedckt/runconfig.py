@@ -1,10 +1,9 @@
-"""Experiment configuration: a flat key-value file with TOML-style sections.
+"""Experiment configuration: a TOML file of sections, or JSON of the same.
 
-Accepted syntax per line: `[section]` or `[section.sub]` headers,
-`key = value` pairs (string, bool, int, float, or a single-line array of
-scalars), comments starting with '#', and blank lines. JSON files holding
-the same sections are accepted too, so the config echoed into a run's
-summary can be re-fed verbatim.
+TOML is parsed by the standard library's `tomllib`. Each `[theory.taskN]`
+table becomes a section of its own named "theory.taskN", the spelling a
+JSON config uses for it, so the config echoed into a run's summary can be
+re-fed verbatim.
 """
 
 from __future__ import annotations
@@ -13,7 +12,9 @@ import codecs
 import json
 import math
 import operator
+import re
 import sys
+import tomllib
 from dataclasses import MISSING, asdict, dataclass, field, fields
 
 from .errors import ConfigurationError
@@ -22,106 +23,49 @@ from .federation import LR_ROBBINS_MONRO, FederationConfig
 
 
 # ---------------------------------------------------------------------------
-# flat TOML-subset parsing
+# TOML sections and their lines
 # ---------------------------------------------------------------------------
 
-
-def _strip_comment(line: str) -> str:
-    out = []
-    quote = None
-    for ch in line:
-        if quote:
-            if ch == quote:
-                quote = None
-            out.append(ch)
-        elif ch in ("'", '"'):
-            quote = ch
-            out.append(ch)
-        elif ch == "#":
-            break
-        else:
-            out.append(ch)
-    return "".join(out).strip()
-
-
-def _parse_scalar(token: str, where: str):
-    token = token.strip()
-    if not token:
-        raise ConfigurationError(f"{where}: empty value")
-    if token[0] in ("'", '"'):
-        if len(token) < 2 or token[-1] != token[0]:
-            raise ConfigurationError(f"{where}: unterminated string {token!r}")
-        return token[1:-1]
-    if token == "true":
-        return True
-    if token == "false":
-        return False
-    try:
-        return int(token)
-    except ValueError:
-        pass
-    try:
-        return float(token)
-    except ValueError:
-        raise ConfigurationError(f"{where}: cannot parse value {token!r}") from None
-
-
-def _parse_value(token: str, where: str):
-    token = token.strip()
-    if token.startswith("["):
-        if not token.endswith("]"):
-            raise ConfigurationError(f"{where}: unterminated array")
-        inner = token[1:-1].strip()
-        if not inner:
-            return []
-        return [_parse_scalar(part, where) for part in inner.split(",")]
-    return _parse_scalar(token, where)
+# a line opening a `[section]` or `[[section]]` table, or setting a bare `key =`
+_LINE_START = re.compile(r"\s*(?:\[\[?([\w.\s-]+)\]|([\w-]+)\s*=)")
+# where a tomllib error message says the error is
+_AT = re.compile(r" \((?:at line (\d+), column \d+|at end of document)\)$")
 
 
 def parse_flat_toml(
     text: str, source: str = "<config>", locations: dict | None = None
 ) -> dict[str, dict]:
-    """Sections of key/value pairs; raises with file:line on malformed input,
-    a repeated section header included. `locations`, if given, receives the
-    "file:line" of each (section, key) and, under (section, None), of each
-    section header."""
-    sections: dict[str, dict] = {}
-    header_lines: dict[str, int] = {}
-    current: dict | None = None
-    current_name = ""
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw)
-        if not line:
-            continue
-        where = f"{source}:{lineno}"
-        if line.startswith("["):
-            if not line.endswith("]"):
-                raise ConfigurationError(f"{where}: malformed section header {line!r}")
-            name = line[1:-1].strip()
-            if not name:
-                raise ConfigurationError(f"{where}: empty section name")
-            if name in header_lines:
-                why = f"repeated section (first at line {header_lines[name]})"
-                raise ConfigurationError(f"{where}: [{name}]: {why}")
-            header_lines[name] = lineno
-            current_name = name
-            current = sections[name] = {}
-            if locations is not None:
-                locations[name, None] = where
-            continue
-        if "=" not in line:
-            raise ConfigurationError(f"{where}: expected 'key = value', got {line!r}")
-        if current is None:
-            raise ConfigurationError(f"{where}: key outside of any [section]")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        if not key:
-            raise ConfigurationError(f"{where}: missing key name")
-        if key in current:
-            raise ConfigurationError(f"{where}: duplicate key {key!r} in [{current_name}]")
-        current[key] = _parse_value(value, f"{where} (key {key!r})")
-        if locations is not None:
-            locations[current_name, key] = where
+    """The sections of a TOML config, each dotted table such as
+    `[theory.task1]` lifted out of its parent as section "theory.task1".
+    Invalid TOML raises with file:line where tomllib names the line, a
+    repeated section header included. `locations`, if given, receives the
+    "file:line" of each `key =` line under (section, key) and of each section
+    header under (section, None); a key above the first header is located
+    under (key, None), as the top-level entry it is."""
+    try:
+        doc = tomllib.loads(text)
+    except ValueError as exc:  # a TOMLDecodeError, or an integer past the int digit limit
+        at = _AT.search(str(exc))
+        where = f"{source}:{at[1]}" if at and at[1] else source
+        raise ConfigurationError(f"{where}: invalid TOML: {_AT.sub('', str(exc))}") from exc
+    found = {} if locations is None else locations
+    section = None
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        match = _LINE_START.match(line)
+        if match and match[1]:
+            section = "".join(match[1].split())
+            found[section, None] = f"{source}:{lineno}"
+        elif match:
+            found[(section, match[2]) if section else (match[2], None)] = f"{source}:{lineno}"
+    sections = dict(doc)
+    headers = [name for name, key in found if key is None]
+    for name in headers:
+        parent, _, last = name.rpartition(".")
+        table = sections.get(parent)
+        if isinstance(table, dict) and isinstance(table.get(last), dict):
+            sections[name] = table.pop(last)
+            if not table and parent not in headers:
+                del sections[parent]
     return sections
 
 
@@ -378,7 +322,8 @@ def _task_sections(sections: dict) -> list[str]:
 def _config(sections: dict) -> RunConfig:
     for name, body in sections.items():
         if not isinstance(body, dict):
-            raise _Rejected(name, None, None, f"must be a table of keys, got {json.dumps(body)}")
+            why = f"must be a table of keys, got {json.dumps(body, default=str)}"
+            raise _Rejected(name, None, None, why)
     sections = dict(sections)
     run = sections.pop("run", {})
     seed = run.get("seed", 0)
@@ -426,7 +371,9 @@ def config_from_sections(sections: dict, locations: dict | None = None) -> RunCo
     except _Rejected as exc:
         section, key, value, why, *reads = exc.args
         where = (locations or {}).get((section, key))
-        subject = f"[{section}]" if key is None else f"[{section}] {key} = {json.dumps(value)}"
+        # JSON has no dates or times, so TOML's print as strings
+        shown = json.dumps(value, default=str)
+        subject = f"[{section}]" if key is None else f"[{section}] {key} = {shown}"
         message = f"{subject}: {why}" if where is None else f"{where}: {subject}: {why}"
         raise ConfigurationError(message, ((section, key), *reads)) from None
 

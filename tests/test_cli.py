@@ -117,20 +117,76 @@ class TestParser:
         assert sections == {"a": {"x": 1}}
 
     @pytest.mark.parametrize(
-        "text,fragment",
+        "text,message",
         [
-            ("x = 1\n", "outside of any"),
-            ("[a\nx = 1\n", "malformed section"),
-            ("[a]\nnonsense\n", "expected"),
-            ("[a]\nx = \n", "empty value"),
-            ("[a]\nx = [1, 2\n", "unterminated array"),
-            ("[a]\nx = zebra\n", "cannot parse"),
-            ("[a]\nx = 1\nx = 2\n", "duplicate key"),
+            # a key above the first header is a top-level entry, not a section
+            pytest.param(
+                "x = 1\n",
+                "cfg.toml:1: [x]: must be a table of keys, got 1",
+                id="x = 1\n-outside of any",
+            ),
+            pytest.param(
+                "[a\nx = 1\n",
+                "cfg.toml:1: invalid TOML: Expected ']' at the end of a table declaration",
+                id="[a\nx = 1\n-malformed section",
+            ),
+            pytest.param(
+                "[a]\nnonsense\n",
+                "cfg.toml:2: invalid TOML: Expected '=' after a key in a key/value pair",
+                id="[a]\nnonsense\n-expected",
+            ),
+            pytest.param(
+                "[a]\nx = \n",
+                "cfg.toml:2: invalid TOML: Invalid value",
+                id="[a]\nx = \n-empty value",
+            ),
+            # tomllib reports an array still open at the end "at end of
+            # document", so the message names no line
+            pytest.param(
+                "[a]\nx = [1, 2\n",
+                "cfg.toml: invalid TOML: Unclosed array",
+                id="[a]\nx = [1, 2\n-unterminated array",
+            ),
+            pytest.param(
+                "[a]\nx = zebra\n",
+                "cfg.toml:2: invalid TOML: Invalid value",
+                id="[a]\nx = zebra\n-cannot parse",
+            ),
+            pytest.param(
+                "[a]\nx = 1\nx = 2\n",
+                "cfg.toml:3: invalid TOML: Cannot overwrite a value",
+                id="[a]\nx = 1\nx = 2\n-duplicate key",
+            ),
+            # TOML spells infinity inf and gives decimal integers no leading zero
+            pytest.param(
+                "[a]\nx = Infinity\n",
+                "cfg.toml:2: invalid TOML: Invalid value",
+                id="infinity_word",
+            ),
+            pytest.param(
+                "[a]\nx = 07\n",
+                "cfg.toml:2: invalid TOML: Expected newline or end of document after a statement",
+                id="leading_zero",
+            ),
         ],
     )
-    def test_malformed_lines_diagnosed(self, text, fragment):
-        with pytest.raises(ConfigurationError, match=fragment):
-            parse_flat_toml(text, source="cfg.toml")
+    def test_malformed_lines_diagnosed(self, text, message):
+        locations = {}
+        with pytest.raises(ConfigurationError) as caught:
+            config_from_sections(parse_flat_toml(text, "cfg.toml", locations), locations)
+        assert str(caught.value) == message
+
+    @pytest.mark.parametrize(
+        "value,parsed",
+        [
+            ('["p,q", "r"]', ["p,q", "r"]),
+            ('"tab\\tend"', "tab\tend"),
+            ("0x10", 16),
+        ],
+        ids=["comma_in_array_string", "string_escape", "hex_integer"],
+    )
+    def test_toml_values(self, value, parsed):
+        assert parse_flat_toml(f"[a]\nx = {value}\n") == {"a": {"x": parsed}}
 
     def test_diagnostics_carry_line_numbers(self):
         with pytest.raises(ConfigurationError, match="cfg.toml:3"):
@@ -139,9 +195,8 @@ class TestParser:
 
 class TestConfig:
     def test_unknown_key_rejected(self, tmp_path):
-        path = write(tmp_path, "bad.toml", SMOKE_TOML + "\n[data]\n")
-        # duplicate section merges; inject unknown key instead
-        path.write_text(SMOKE_TOML.replace("public_offset = 1.0", "mystery = 1.0"))
+        text = SMOKE_TOML.replace("public_offset = 1.0", "mystery = 1.0")
+        path = write(tmp_path, "bad.toml", text)
         with pytest.raises(ConfigurationError, match="mystery"):
             load_config(path)
 
@@ -809,15 +864,16 @@ class TestRunCommand:
             ),
             (
                 SMOKE_TOML.replace('"dirichlet"', '"dirichlet'),
-                "config error: range.toml:7 (key 'population'): unterminated string '\"dirichlet'",
+                "config error: range.toml:7: invalid TOML: Illegal character '\\n'",
             ),
             (
                 SMOKE_TOML.replace("dim = 2", "= 2"),
-                "config error: range.toml:9: missing key name",
+                "config error: range.toml:9: invalid TOML: Invalid statement",
             ),
             (
                 SMOKE_TOML.replace("[models]", "[ ]"),
-                "config error: range.toml:17: empty section name",
+                "config error: range.toml:17: invalid TOML: "
+                "Invalid initial character for a key part",
             ),
             (
                 '{"run": {"algorithm": "local"},\n "data": {"dim": 0}}',
@@ -834,7 +890,7 @@ class TestRunCommand:
             ),
             (
                 SMOKE_TOML.replace("alpha = 10.0\n", "") + "[data]\nalpha = 0.5\n",
-                "config error: range.toml:29: [data]: repeated section (first at line 6)",
+                "config error: range.toml:29: invalid TOML: Cannot declare ('data',) twice",
             ),
             (
                 '{"run": {"algorithm": "local"},\n "data": {"dim": 2},\n "data": {"dim": 3}}',
@@ -848,6 +904,46 @@ class TestRunCommand:
                 SMOKE_TOML.replace("seed = 42", f"seed = {2**64}"),
                 "config error: range.toml:4: [run] seed = 18446744073709551616: "
                 "must be <= 18446744073709551615",
+            ),
+            # TOML values JSON lacks: refused by the field's rule, printed as strings
+            (
+                SMOKE_TOML.replace("seed = 42", "seed = 1979-05-27"),
+                'config error: range.toml:4: [run] seed = "1979-05-27": must be an integer',
+            ),
+            (
+                SMOKE_TOML.replace("seed = 42", "seed = 1979-05-27T07:32:00Z"),
+                'config error: range.toml:4: [run] seed = "1979-05-27 07:32:00+00:00": '
+                "must be an integer",
+            ),
+            (
+                SMOKE_TOML.replace("lr = 0.05", "lr = 07:32:00"),
+                'config error: range.toml:29: [federation] lr = "07:32:00": '
+                "must be a finite number",
+            ),
+            (
+                SMOKE_TOML.replace("[run]", "[[run]]"),
+                'config error: range.toml:2: [run]: must be a table of keys, got '
+                '[{"algorithm": "perfed_ckt", "seed": 42}]',
+            ),
+            (
+                SMOKE_TOML.replace("seed = 42", "seed = {a = 1}"),
+                'config error: range.toml:4: [run] seed = {"a": 1}: must be an integer',
+            ),
+            (
+                THEORY_TOML.format(extra="").replace("[1.0, 1.0, 1.0]", "[[1.0], [1.0], [1.0]]"),
+                "config error: range.toml:19: [theory.task1] upsilon = [[1.0], [1.0], [1.0]]: "
+                "every value must be a finite number",
+            ),
+            (
+                "seed = 42" + SMOKE_TOML.replace("seed = 42\n", ""),
+                "config error: range.toml:1: [seed]: must be a table of keys, got 42",
+            ),
+            (
+                # past Python's int digit limit, which tomllib raises without a position
+                SMOKE_TOML.replace("seed = 42", "seed = 1" + "0" * 5000),
+                "config error: range.toml: invalid TOML: Exceeds the limit (4300 digits) for "
+                "integer string conversion: value has 5001 digits; "
+                "use sys.set_int_max_str_digits() to increase the limit",
             ),
         ],
         ids=[
@@ -897,6 +993,14 @@ class TestRunCommand:
             "repeated_json_key",
             "seed_negative",
             "seed_past_64_bits",
+            "date",
+            "datetime",
+            "time",
+            "array_of_tables",
+            "inline_table",
+            "nested_array",
+            "key_above_header",
+            "int_digits",
         ],
     )
     def test_range_error_names_its_section(self, tmp_path, capsys, monkeypatch, text, message):

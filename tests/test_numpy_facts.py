@@ -74,3 +74,67 @@ def test_stacked_solve_matches_per_item_solves(d, a):
         assert stacked[..., 0].tobytes() == per_item(matrix, rhs).tobytes(), (
             f"stacked solve differs from per-item solve1 on {build()}"
         )
+
+
+# (G, n, k) @ (G, k, N) at the shapes a client-stacked round needs: 10
+# clients, 32-row batches or the 2000-row pool, inputs of width 8, hidden
+# layers of 24 and 10 classes
+MATMUL_SHAPES = [
+    ((10, 32, 8), (10, 8, 10)),
+    ((10, 32, 8), (10, 8, 24)),
+    ((10, 2000, 8), (10, 8, 24)),
+    ((10, 2000, 24), (10, 24, 10)),
+]
+# backprop's X.T @ G: the left operand is a transposed view of a stacked
+# (G, n, k) block
+TRANSPOSED_SHAPES = [((10, 2000, 24), (10, 2000, 10)), ((10, 32, 8), (10, 32, 10))]
+
+
+def operands(shapes, seed):
+    rng = substream(seed, "numpy-facts", "matmul", *(n for shape in shapes for n in shape))
+    return [rng.normal(size=shape) for shape in shapes]
+
+
+def shape_id(shapes):
+    return "@".join("x".join(map(str, shape)) for shape in shapes)
+
+
+@pytest.mark.parametrize("a_shape, b_shape", MATMUL_SHAPES, ids=map(shape_id, MATMUL_SHAPES))
+def test_stacked_matmul_matches_per_item_matmul(a_shape, b_shape):
+    a, b = operands((a_shape, b_shape), 3)
+    per_item = np.stack([a[g] @ b[g] for g in range(len(a))])
+    assert np.matmul(a, b).tobytes() == per_item.tobytes(), (
+        f"stacked matmul differs from per-item matmul on {build()}"
+    )
+
+
+@pytest.mark.parametrize(
+    "h_shape, g_shape", TRANSPOSED_SHAPES, ids=map(shape_id, TRANSPOSED_SHAPES)
+)
+def test_transposed_stacked_matmul_matches_per_item_matmul(h_shape, g_shape):
+    h, grad = operands((h_shape, g_shape), 4)
+    per_item = np.stack([h[g].T @ grad[g] for g in range(len(h))])
+    assert np.matmul(h.transpose(0, 2, 1), grad).tobytes() == per_item.tobytes(), (
+        f"transposed stacked matmul differs from per-item matmul on {build()}"
+    )
+
+
+def test_shared_pool_matmul_matches_per_item_matmul():
+    # one public pool forwarded through every client's weights
+    pool, weights = operands(((2000, 8), (10, 8, 24)), 5)
+    per_item = np.stack([pool @ w for w in weights])
+    assert np.matmul(pool, weights).tobytes() == per_item.tobytes(), (
+        f"broadcast pool matmul differs from per-item matmul on {build()}"
+    )
+
+
+@pytest.mark.parametrize("shape", [(10, 32, 10), (10, 2000, 10)], ids=["batch", "pool"])
+@pytest.mark.parametrize("axis", [1, 2])
+def test_add_reduce_over_a_stacked_axis_matches_per_item_reduce(shape, axis):
+    # (G, n, N) logits or probabilities: reducing the stack over axis 1 or 2
+    # is each item's reduce over axis 0 or 1
+    (block,) = operands((shape,), 6)
+    per_item = np.stack([np.add.reduce(item, axis=axis - 1) for item in block])
+    assert np.add.reduce(block, axis=axis).tobytes() == per_item.tobytes(), (
+        f"add.reduce over stacked axis {axis} differs from per-item reduce on {build()}"
+    )
