@@ -28,6 +28,12 @@ from .federation import LR_ROBBINS_MONRO, FederationConfig
 
 # a line opening a `[section]` or `[[section]]` table, or setting a bare `key =`
 _LINE_START = re.compile(r"\s*(?:\[\[?([\w.\s-]+)\]|([\w-]+)\s*=)")
+# a string or a comment, from its start: a multi-line one spans lines
+# that open no header or key, and a quote in a comment opens no string
+_STRING_OR_COMMENT = re.compile(
+    r'"""(?:\\.|[^\\])*?"""(?!")|\'\'\'.*?\'\'\'(?!\')|"(?:\\.|[^"\\\n])*"|\'[^\'\n]*\'|#[^\n]*',
+    re.S,
+)
 # where a tomllib error message says the error is
 _AT = re.compile(r" \((?:at line (\d+), column \d+|at end of document)\)$")
 
@@ -41,7 +47,8 @@ def parse_flat_toml(
     repeated section header included. `locations`, if given, receives the
     "file:line" of each `key =` line under (section, key) and of each section
     header under (section, None); a key above the first header is located
-    under (key, None), as the top-level entry it is."""
+    under (key, None), as the top-level entry it is. A line inside a
+    multi-line string is text and locates nothing."""
     try:
         doc = tomllib.loads(text)
     except ValueError as exc:  # a TOMLDecodeError, or an integer past the int digit limit
@@ -50,7 +57,9 @@ def parse_flat_toml(
         raise ConfigurationError(f"{where}: invalid TOML: {_AT.sub('', str(exc))}") from exc
     found = {} if locations is None else locations
     section = None
-    for lineno, line in enumerate(text.split("\n"), start=1):
+    # each line inside a multi-line string starts with "#", as a comment would
+    unquoted = _STRING_OR_COMMENT.sub(lambda m: m[0].replace("\n", "\n#"), text)
+    for lineno, line in enumerate(unquoted.split("\n"), start=1):
         match = _LINE_START.match(line)
         if match and match[1]:
             section = "".join(match[1].split())

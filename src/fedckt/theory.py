@@ -104,12 +104,15 @@ def gen_task(
     theta = rng.uniform(-THETA_BOX, THETA_BOX, dim)
     zeta = rng.normal(size=(num_clients, dim)) * upsilon[:, None]
     true_w = theta + zeta
-    designs = np.empty((num_clients, n_samples, dim))
+    # each client's frame then its noise, one row per client: the stream
+    # and order of a per-client normal((n, d)), normal(0.0, sigma, n) loop
+    block = rng.normal(size=(num_clients, n_samples * dim + n_samples))
+    frames, _ = np.linalg.qr(block[:, : n_samples * dim].reshape(num_clients, n_samples, dim))
+    designs = np.sqrt(beta) * frames
+    noise = 0.0 + sigma * block[:, n_samples * dim :]
     targets = np.empty((num_clients, n_samples))
     for k in range(num_clients):
-        designs[k] = np.sqrt(beta) * _orthonormal_frame(rng, n_samples, dim)
-        noise = rng.normal(0.0, sigma, n_samples)
-        targets[k] = designs[k] @ true_w[k] + noise
+        targets[k] = designs[k] @ true_w[k] + noise[k]
     public_design = np.sqrt(nu) * _orthonormal_frame(rng, dim, dim)
     return BayesLinRegTask(
         dim=dim,
@@ -270,6 +273,37 @@ def _mc_noise(num_samples: int, dim: int, seed: int) -> np.ndarray:
     return substream(seed, "mc-noise").normal(size=(num_samples, dim))
 
 
+# rows of Monte-Carlo noise drawn at a time by _mc_noise_stats: at d <= 4 a
+# block takes at most 64 KiB; 8192-row blocks read 0.7 MB more peak RSS on
+# configs/theory_check.toml
+_MC_BLOCK_ROWS = 2048
+
+
+def _mc_noise_stats(num_samples: int, dim: int, seed: int) -> tuple[np.ndarray, float]:
+    """noise.mean(axis=0) and the mean of noise's row dots for
+    noise = _mc_noise(num_samples, dim, seed), bitwise, without holding
+    noise: the same stream drawn _MC_BLOCK_ROWS rows at a time. For d >= 2
+    numpy sums the columns row by row, so each block's reduce starts from
+    the column sum so far as its first row; a lone column (d = 1) numpy
+    sums pairwise, so it is kept whole."""
+    rng = substream(seed, "mc-noise")
+    dots = np.empty(num_samples)
+    column = np.empty((num_samples, 1)) if dim == 1 else None
+    carried = np.empty((_MC_BLOCK_ROWS + 1, dim))  # row 0: the column sum so far
+    for start in range(0, num_samples, _MC_BLOCK_ROWS):
+        stop = min(start + _MC_BLOCK_ROWS, num_samples)
+        block = rng.normal(size=(stop - start, dim))
+        np.einsum("ij,ij->i", block, block, out=dots[start:stop])
+        if column is not None:
+            column[start:stop] = block
+        else:
+            carried[1 : stop - start + 1] = block
+            # the first block has no sum so far
+            carried[0] = np.add.reduce(carried[0 if start else 1 : stop - start + 1], axis=0)
+    total = np.add.reduce(column, axis=0) if column is not None else carried[0]
+    return total / num_samples, float(np.mean(dots))
+
+
 def expected_loss_mc(
     task: BayesLinRegTask,
     k: int,
@@ -339,15 +373,16 @@ def grid_search_oracle(
     seed: int,
 ) -> OracleResult:
     """Exhaustive MC loss evaluation over the (lambda, alpha) product grid
-    with common random numbers, compared against the closed form. Of equal
-    losses the first in lambda-major order wins; a non-finite loss raises
-    NumericError."""
+    with common random numbers, compared against the closed form. The
+    losses read two statistics of the noise, taken block by block
+    (_mc_noise_stats), and each lambda's block of A losses updates a
+    running best, so neither the (N, d) noise nor an (L, A) loss table is
+    held. Of equal losses the first in lambda-major order wins; a
+    non-finite loss raises NumericError."""
     what_all = all_ols(task)
     mean, variance = posterior_moments_scalar(task, k, what_all)
     sd = float(np.sqrt(variance))
-    noise = _mc_noise(num_samples, task.dim, seed)
-    noise_mean = noise.mean(axis=0)
-    noise_sq_mean = float(np.mean(np.einsum("ij,ij->i", noise, noise)))
+    noise_mean, noise_sq_mean = _mc_noise_stats(num_samples, task.dim, seed)
 
     xtx = task.designs[k].T @ task.designs[k]
     ptp = task.public_design.T @ task.public_design
@@ -361,19 +396,25 @@ def grid_search_oracle(
         pulled[j] = ptp @ (alpha @ what_all)
     rhs = np.empty_like(pulled)
 
-    # one solve per grid point, written straight into an (A, d) block per lambda
-    losses = np.empty((len(lambda_grid), len(alpha_grid)))
+    # one solve per grid point, written straight into an (A, d) block per
+    # lambda; the row views are made per lambda, since holding all 2A of
+    # them takes about 1.1 MB at A = 3876, more than the blocked noise needs
     block = np.empty_like(pulled)
-    for i, lam in enumerate(lambda_grid):
+    best_loss, i, j = math.inf, 0, 0
+    for at, lam in enumerate(lambda_grid):
         lhs = xtx + lam * ptp
         np.multiply(lam, pulled, out=rhs)
         rhs += own
-        for j in range(len(alpha_grid)):
-            ridge_codistill_solve(lhs, rhs[j], lam, out=block[j])
-        losses[i] = _losses_from_noise_stats(block, mean, sd, noise_mean, noise_sq_mean)
-        if not np.isfinite(losses[i]).all():
+        for rhs_row, solution in zip(rhs, block):
+            ridge_codistill_solve(lhs, rhs_row, lam, out=solution)
+        losses = _losses_from_noise_stats(block, mean, sd, noise_mean, noise_sq_mean)
+        if not np.isfinite(losses).all():
             raise NumericError(f"non-finite oracle loss (lambda={lam})")
-    i, j = np.unravel_index(np.argmin(losses), losses.shape)
+        # argmin keeps the first of equal losses in a block and strict <
+        # the first block: the lambda-major first of the whole grid
+        first = int(np.argmin(losses))
+        if losses[first] < best_loss:
+            best_loss, i, j = float(losses[first]), at, first
 
     closed = closed_form_lambda_alpha(task, k)
     closed_lhs, closed_rhs = ridge_codistill_system(
@@ -386,7 +427,7 @@ def grid_search_oracle(
     return OracleResult(
         best_lambda=float(lambda_grid[i]),
         best_alpha=np.array(alpha_grid[j]),
-        best_loss=float(losses[i, j]),
+        best_loss=best_loss,
         closed_form_loss=float(closed_loss[0]),
     )
 

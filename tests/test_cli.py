@@ -188,6 +188,26 @@ class TestParser:
     def test_toml_values(self, value, parsed):
         assert parse_flat_toml(f"[a]\nx = {value}\n") == {"a": {"x": parsed}}
 
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ('[data]\ndim = 0\n[run]\nnote = """\n[data]\ndim = 5\n"""\n', 2),
+            ("[data]\ndim = 0\n[run]\nnote = '''\n[data]\ndim = 5\n'''\n", 2),
+            # an escaped quote does not close a basic string
+            ('[data]\ndim = 0\n[run]\nnote = """x\\"""\n[data]\ndim = 5\n"""\n', 2),
+            # a quote in a comment opens no string
+            ('[run]\nnote = "x"  # """\n[data]\ndim = 0\n', 4),
+        ],
+        ids=["basic", "literal", "escaped_quote", "quote_in_comment"],
+    )
+    def test_multi_line_strings_hold_no_locations(self, text, line):
+        # a header or key line inside a multi-line string is text, so the
+        # value it spells must not move a location
+        locations = {}
+        with pytest.raises(ConfigurationError) as caught:
+            config_from_sections(parse_flat_toml(text, "ml.toml", locations), locations)
+        assert str(caught.value) == f"ml.toml:{line}: [data] dim = 0: must be >= 1"
+
     def test_diagnostics_carry_line_numbers(self):
         with pytest.raises(ConfigurationError, match="cfg.toml:3"):
             parse_flat_toml("[a]\nx = 1\nbroken line\n", source="cfg.toml")

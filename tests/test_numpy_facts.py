@@ -14,6 +14,7 @@ import pytest
 from numpy.linalg import _umath_linalg
 
 from fedckt.rng import substream
+from fedckt.theory import _MC_BLOCK_ROWS
 
 # (d, A) of configs/theory_check.toml's tasks: dimension and alpha-grid rows
 ORACLE_SHAPES = [(2, 136), (3, 816), (4, 3876)]
@@ -138,3 +139,96 @@ def test_add_reduce_over_a_stacked_axis_matches_per_item_reduce(shape, axis):
     assert np.add.reduce(block, axis=axis).tobytes() == per_item.tobytes(), (
         f"add.reduce over stacked axis {axis} differs from per-item reduce on {build()}"
     )
+
+
+# theory._mc_noise_stats: (N, d) Monte-Carlo noise at the sample counts of
+# the tests and of configs/theory_check.toml, drawn in blocks of
+# _MC_BLOCK_ROWS rows; neither count is a multiple of it, so each ends
+# in a remainder block
+NOISE_ROWS = [20_000, 100_000]
+
+
+def noise_blocks(n, d, seed):
+    rng = substream(seed, "mc-noise")
+    return [rng.normal(size=(min(_MC_BLOCK_ROWS, n - a), d)) for a in range(0, n, _MC_BLOCK_ROWS)]
+
+
+def carried_column_sum(blocks):
+    """Each block's axis-0 reduce, the column sum so far as its first row."""
+    total = np.add.reduce(blocks[0], axis=0)
+    for block in blocks[1:]:
+        total = np.add.reduce(np.concatenate([total[None, :], block]), axis=0)
+    return total
+
+
+@pytest.mark.parametrize("n", NOISE_ROWS)
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_block_drawn_normal_matches_one_draw(d, n):
+    whole = substream(7, "mc-noise").normal(size=(n, d))
+    assert np.concatenate(noise_blocks(n, d, 7)).tobytes() == whole.tobytes(), (
+        f"normal drawn in blocks of {_MC_BLOCK_ROWS} rows differs from one draw on {build()}"
+    )
+
+
+@pytest.mark.parametrize("n", NOISE_ROWS)
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_per_block_einsum_into_out_matches_the_full_einsum(d, n):
+    blocks = noise_blocks(n, d, 8)
+    dots = np.empty(n)
+    for a, block in zip(range(0, n, _MC_BLOCK_ROWS), blocks):
+        np.einsum("ij,ij->i", block, block, out=dots[a : a + len(block)])
+    whole = np.concatenate(blocks)
+    assert dots.tobytes() == np.einsum("ij,ij->i", whole, whole).tobytes(), (
+        f"per-block einsum through out= differs from the full einsum on {build()}"
+    )
+
+
+@pytest.mark.parametrize("n", NOISE_ROWS)
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_carried_row_block_reduce_matches_mean_over_rows(d, n):
+    # numpy sums the columns of a C-order (N, d) block row by row from the
+    # first row, so a block's reduce may start from the sum so far
+    blocks = noise_blocks(n, d, 9)
+    mean = np.concatenate(blocks).mean(axis=0)
+    assert (carried_column_sum(blocks) / n).tobytes() == mean.tobytes(), (
+        f"carried-row block reduce differs from .mean(axis=0) on {build()}"
+    )
+
+
+@pytest.mark.parametrize("n", NOISE_ROWS)
+def test_carried_row_block_reduce_differs_for_a_lone_column(n):
+    # expected inequality: numpy sums a lone contiguous column pairwise, so
+    # _mc_noise_stats keeps it whole; a build where this holds bitwise
+    # breaks nothing
+    differ = []
+    for seed in range(5):
+        blocks = noise_blocks(n, 1, seed)
+        mean = np.concatenate(blocks).mean(axis=0)
+        differ.append((carried_column_sum(blocks) / n).tobytes() != mean.tobytes())
+    assert any(differ), f"carried-row block reduce matches the pairwise column sum on {build()}"
+
+
+# gen_task's (d, K, n): configs/theory_check.toml's tasks, then the shapes
+# tests/test_theory.py and tests/test_acceptance.py draw
+TASK_SHAPES = [(2, 3, 8), (3, 4, 8), (4, 5, 8), (2, 3, 6), (2, 3, 7), (2, 2, 2), (2, 3, 4), (2, 3, 5)]
+
+
+@pytest.mark.parametrize("d, k, n", TASK_SHAPES)
+def test_block_draw_and_stacked_qr_match_per_client_draws(d, k, n):
+    # theory.gen_task draws every client's frame and noise in one block and
+    # takes the frames with one stacked QR
+    sigma = 1.5
+    for seed in range(20):
+        rng = substream(seed, "numpy-facts", "gen-task")
+        frames, noise = [], []
+        for _ in range(k):
+            frames.append(np.linalg.qr(rng.normal(size=(n, d)))[0][:, :d])
+            noise.append(rng.normal(0.0, sigma, n))
+        block = substream(seed, "numpy-facts", "gen-task").normal(size=(k, n * d + n))
+        stacked, _ = np.linalg.qr(block[:, : n * d].reshape(k, n, d))
+        assert stacked.tobytes() == np.stack(frames).tobytes(), (
+            f"stacked QR of one block draw differs from per-client QRs on {build()}"
+        )
+        assert (0.0 + sigma * block[:, n * d :]).tobytes() == np.stack(noise).tobytes(), (
+            f"scaled block columns differ from per-client normal(0, sigma) on {build()}"
+        )

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -68,6 +69,8 @@ THEORY_CONFIG = Path(__file__).resolve().parents[1] / "configs/theory_check.toml
 # CLI's all="ignore", all="raise", and invalid="call" (the callback is set
 # by the test)
 CALLER_ERRSTATES = ({}, {"all": "ignore"}, {"all": "raise"}, {"invalid": "call"})
+
+BLOCK = theory._MC_BLOCK_ROWS  # rows of Monte-Carlo noise the oracle draws at a time
 
 
 def shipped_task(index, master_seed=None):
@@ -542,6 +545,44 @@ class TestGridOracle:
     @pytest.mark.parametrize("index", [0, 1, 2])
     def test_matches_per_point_loop_bitwise_at_seed_1(self, index):
         assert_matches_per_point_loop(index, master_seed=1)
+
+    @pytest.mark.parametrize("num_samples", [1, BLOCK - 1, BLOCK, BLOCK + 1, 20_000])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_noise_stats_match_the_whole_draw_bitwise(self, d, num_samples):
+        # a last-bit change in the noise mean can round away in every loss,
+        # so the statistics are checked before they reach one
+        noise = theory._mc_noise(num_samples, d, 31)
+        mean, sq_mean = theory._mc_noise_stats(num_samples, d, 31)
+        assert mean.tobytes() == noise.mean(axis=0).tobytes()
+        assert sq_mean == float(np.mean(np.einsum("ij,ij->i", noise, noise)))
+
+    def test_matches_per_point_loop_bitwise_at_one_dimension(self):
+        # numpy sums a lone noise column pairwise, not row by row as it
+        # sums wider noise, so d = 1 takes its own path to the noise mean
+        task = small_task(seed=29, d=1, n=4)
+        closed = closed_form_lambda_alpha(task, 0)
+        lam_grid = lambda_grid_around(closed.lambda_star, 5, 4.0)
+        args = (task, 0, lam_grid, simplex_grid(3, 6), 20_000, 5)
+        got, want = grid_search_oracle(*args), per_point_oracle(*args)
+        assert got.best_lambda == want.best_lambda
+        assert got.best_alpha.tobytes() == want.best_alpha.tobytes()
+        assert got.best_loss == want.best_loss
+        assert got.closed_form_loss == want.closed_form_loss
+
+    def test_peak_memory_stays_below_the_noise_array(self):
+        # the oracle reads two statistics of its (N, d) noise, drawn in
+        # blocks, and keeps a running best, so it never holds N * d floats
+        num_samples, d = 100_000, 4
+        task = small_task(seed=30, upsilon=(0.3, 0.7, 1.5, 2.5, 5.0), d=d, n=8)
+        args = (task, 0, np.array([0.5, 1.0, 2.0]), simplex_grid(5, 3))
+        grid_search_oracle(*args, 100, seed=12)  # first-call imports and caches
+        tracemalloc.start()
+        try:
+            grid_search_oracle(*args, num_samples, seed=12)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < num_samples * d * 8, peak
 
     def test_duplicated_alpha_row_tie_goes_to_first_index(self):
         # the two rows differ only in the sign of a zero weight, so their
