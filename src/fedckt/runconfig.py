@@ -369,22 +369,28 @@ def _config(sections: dict) -> RunConfig:
     return cfg
 
 
-def config_from_sections(sections: dict, locations: dict | None = None) -> RunConfig:
+def config_from_sections(
+    sections: dict, locations: dict | None = None, source: str | None = None
+) -> RunConfig:
     """The run configuration the parsed `sections` describe. An error about a
-    value reads `FILE:LINE: [section] key = value: why`, with the location
-    from `locations` (see parse_flat_toml) when it holds the key, and an
-    error about a whole section reads `[section]: why`. The error's `keys`
-    are the (section, key) pairs the broken rule reads, the reported first."""
+    value reads `WHERE: [section] key = value: why`, and an error about a
+    whole section `WHERE: [section]: why`. WHERE is the first that exists:
+    the `locations` entry (see parse_flat_toml) of the first key the broken
+    rule reads, the reported one first; that of the section's header; the
+    bare `source`; none. The error's `keys` are the (section, key) pairs the
+    rule reads, the reported first."""
     try:
         return _config(sections)
     except _Rejected as exc:
         section, key, value, why, *reads = exc.args
-        where = (locations or {}).get((section, key))
+        keys = ((section, key), *reads)
+        found = locations or {}
+        where = next((found[k] for k in keys if k in found), found.get((section, None), source))
         # JSON has no dates or times, so TOML's print as strings
         shown = json.dumps(value, default=str)
         subject = f"[{section}]" if key is None else f"[{section}] {key} = {shown}"
         message = f"{subject}: {why}" if where is None else f"{where}: {subject}: {why}"
-        raise ConfigurationError(message, ((section, key), *reads)) from None
+        raise ConfigurationError(message, keys) from None
 
 
 def _unique_keys(pairs: list) -> dict:
@@ -424,7 +430,7 @@ def load_config(path) -> RunConfig:
             raise ConfigurationError(f"{path}: top-level JSON must be an object")
     else:
         sections = parse_flat_toml(text, str(path), locations)
-    return config_from_sections(sections, locations)
+    return config_from_sections(sections, locations, str(path))
 
 
 def config_to_sections(cfg: RunConfig) -> dict:

@@ -1,17 +1,17 @@
+import collections
 import contextlib
 import dataclasses
+import functools
 import io
 import json
 import os
 import re
 import subprocess
 import sys
-import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
 
 from fedckt import theory
 from fedckt.cli import main
@@ -81,12 +81,123 @@ client = 0
 """
 
 
-MUTATION_BASES = {"smoke": SMOKE_FILE.read_text(), "theory": THEORY_TOML.format(extra="")}
-MUTATION_TARGETS = [
-    (name, key)
-    for name, text in MUTATION_BASES.items()
-    for key in re.findall(r"^(\w+) = ", text, re.M)
+SHIPPED_CONFIGS = sorted(SMOKE_FILE.parent.glob("*.toml"))
+# smoke-sized configs, cheap enough to run every mutation of through main
+MUTATION_BASES = {"smoke.toml": SMOKE_FILE.read_text(), "theory.toml": THEORY_TOML.format(extra="")}
+# each `key = ` line is set to each value in turn; at load level also to an
+# integer far above every element budget and the first integer past 64
+# bits, which main does not run: a huge round or step count asks for
+# unbounded time rather than being malformed
+MUTATION_VALUES = [
+    "7", "0.5", "true", '"x"', "0", "-1", "-1.5", "1e308", "-1e308", "1e200", "1e-200"
 ]
+LOAD_VALUES = MUTATION_VALUES + [str(10**18), str(2**64)]
+# the refusals made once the population is built, which name no file
+POST_LOAD_REFUSAL = re.compile(
+    r"config error: (\[data\] no active client holds training data"
+    r"|\[federation\] num_selected \(\d+\) exceeds the \d+ active clients)\n"
+)
+
+
+def single_key_mutations(text, values):
+    """(line number, value, mutated text) for each `key = ` line of `text`
+    set to each of `values`."""
+    lines = text.splitlines(keepends=True)
+    for index, line in enumerate(lines):
+        key = re.match(r"(\w+) = ", line)
+        for value in values if key else ():
+            mutated = [*lines[:index], f"{key[1]} = {value}\n", *lines[index + 1 :]]
+            yield index + 1, value, "".join(mutated)
+
+
+def text_mutations(text):
+    """(what, mutated text) for each line of `text` dropped, followed by a
+    garbage line, or the last one kept; each `key = ` line duplicated; and
+    each section wrapped in a multi-line string."""
+    lines = text.splitlines(keepends=True)
+    headers = [i for i, line in enumerate(lines) if line.startswith("[")]
+    for i, line in enumerate(lines):
+        yield f"drop line {i + 1}", "".join(lines[:i] + lines[i + 1 :])
+        garbage = [*lines[: i + 1], "garbage\n", *lines[i + 1 :]]
+        yield f"garbage after line {i + 1}", "".join(garbage)
+        yield f"truncate after line {i + 1}", "".join(lines[: i + 1])
+        if re.match(r"\w+ = ", line):
+            yield f"duplicate line {i + 1}", "".join([*lines[: i + 1], line, *lines[i + 1 :]])
+    for start, end in zip(headers, headers[1:] + [len(lines)]):
+        wrapped = ['wrapped = """\n', *lines[start:end], '"""\n']
+        yield f"wrap lines {start + 1}-{end}", "".join(lines[:start] + wrapped + lines[end:])
+
+
+def load_text(text, source):
+    """What load_config makes of TOML `text` read from `source`, without the
+    file: (the RunConfig or the exception raised, the sections or None,
+    parse_flat_toml's locations)."""
+    locations, sections = {}, None
+    try:
+        sections = parse_flat_toml(text, source, locations)
+        return config_from_sections(sections, locations, source), sections, locations
+    except Exception as exc:  # noqa: BLE001 - refusal_problem reports an escape
+        return exc, sections, locations
+
+
+def refusal_problem(loaded, source, locations, line=None):
+    """How `loaded`, load_text's result from `source`, breaks the location
+    contract, or None. A refusal is a ConfigurationError of one line, which
+    starts with `FILE:LINE: ` or a bare `FILE: `. With `line`, the line of a
+    mutated key, the broken rule reads that key and the message starts with
+    the FILE:LINE of a key the rule reads."""
+    if not isinstance(loaded, Exception):
+        return None
+    if not isinstance(loaded, ConfigurationError):
+        return f"escaped as {loaded!r}"
+    message = str(loaded)
+    if "\n" in message:
+        return f"more than one line: {message!r}"
+    if line is None:
+        located = re.match(rf"{re.escape(source)}(:\d+)?: ", message)
+        return None if located else f"names no FILE: {message}"
+    mutated = next(k for k, at in locations.items() if at == f"{source}:{line}")
+    if mutated not in loaded.keys:
+        return f"the rule does not read {mutated}: {message}"
+    if not any(message.startswith(f"{locations[k]}: ") for k in loaded.keys if k in locations):
+        return f"not at the FILE:LINE of a key the rule reads: {message}"
+    return None
+
+
+def run_problem(text, config, out, loaded):
+    """Writes `text` over the file `config`, runs `fedckt run` on it into the
+    new directory `out`, and returns how the run breaks the exit contract,
+    or None, with its exit code. `loaded` is what load_text made of `text`
+    from `config`: a refusal there must be the run's stderr line. Exit 0 and
+    1 print nothing on stderr, exit 2 and 3 one line (so no traceback), and
+    a refusal writes no output file."""
+    # written in place, then cut to length: a file truncated first has its
+    # blocks freed and allocated again, which is many times slower
+    with open(config, "r+" if config.exists() else "w") as fh:
+        fh.write(text)
+        fh.truncate()
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(["run", "--config", str(config), "--out", str(out)])
+    err = stderr.getvalue()
+    lines = err.splitlines(keepends=True)
+    # a run's numeric error follows the line naming its diverged clients
+    if code == 3 and len(lines) == 2 and lines[0].startswith("diverged clients"):
+        del lines[0]
+    refused = isinstance(loaded, ConfigurationError)
+    if not (code in (0, 2, 3) or (code == 1 and "FAIL" in stdout.getvalue())):
+        problem = "an undocumented exit"
+    elif len(lines) != (code >= 2):
+        problem = "not exactly one stderr line" if code >= 2 else "stderr not empty"
+    elif refused and err != f"config error: {loaded}\n":
+        problem = "not the load-time refusal"
+    elif code == 2 and not refused and not POST_LOAD_REFUSAL.fullmatch(err):
+        problem = "an undocumented refusal"
+    elif code == 2 and any(path.is_file() for path in out.rglob("*")):
+        problem = "a refusal wrote output"
+    else:
+        return None, code
+    return f"{problem}: exit {code}, stderr {err!r}", code
 
 
 def theory_task2_with(old, new):
@@ -102,6 +213,75 @@ def write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text)
     return path
+
+
+class TestConfigErrorContract:
+    # Each test loads every mutation in memory, as load_config does after
+    # decoding, then runs those of the smoke-sized bases through main. The
+    # loads are cached per (text, source): smoke.toml is shipped and a base.
+
+    def test_single_key_mutations_are_refused_at_their_key_or_run(self, tmp_path):
+        load = functools.cache(load_text)
+        problems, codes = [], collections.Counter()
+        total = refused = prefixed = 0
+        for path in SHIPPED_CONFIGS:
+            source = str(tmp_path / path.name)
+            for line, value, text in single_key_mutations(path.read_text(), LOAD_VALUES):
+                total += 1
+                loaded, _, locations = load(text, source)
+                if isinstance(loaded, Exception):
+                    refused += 1
+                    prefixed += bool(re.match(rf"{re.escape(source)}:\d+: ", str(loaded)))
+                problem = refusal_problem(loaded, source, locations, line)
+                problems += [f"{path.name}:{line} = {value}: {problem}"] if problem else []
+        located = refused - len(problems)
+        for name, base in MUTATION_BASES.items():
+            config = tmp_path / name
+            mutations = single_key_mutations(base, MUTATION_VALUES)
+            for i, (line, value, text) in enumerate(mutations):
+                loaded, _, locations = load(text, str(config))
+                problem = refusal_problem(loaded, str(config), locations, line)
+                problems += [f"{name}:{line} = {value}: {problem}"] if problem else []
+                problem, code = run_problem(text, config, tmp_path / f"{i}-{name}", loaded)
+                problems += [f"{name}:{line} = {value}: {problem}"] if problem else []
+                codes[code] += 1
+        print(
+            f"{total} single-key mutations of {len(SHIPPED_CONFIGS)} configs: {refused} refused "
+            f"at load, {prefixed} with FILE:LINE, {located} at the mutated key; "
+            f"{codes.total()} through main, exit codes {dict(sorted(codes.items()))}"
+        )
+        assert not problems, "\n".join(problems)
+
+    def test_text_mutations_are_refused_with_their_file_or_run(self, tmp_path):
+        load = functools.cache(load_text)
+        problems, codes, seen = [], collections.Counter(), set()
+        total = skipped = 0
+        for path in SHIPPED_CONFIGS:
+            source = str(tmp_path / path.name)
+            for what, text in text_mutations(path.read_text()):
+                total += 1
+                problem = refusal_problem(load(text, source)[0], source, {})
+                problems += [f"{path.name}: {what}: {problem}"] if problem else []
+        # main skips a mutation that parses to the sections of one already run
+        for name, base in MUTATION_BASES.items():
+            config = tmp_path / name
+            for i, (what, text) in enumerate(text_mutations(base)):
+                loaded, sections, _ = load(text, str(config))
+                if sections is not None and repr(sections) in seen:
+                    skipped += 1
+                    continue
+                seen.add(repr(sections))
+                problem = refusal_problem(loaded, str(config), {})
+                problems += [f"{name}: {what}: {problem}"] if problem else []
+                problem, code = run_problem(text, config, tmp_path / f"{i}-{name}", loaded)
+                problems += [f"{name}: {what}: {problem}"] if problem else []
+                codes[code] += 1
+        print(
+            f"{total} text mutations of {len(SHIPPED_CONFIGS)} configs at load; "
+            f"{codes.total()} through main, exit codes {dict(sorted(codes.items()))}, "
+            f"{skipped} skipped as parsing to sections already run"
+        )
+        assert not problems, "\n".join(problems)
 
 
 class TestParser:
@@ -418,18 +598,13 @@ class TestRunCommand:
         "old,new",
         [
             ("rounds = 1", "rounds = 2.5"),
-            ("rounds = 1", "rounds = true"),
             ("lr = 0.05", "lr = nan"),
             ("lr = 0.05", "lr = inf"),
             ("lr = 0.05", "lr = false"),
             ("num_clusters = 1", "num_clusters = 1.5"),
-            ("alpha = 10.0", "alpha = true"),
             ("init_scale = 0.05", "init_scale = -1.0"),
-            ("init_scale = 0.05", "init_scale = 1e308"),
             ("seed = 42", "seed = 1.5"),
             ("num_classes = 3", "num_classes = 1"),
-            ("dim = 2", "dim = 0"),
-            ("samples_per_class = 60", "samples_per_class = 0"),
             pytest.param("lr = 0.05", "lr = 1" + "0" * 400, id="lr-huge-int"),
         ],
     )
@@ -521,12 +696,12 @@ class TestRunCommand:
             (
                 "data.json",
                 '{"run": {"algorithm": "perfed_ckt"}, "data": 5}',
-                "config error: [data]: must be a table of keys, got 5",
+                "config error: data.json: [data]: must be a table of keys, got 5",
             ),
             (
                 "tasks.json",
                 '{"run": {"algorithm": "theory_check"}, "theory": {"tasks": [5]}}',
-                "config error: [theory] tasks = [5]: unknown key",
+                "config error: tasks.json: [theory] tasks = [5]: unknown key",
             ),
             (
                 "upsilon.toml",
@@ -578,51 +753,6 @@ class TestRunCommand:
         assert capsys.readouterr().err == (
             f"config error: {cfg}:4: [run] seed = 1.5: must be an integer\n"
         )
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        target=st.sampled_from(MUTATION_TARGETS),
-        value=st.sampled_from(
-            ["7", "0.5", "true", '"x"', "0", "-1", "-1.5", "1e308", "-1e308", "1e200", "1e-200"]
-        ),
-    )
-    # sigma squared overflows at 1e200 and underflows to 0 at 1e-200
-    @example(target=("theory", "sigma"), value="1e200")
-    @example(target=("theory", "sigma"), value="1e-200")
-    # n_samples = 6 < dim = 7 is reported at n_samples, a key the rule reads
-    @example(target=("theory", "dim"), value="7")
-    def test_single_key_mutation_never_escapes(self, target, value):
-        # "huge" means a huge float: a huge round or step count asks for
-        # unbounded time rather than being malformed; huge data sizes are
-        # covered by test_huge_size_exits_2_before_allocating
-        name, key = target
-        base = MUTATION_BASES[name]
-        text = re.sub(rf"^{key} = .*$", f"{key} = {value}", base, flags=re.M)
-        line = base[: re.search(rf"^{key} = ", base, flags=re.M).start()].count("\n") + 1
-        stdout, stderr = io.StringIO(), io.StringIO()
-        with (
-            tempfile.TemporaryDirectory() as tmp,
-            contextlib.redirect_stdout(stdout),
-            contextlib.redirect_stderr(stderr),
-        ):
-            cfg = write(Path(tmp), "mutated.toml", text)
-            locations = {}
-            parse_flat_toml(text, str(cfg), locations)
-            try:
-                load_config(cfg)
-                reads = None
-            except ConfigurationError as exc:
-                reads = exc.keys
-            code = main(["run", "--config", str(cfg), "--out", str(Path(tmp) / "out")])
-        # exit 1 only for a failed theory check
-        assert code in (0, 2, 3) or (code == 1 and "FAIL" in stdout.getvalue())
-        # a value the loader refuses breaks a rule that reads the mutated key,
-        # and is reported at the line of a key that rule reads
-        if reads is not None:
-            mutated = next(k for k, where in locations.items() if where == f"{cfg}:{line}")
-            assert mutated in reads
-            err = stderr.getvalue()
-            assert any(err.startswith(f"config error: {locations.get(k)}: ") for k in reads)
 
     def test_internal_error_exits_4(self, tmp_path, capsys, monkeypatch):
         import fedckt.cli
@@ -855,9 +985,10 @@ class TestRunCommand:
                 "must be one of ('constant', 'robbins_monro')",
             ),
             (
-                # the file does not set lr_decay, so its error has no location
+                # the file does not set lr_decay, so its error is located at
+                # lr_mode, which the rule also reads
                 SMOKE_TOML.replace("lr = 0.05", 'lr = 0.05\nlr_mode = "robbins_monro"'),
-                "config error: [federation] lr_decay = 0.0: "
+                "config error: range.toml:30: [federation] lr_decay = 0.0: "
                 "must be > 0 for lr_mode 'robbins_monro'",
             ),
             (
@@ -883,6 +1014,11 @@ class TestRunCommand:
                 "config error: range.toml:2: [run]: missing required keys: algorithm",
             ),
             (
+                # no [run] header to locate the missing key at: the bare file
+                SMOKE_FILE.read_text().splitlines(keepends=True)[0],
+                "config error: range.toml: [run]: missing required keys: algorithm",
+            ),
+            (
                 SMOKE_TOML.replace('"dirichlet"', '"dirichlet'),
                 "config error: range.toml:7: invalid TOML: Illegal character '\\n'",
             ),
@@ -897,7 +1033,7 @@ class TestRunCommand:
             ),
             (
                 '{"run": {"algorithm": "local"},\n "data": {"dim": 0}}',
-                "config error: [data] dim = 0: must be >= 1",
+                "config error: range.json: [data] dim = 0: must be >= 1",
             ),
             ('{"run": \n', "config error: range.toml:2: invalid JSON: Expecting value"),
             ("[1, 2]\n", "config error: range.json: top-level JSON must be an object"),
@@ -1002,6 +1138,7 @@ class TestRunCommand:
             "missing_federation",
             "federation_missing_keys",
             "missing_algorithm",
+            "comment_only",
             "unterminated_string",
             "missing_key_name",
             "empty_section_name",

@@ -381,7 +381,7 @@ class TestLedgers:
         assert result.ledger.total_scalars == 0
 
 
-class TestDeterminismAndParallel:
+class TestDeterminism:
     def metrics_fingerprint(self, result):
         return [
             (

@@ -232,3 +232,76 @@ def test_block_draw_and_stacked_qr_match_per_client_draws(d, k, n):
         assert (0.0 + sigma * block[:, n * d :]).tobytes() == np.stack(noise).tobytes(), (
             f"scaled block columns differ from per-client normal(0, sigma) on {build()}"
         )
+
+
+# flat parameter sizes: smoke's softmax (d = 2, N = 3), perfed_converge10's
+# softmax (5, 5), two_group's softmax (4, 10), perfed_dirichlet100's small
+# and wide heterogeneous MLPs (8, 10, hidden 12 and 24), fedavg_twogroup's
+# MLP-24 (4, 10)
+PARAM_SIZES = [9, 30, 50, 238, 466, 370]
+
+
+@pytest.mark.parametrize("size", PARAM_SIZES)
+def test_scaling_the_gradient_in_place_matches_subtracting_the_scaled_gradient(size):
+    # federation's local step scales the kernel's fresh gradient in place,
+    # then subtracts it
+    rng = substream(10, "numpy-facts", "sgd-step", size)
+    for eta in (0.05, 0.3, 1 / 3, 1e-7):
+        w, grad = rng.normal(size=size), rng.normal(scale=50.0, size=size)
+        stepped = w.copy()
+        scaled = grad.copy()
+        scaled *= eta
+        stepped -= scaled
+        w -= eta * grad
+        assert stepped.tobytes() == w.tobytes(), (
+            f"grad *= eta; w -= grad differs from w -= eta * grad on {build()}"
+        )
+
+
+# data.minibatch draws with replacement only when the batch is larger than
+# the split: the batch sizes of the shipped configs and bench workloads
+BATCH_SIZES = [8, 30, 32, 64]
+
+
+@pytest.mark.parametrize("k", BATCH_SIZES)
+def test_choice_with_replacement_matches_integers(k):
+    # the same indices, and the generator left in the same state
+    for n in range(1, k):
+        for seed in range(3):
+            chosen = substream(seed, "numpy-facts", "minibatch", n, k)
+            drawn = substream(seed, "numpy-facts", "minibatch", n, k)
+            picks = chosen.choice(n, size=k, replace=True)
+            assert picks.tobytes() == drawn.integers(0, n, size=k).tobytes(), (
+                f"choice(n, replace=True) differs from integers(0, n) on {build()}"
+            )
+            assert chosen.random() == drawn.random(), (
+                f"choice(n, replace=True) leaves another generator state on {build()}"
+            )
+
+
+# (rows, columns) of the class scores, probabilities and hidden activations
+# the kernels reduce: smoke and bench batches and the 30- and 2000-row pools
+REDUCE_SHAPES = [(8, 3), (32, 5), (64, 10), (30, 5), (2000, 10), (2000, 24), (32, 12)]
+
+
+@pytest.mark.parametrize("shape", REDUCE_SHAPES, ids=lambda s: "x".join(map(str, s)))
+def test_direct_reduce_matches_the_method(shape):
+    # models calls np.maximum.reduce and np.add.reduce directly; the max
+    # also meets a NaN and rows and columns whose largest entries are 0.0
+    # and -0.0, in either order
+    rng = substream(11, "numpy-facts", "reduce", *shape)
+    block = rng.normal(size=shape)
+    for axis in (0, 1):
+        assert np.add.reduce(block, axis=axis).tobytes() == block.sum(axis=axis).tobytes(), (
+            f"np.add.reduce differs from .sum over axis {axis} on {build()}"
+        )
+    block = -np.abs(block)
+    block[::2, :2] = [0.0, -0.0]
+    block[1::2, :2] = [-0.0, 0.0]
+    block[-1, -1] = np.nan
+    for data in (block, block.T.copy()):
+        for axis in (0, 1):
+            direct = np.maximum.reduce(data, axis=axis)
+            assert direct.tobytes() == data.max(axis=axis).tobytes(), (
+                f"np.maximum.reduce differs from .max over axis {axis} on {build()}"
+            )
