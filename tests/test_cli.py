@@ -216,39 +216,29 @@ def write(tmp_path, name, text):
 
 
 class TestConfigErrorContract:
-    # Each test loads every mutation in memory, as load_config does after
-    # decoding, then runs those of the smoke-sized bases through main. The
-    # loads are cached per (text, source): smoke.toml is shipped and a base.
+    # Each test loads every mutation of the shipped configs in memory, as
+    # load_config does after decoding. The text test then runs those of the
+    # smoke-sized bases through main, caching the loads per (text, source):
+    # smoke.toml is shipped and a base. TestRunCommand runs the single-key
+    # mutations of the bases through main.
 
-    def test_single_key_mutations_are_refused_at_their_key_or_run(self, tmp_path):
-        load = functools.cache(load_text)
-        problems, codes = [], collections.Counter()
+    def test_single_key_mutations_are_refused_at_their_key(self, tmp_path):
+        problems = []
         total = refused = prefixed = 0
         for path in SHIPPED_CONFIGS:
             source = str(tmp_path / path.name)
             for line, value, text in single_key_mutations(path.read_text(), LOAD_VALUES):
                 total += 1
-                loaded, _, locations = load(text, source)
+                loaded, _, locations = load_text(text, source)
                 if isinstance(loaded, Exception):
                     refused += 1
                     prefixed += bool(re.match(rf"{re.escape(source)}:\d+: ", str(loaded)))
                 problem = refusal_problem(loaded, source, locations, line)
                 problems += [f"{path.name}:{line} = {value}: {problem}"] if problem else []
         located = refused - len(problems)
-        for name, base in MUTATION_BASES.items():
-            config = tmp_path / name
-            mutations = single_key_mutations(base, MUTATION_VALUES)
-            for i, (line, value, text) in enumerate(mutations):
-                loaded, _, locations = load(text, str(config))
-                problem = refusal_problem(loaded, str(config), locations, line)
-                problems += [f"{name}:{line} = {value}: {problem}"] if problem else []
-                problem, code = run_problem(text, config, tmp_path / f"{i}-{name}", loaded)
-                problems += [f"{name}:{line} = {value}: {problem}"] if problem else []
-                codes[code] += 1
         print(
             f"{total} single-key mutations of {len(SHIPPED_CONFIGS)} configs: {refused} refused "
-            f"at load, {prefixed} with FILE:LINE, {located} at the mutated key; "
-            f"{codes.total()} through main, exit codes {dict(sorted(codes.items()))}"
+            f"at load, {prefixed} with FILE:LINE, {located} at the mutated key"
         )
         assert not problems, "\n".join(problems)
 
@@ -598,13 +588,18 @@ class TestRunCommand:
         "old,new",
         [
             ("rounds = 1", "rounds = 2.5"),
+            ("rounds = 1", "rounds = true"),
             ("lr = 0.05", "lr = nan"),
             ("lr = 0.05", "lr = inf"),
             ("lr = 0.05", "lr = false"),
             ("num_clusters = 1", "num_clusters = 1.5"),
+            ("alpha = 10.0", "alpha = true"),
             ("init_scale = 0.05", "init_scale = -1.0"),
+            ("init_scale = 0.05", "init_scale = 1e308"),
             ("seed = 42", "seed = 1.5"),
             ("num_classes = 3", "num_classes = 1"),
+            ("dim = 2", "dim = 0"),
+            ("samples_per_class = 60", "samples_per_class = 0"),
             pytest.param("lr = 0.05", "lr = 1" + "0" * 400, id="lr-huge-int"),
         ],
     )
@@ -753,6 +748,26 @@ class TestRunCommand:
         assert capsys.readouterr().err == (
             f"config error: {cfg}:4: [run] seed = 1.5: must be an integer\n"
         )
+
+    def test_single_key_mutation_never_escapes(self, tmp_path):
+        # every (base, key, value) pair of the smoke-sized bases, loaded in
+        # memory and run through main; "huge" means a huge float: a huge
+        # round or step count asks for unbounded time rather than being
+        # malformed, and huge data sizes are covered by
+        # test_huge_size_exits_2_before_allocating
+        problems, codes = [], collections.Counter()
+        for name, base in MUTATION_BASES.items():
+            config = tmp_path / name
+            mutations = single_key_mutations(base, MUTATION_VALUES)
+            for i, (line, value, text) in enumerate(mutations):
+                loaded, _, locations = load_text(text, str(config))
+                problem = refusal_problem(loaded, str(config), locations, line)
+                problems += [f"{name}:{line} = {value}: {problem}"] if problem else []
+                problem, code = run_problem(text, config, tmp_path / f"{i}-{name}", loaded)
+                problems += [f"{name}:{line} = {value}: {problem}"] if problem else []
+                codes[code] += 1
+        print(f"{codes.total()} through main, exit codes {dict(sorted(codes.items()))}")
+        assert not problems, "\n".join(problems)
 
     def test_internal_error_exits_4(self, tmp_path, capsys, monkeypatch):
         import fedckt.cli
