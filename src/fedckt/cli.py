@@ -63,18 +63,18 @@ def cmd_run(args) -> int:
         write_partition_stats(out / "partition_stats.json", cfg.data, cfg.seed)
         print(f"wrote {out / 'partition_stats.json'}")
         return EXIT_OK
-    records, pool = build_population(cfg.data, cfg.models, cfg.seed)
-    result = run_algorithm(cfg.algorithm, records, pool, cfg.federation)
+    try:  # the refusals only the built population can make name the file too
+        records, pool = build_population(cfg.data, cfg.models, cfg.seed)
+        result = run_algorithm(cfg.algorithm, records, pool, cfg.federation)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{args.config}: {exc}") from exc
     write_metrics_csv(out / "metrics.csv", result.metrics)
     write_summary_json(out / "summary.json", summarize_run(result, config_to_sections(cfg)))
     write_checkpoints([r for r in records if r.bundle.active], out / "checkpoints")
     print(f"wrote {out / 'metrics.csv'}, {out / 'summary.json'} and {out / 'checkpoints'}")
-    if result.diverged:
-        print(f"diverged clients (client, round): {result.diverged}", file=sys.stderr)
-    if result.error is not None:
-        raise result.error
-    if result.diverged:
-        return EXIT_DIVERGED
+    if result.diverged:  # a run's error always records its client among them
+        why = f"diverged clients (client, round): {result.diverged}"
+        raise NumericError(why if result.error is None else f"{result.error}; {why}")
     return EXIT_OK
 
 
@@ -141,10 +141,10 @@ TOY_CSV_HEADER = "seed,client,kind,w0,w1,dist_to_true"
 def cmd_toy(args) -> int:
     start_seed, num_seeds = args.seed, args.num_seeds
     if num_seeds < 1:
-        raise ConfigurationError(f"--num-seeds must be >= 1, got {num_seeds}")
+        raise ConfigurationError(f"fedckt toy: --num-seeds must be >= 1, got {num_seeds}")
     if start_seed < 0 or start_seed + num_seeds > 2**64:
         why = f"--seed {start_seed} --num-seeds {num_seeds}: seeds must lie in [0, 2**64)"
-        raise ConfigurationError(why)
+        raise ConfigurationError(f"fedckt toy: {why}")
     out = _out_dir(args)
     rows = []
     wins = {0: 0, 1: 0}

@@ -3,10 +3,10 @@ exhaustive scans, brute-force Gaussian conditioning, and out-of-place
 copies of the model kernels, of k-means and of client sampling, which the
 package's kernels must match bitwise. These stay deliberately naive and
 separate from the implementation paths they check. Also the Gaussian-blob
-data the tests train on, and a reader for the checkpoint files the package
-writes but does not read."""
+data the tests train on, a reader for the checkpoint files the package
+writes but does not read, the name of the numpy build, and the padded-stack
+products test_numpy_facts checks in fresh interpreters."""
 
-import itertools
 import json
 import struct
 from pathlib import Path
@@ -230,6 +230,41 @@ def posterior_mean_brute_force(sigma, beta, upsilon, what, k, prior_var=1e10):
     return coef @ what, float(var)
 
 
+def build():
+    """numpy's version and the BLAS it was built with: the build a bitwise
+    fact or a recorded digest holds on."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return f"numpy {np.__version__}, {blas['name']} {blas['version']}"
+
+
+def padded_stack_mismatches(k, m, client_rows):
+    """{"forward": [...], "transposed": [...]}: the row counts n, among
+    `client_rows`, of the clients whose rows of the zero-padded stacked
+    forward (G, n_max, k) @ (G, k, m), or whose zero-padded X.T @ G, differ
+    from the unpadded per-client product in any of three draws. The rows
+    are padded to the largest count plus 7. test_numpy_facts runs this in
+    fresh interpreters, one per BLAS thread count."""
+    found = {"forward": set(), "transposed": set()}
+    n_max = max(client_rows) + 7
+    for seed in range(3):
+        rng = substream(seed, "numpy-facts", "padded", k, m)
+        x = np.zeros((len(client_rows), n_max, k))
+        grad = np.zeros((len(client_rows), n_max, m))
+        weights = rng.normal(size=(len(client_rows), k, m))
+        for g, n in enumerate(client_rows):
+            x[g, :n] = rng.normal(size=(n, k))
+            grad[g, :n] = rng.normal(size=(n, m))
+        forward = np.matmul(x, weights)
+        transposed = np.matmul(x.transpose(0, 2, 1), grad)
+        for g, n in enumerate(client_rows):
+            rows, g_rows = x[g, :n].copy(), grad[g, :n].copy()
+            if forward[g, :n].tobytes() != (rows @ weights[g]).tobytes():
+                found["forward"].add(n)
+            if transposed[g].tobytes() != (rows.T @ g_rows).tobytes():
+                found["transposed"].add(n)
+    return {kind: sorted(ns) for kind, ns in found.items()}
+
+
 def solved_into(solution, out):
     """What a stand-in solver returns: `solution` as it is, or written into
     `out` when the caller passes one, as theory.ridge_codistill_solve and
@@ -238,13 +273,6 @@ def solved_into(solution, out):
         return solution
     out[...] = solution
     return out
-
-
-def all_simplex_vertices(num_weights):
-    return [
-        np.array(v, dtype=float)
-        for v in itertools.permutations([1.0] + [0.0] * (num_weights - 1))
-    ]
 
 
 def read_params(path):

@@ -92,11 +92,6 @@ MUTATION_VALUES = [
     "7", "0.5", "true", '"x"', "0", "-1", "-1.5", "1e308", "-1e308", "1e200", "1e-200"
 ]
 LOAD_VALUES = MUTATION_VALUES + [str(10**18), str(2**64)]
-# the refusals made once the population is built, which name no file
-POST_LOAD_REFUSAL = re.compile(
-    r"config error: (\[data\] no active client holds training data"
-    r"|\[federation\] num_selected \(\d+\) exceeds the \d+ active clients)\n"
-)
 
 
 def single_key_mutations(text, values):
@@ -168,9 +163,10 @@ def run_problem(text, config, out, loaded):
     """Writes `text` over the file `config`, runs `fedckt run` on it into the
     new directory `out`, and returns how the run breaks the exit contract,
     or None, with its exit code. `loaded` is what load_text made of `text`
-    from `config`: a refusal there must be the run's stderr line. Exit 0 and
-    1 print nothing on stderr, exit 2 and 3 one line (so no traceback), and
-    a refusal writes no output file."""
+    from `config`: a refusal there must be the run's stderr line, and one
+    after load starts with the bare `FILE: `. Exit 0 and 1 print nothing on
+    stderr, exit 2 and 3 one line (so no traceback), exit 3 starting with
+    `numeric error: `, and a refusal writes no output file."""
     # written in place, then cut to length: a file truncated first has its
     # blocks freed and allocated again, which is many times slower
     with open(config, "r+" if config.exists() else "w") as fh:
@@ -181,18 +177,17 @@ def run_problem(text, config, out, loaded):
         code = main(["run", "--config", str(config), "--out", str(out)])
     err = stderr.getvalue()
     lines = err.splitlines(keepends=True)
-    # a run's numeric error follows the line naming its diverged clients
-    if code == 3 and len(lines) == 2 and lines[0].startswith("diverged clients"):
-        del lines[0]
     refused = isinstance(loaded, ConfigurationError)
     if not (code in (0, 2, 3) or (code == 1 and "FAIL" in stdout.getvalue())):
         problem = "an undocumented exit"
     elif len(lines) != (code >= 2):
         problem = "not exactly one stderr line" if code >= 2 else "stderr not empty"
+    elif code == 3 and not err.startswith("numeric error: "):
+        problem = "not a numeric error"
     elif refused and err != f"config error: {loaded}\n":
         problem = "not the load-time refusal"
-    elif code == 2 and not refused and not POST_LOAD_REFUSAL.fullmatch(err):
-        problem = "an undocumented refusal"
+    elif code == 2 and not refused and not err.startswith(f"config error: {config}: "):
+        problem = "a refusal after load names no file"
     elif code == 2 and any(path.is_file() for path in out.rglob("*")):
         problem = "a refusal wrote output"
     else:
@@ -531,7 +526,19 @@ class TestRunCommand:
         cfg = write(tmp_path, "explode.toml", SMOKE_TOML.replace("lr = 0.05", "lr = 1e308"))
         code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
         assert code == 3
-        assert "diverged" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "numeric error: diverged clients (client, round): [(0, 0), (1, 0)]\n"
+        )
+
+    def test_fatal_error_and_divergences_print_one_line(self, tmp_path, capsys):
+        # the first monitor pass overflows, which ends the run: its error
+        # and the divergence it records share the one stderr line
+        text = SMOKE_TOML.replace("distill_weight = 0.5", "distill_weight = 1e308")
+        cfg = write(tmp_path, "fatal.toml", text)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+        assert capsys.readouterr().err == (
+            "numeric error: non-finite gradient; diverged clients (client, round): [(0, 0)]\n"
+        )
 
     def test_degenerate_dirichlet_draw_exits_3(self, tmp_path, capsys):
         cfg = write(tmp_path, "flat.toml", SMOKE_TOML.replace("alpha = 10.0", "alpha = 1e308"))
@@ -961,7 +968,8 @@ class TestRunCommand:
             (
                 # seven rows per class leave one of the two clients active
                 SMOKE_TOML.replace("samples_per_class = 60", "samples_per_class = 7"),
-                "config error: [federation] num_selected (2) exceeds the 1 active clients",
+                "config error: range.toml: [federation] num_selected (2) "
+                "exceeds the 1 active clients",
             ),
             (
                 SMOKE_TOML.replace("class_separation = 4.0", "class_separation = 1e308").replace(
@@ -975,7 +983,7 @@ class TestRunCommand:
                 DIRICHLET_FILE.read_text().replace(
                     "samples_per_class = 500", "samples_per_class = 7"
                 ),
-                "config error: [data] no active client holds training data",
+                "config error: range.toml: [data] no active client holds training data",
             ),
             (
                 THEORY_TOML.format(extra="").replace("tolerance = 0.02", "tolerance = 0.0"),
@@ -1400,7 +1408,7 @@ class TestToyCommand:
 
     def test_nonpositive_num_seeds_exits_2(self, tmp_path, capsys):
         assert main(["toy", "--num-seeds", "0", "--out", str(tmp_path / "toy")]) == 2
-        assert "config error: --num-seeds" in capsys.readouterr().err
+        assert "config error: fedckt toy: --num-seeds" in capsys.readouterr().err
 
     @pytest.mark.parametrize("seed, num_seeds", [(-1, 1), (2**64 - 1, 2), (2**64, 1)])
     def test_seeds_outside_64_bits_exit_2(self, tmp_path, capsys, seed, num_seeds):
@@ -1408,7 +1416,7 @@ class TestToyCommand:
         argv = ["toy", "--seed", str(seed), "--num-seeds", str(num_seeds), "--out", str(out)]
         assert main(argv) == 2
         assert capsys.readouterr().err == (
-            f"config error: --seed {seed} --num-seeds {num_seeds}: "
+            f"config error: fedckt toy: --seed {seed} --num-seeds {num_seeds}: "
             "seeds must lie in [0, 2**64)\n"
         )
         assert not out.exists()

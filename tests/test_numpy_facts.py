@@ -9,20 +9,22 @@ solve) stay prose in ROADMAP.md: a numpy that made them true would break
 nothing.
 """
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.linalg import _umath_linalg
 
 from fedckt.rng import substream
 from fedckt.theory import _MC_BLOCK_ROWS
+from helpers import build
 
 # (d, A) of configs/theory_check.toml's tasks: dimension and alpha-grid rows
 ORACLE_SHAPES = [(2, 136), (3, 816), (4, 3876)]
-
-
-def build():
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    return f"numpy {np.__version__}, {blas['name']} {blas['version']}"
 
 
 def oracle_block(d, a, seed):
@@ -305,3 +307,96 @@ def test_direct_reduce_matches_the_method(shape):
             assert direct.tobytes() == data.max(axis=axis).tobytes(), (
                 f"np.maximum.reduce differs from .max over axis {axis} on {build()}"
             )
+
+
+# ROADMAP item 14's zero-padded client stacks: (k, m) of each layer's
+# weights in the bench workloads. perfed_dirichlet100 mixes softmax (8 -> 10)
+# and MLPs with hidden widths 12 and 24, perfed_converge10 is softmax (5 -> 5)
+# and fedavg_twogroup an MLP-24 (4 -> 24 -> 10). A forward is
+# (n, k) @ (k, m); a weight gradient is X.T @ G, (n, k).T @ (n, m).
+LAYER_SHAPES = [(8, 10), (8, 12), (12, 10), (8, 24), (24, 10), (5, 5), (4, 24)]
+# from 16 inner columns on a padded forward differs, see below
+FORWARD_BITWISE = [shape for shape in LAYER_SHAPES if shape[0] < 16]
+# one group's clients: the row counts of their splits, zero-padded to the
+# largest plus 7
+CLIENT_ROWS = [1, 2, 3, 5, 8, 13, 21, 34, 69, 100, 128, 200, 333]
+BLAS_THREADS = [1, 2]
+
+
+@pytest.fixture(scope="module")
+def padded_reports():
+    """BLAS threads -> {"kxm": padded_stack_mismatches at that layer shape},
+    each from a fresh interpreter started with that many OpenBLAS threads;
+    the two run side by side."""
+    tests = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(tests.parent / "src"), str(tests)])
+    code = (
+        "import json, sys, helpers; rows, shapes = json.loads(sys.argv[1]); "
+        "print(json.dumps({f'{k}x{m}': helpers.padded_stack_mismatches(k, m, rows) "
+        "for k, m in shapes}))"
+    )
+    procs = {
+        threads: subprocess.Popen(
+            [sys.executable, "-c", code, json.dumps([CLIENT_ROWS, LAYER_SHAPES])],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), PYTHONPATH=path),
+        )
+        for threads in BLAS_THREADS
+    }
+    reports = {}
+    for threads, proc in procs.items():
+        out, err = proc.communicate()
+        assert proc.returncode == 0, err
+        reports[threads] = json.loads(out)
+    return reports
+
+
+def layer_id(shape):
+    return "x".join(map(str, shape))
+
+
+@pytest.mark.parametrize("threads", BLAS_THREADS)
+@pytest.mark.parametrize("k, m", FORWARD_BITWISE, ids=map(layer_id, FORWARD_BITWISE))
+def test_zero_padded_stacked_forward_matches_per_client_rows(padded_reports, threads, k, m):
+    # every client with two rows or more; one row is the gemv case below
+    differ = [n for n in padded_reports[threads][f"{k}x{m}"]["forward"] if n > 1]
+    assert not differ, (
+        f"zero-padded stacked forward through ({k}, {m}) differs from the per-client "
+        f"product for clients of {differ} rows at {threads} BLAS threads on {build()}"
+    )
+
+
+@pytest.mark.parametrize("threads", BLAS_THREADS)
+@pytest.mark.parametrize("k, m", LAYER_SHAPES, ids=map(layer_id, LAYER_SHAPES))
+def test_zero_padded_stacked_forward_differs_for_a_one_row_client(padded_reports, threads, k, m):
+    # expected inequality: numpy takes gemv for a one-row product, so a
+    # client whose split has one row keeps the per-client path
+    assert 1 in padded_reports[threads][f"{k}x{m}"]["forward"], (
+        f"zero-padded stacked forward through ({k}, {m}) matches the one-row gemv "
+        f"at {threads} BLAS threads on {build()}"
+    )
+
+
+@pytest.mark.parametrize("threads", BLAS_THREADS)
+def test_zero_padded_stacked_forward_differs_through_a_24_wide_layer(padded_reports, threads):
+    # expected inequality: from 16 inner columns on, the rows past the last
+    # multiple of 4 depend on how many rows the product has, so the MLP-24
+    # output layer (24 -> 10) cannot be stacked with padding
+    differ = [n for n in padded_reports[threads]["24x10"]["forward"] if n > 1]
+    assert differ, (
+        f"zero-padded stacked forward through (24, 10) matches the per-client rows "
+        f"at {threads} BLAS threads on {build()}"
+    )
+
+
+@pytest.mark.parametrize("threads", BLAS_THREADS)
+@pytest.mark.parametrize("k, m", LAYER_SHAPES, ids=map(layer_id, LAYER_SHAPES))
+def test_zero_padded_weight_gradient_matches_per_client_product(padded_reports, threads, k, m):
+    # X.T @ G over zero-padded rows, one-row clients included
+    differ = padded_reports[threads][f"{k}x{m}"]["transposed"]
+    assert not differ, (
+        f"zero-padded X.T @ G at ({k}, {m}) differs from the per-client product "
+        f"for clients of {differ} rows at {threads} BLAS threads on {build()}"
+    )
