@@ -48,15 +48,28 @@ EXIT_DIVERGED = 3
 EXIT_INTERNAL = 4
 
 
-def _out_dir(args) -> Path:
+def _out_dir(args) -> tuple[Path, list[Path]]:
+    """The output directory, made before the run so that an unwritable one
+    fails first, and the directories this call made, deepest first."""
     path = Path(args.out or ".")
+    made = [d for d in (path, *path.parents) if not d.exists()]
     path.mkdir(parents=True, exist_ok=True)
-    return path
+    return path, made
+
+
+def _remove_if_empty(made: list[Path]) -> None:
+    """Removes the directories _out_dir made, deepest first, up to the first
+    one that is no longer empty (or no longer there)."""
+    for directory in made:
+        try:
+            directory.rmdir()
+        except OSError:
+            return
 
 
 def cmd_run(args) -> int:
     cfg = load_config(args.config)
-    out = _out_dir(args)
+    out, made = _out_dir(args)
     if cfg.algorithm == "theory_check":
         return _theory_check(cfg.theory, cfg.seed, out)
     if cfg.algorithm == "partition_stats":
@@ -67,6 +80,7 @@ def cmd_run(args) -> int:
         records, pool = build_population(cfg.data, cfg.models, cfg.seed)
         result = run_algorithm(cfg.algorithm, records, pool, cfg.federation)
     except ConfigurationError as exc:
+        _remove_if_empty(made)  # a refused run leaves no empty --out behind
         raise ConfigurationError(f"{args.config}: {exc}") from exc
     write_metrics_csv(out / "metrics.csv", result.metrics)
     write_summary_json(out / "summary.json", summarize_run(result, config_to_sections(cfg)))
@@ -145,7 +159,7 @@ def cmd_toy(args) -> int:
     if start_seed < 0 or start_seed + num_seeds > 2**64:
         why = f"--seed {start_seed} --num-seeds {num_seeds}: seeds must lie in [0, 2**64)"
         raise ConfigurationError(f"fedckt toy: {why}")
-    out = _out_dir(args)
+    out, _ = _out_dir(args)
     rows = []
     wins = {0: 0, 1: 0}
     uniform_beats_fedavg_client2 = 0

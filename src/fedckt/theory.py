@@ -24,26 +24,52 @@ cross-check.)
 
 from __future__ import annotations
 
+import contextvars
 import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy._core._ufunc_config import _extobj_contextvar, _make_extobj
-from numpy.linalg import _umath_linalg
 
 from .errors import NumericError
 from .rng import substream
 
-# the gufunc np.linalg.solve dispatches to for a 1-D rhs: the same LAPACK
-# gesv on the same float64 operands, without the wrapper's per-call Python
-# validation, which costs more than the solve itself at d <= 4
-_solve1 = _umath_linalg.solve1
+try:
+    from numpy._core._ufunc_config import _extobj_contextvar, _make_extobj
+    from numpy.linalg import _umath_linalg
+except ImportError:  # a numpy that moved them: public stand-ins, the same bits
 
-# np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore")
-# built once: the policy object its __enter__ makes on every call, set and
-# reset around each solve through the context variable numpy reads it from
-_RAISE_INVALID = _make_extobj(invalid="raise", over="ignore", divide="ignore", under="ignore")
+    def _solve1(lhs, rhs, out=None):
+        """np.linalg.solve, written into `out` if given. Its singular-matrix
+        LinAlgError becomes the FloatingPointError the gufunc raises under
+        the policy below, so ridge_codistill_solve reports it alike."""
+        try:
+            solution = np.linalg.solve(lhs, rhs)
+        except np.linalg.LinAlgError as exc:
+            raise FloatingPointError(str(exc)) from exc
+        if out is None:
+            return solution
+        out[...] = solution
+        return out
+
+    # np.linalg.solve sets its own error policy, so the one here is a
+    # no-op that always reads as held
+    _extobj_contextvar = contextvars.ContextVar("unused_policy", default=None)
+    _RAISE_INVALID = None
+else:
+    # the gufunc np.linalg.solve dispatches to for a 1-D rhs: the same LAPACK
+    # gesv on the same float64 operands, without the wrapper's per-call
+    # Python validation, which costs more than the solve itself at d <= 4
+    _solve1 = _umath_linalg.solve1
+
+    # np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore")
+    # built once: the policy object its __enter__ makes on every call, set and
+    # reset around the solves through the context variable numpy reads it from
+    _RAISE_INVALID = _make_extobj(
+        invalid="raise", over="ignore", divide="ignore", under="ignore"
+    )
+
+_isfinite = math.isfinite  # read per solution entry: a global, no attribute lookup
 
 THETA_BOX = 10.0  # flat-prior stand-in: theta ~ Uniform(-THETA_BOX, THETA_BOX)^d
 
@@ -165,17 +191,22 @@ def ridge_codistill_solve(
     in a NumericError. Bitwise np.linalg.solve(lhs, rhs): float64 operands
     resolve to solve1's one dd->d loop. A singular lhs sets the invalid
     flag, raised here whatever the caller's errstate, as np.linalg.solve
-    does; the caller's errstate is restored on every exit. At d <= 4
-    checking finiteness over Python floats beats a numpy reduction."""
-    token = _extobj_contextvar.set(_RAISE_INVALID)
+    does; the caller's errstate is restored on every exit. A caller that
+    already holds the policy (grid_search_oracle, per lambda block) pays
+    for no swap. At d <= 4 checking finiteness over Python floats beats a
+    numpy reduction."""
+    held = _extobj_contextvar.get() is _RAISE_INVALID
+    token = None if held else _extobj_contextvar.set(_RAISE_INVALID)
     try:
         solution = _solve1(lhs, rhs, out=out)
     except FloatingPointError as exc:
         raise NumericError(f"singular ridge system (lambda={lam})") from exc
     finally:
-        _extobj_contextvar.reset(token)
-    if not all(map(math.isfinite, solution.tolist())):
-        raise NumericError(f"non-finite ridge solution (lambda={lam})")
+        if token is not None:
+            _extobj_contextvar.reset(token)
+    for value in solution.tolist():
+        if not _isfinite(value):
+            raise NumericError(f"non-finite ridge solution (lambda={lam})")
     return solution
 
 
@@ -387,13 +418,16 @@ def grid_search_oracle(
     xtx = task.designs[k].T @ task.designs[k]
     ptp = task.public_design.T @ task.public_design
 
-    # ridge_codistill_system's terms, each built once: the own pull, one
-    # alpha pull per row and one lhs per lambda; rhs rows are
-    # lam * pulled[j] + own, the same operands and order (addition commutes)
+    # ridge_codistill_system's terms, each built once: the own pull, the
+    # (A, d) alpha pulls and one lhs per lambda; rhs rows are
+    # lam * pulled[j] + own, the same operands and order (addition commutes).
+    # Each item of the two stacked matmuls is the (1, K) @ (K, d) and
+    # (d, d) @ (d, 1) product of a per-row ptp @ (alpha @ what_all), and
+    # gives its bits; one plain gemm alpha_grid @ what_all does not (both
+    # pinned in tests/test_numpy_facts.py)
     own = xtx @ what_all[k]
-    pulled = np.empty((len(alpha_grid), task.dim))
-    for j, alpha in enumerate(alpha_grid):
-        pulled[j] = ptp @ (alpha @ what_all)
+    mixed = np.matmul(alpha_grid[:, None, :], what_all)
+    pulled = np.matmul(ptp, mixed[:, 0, :, None])[:, :, 0]
     rhs = np.empty_like(pulled)
 
     # one solve per grid point, written straight into an (A, d) block per
@@ -405,8 +439,13 @@ def grid_search_oracle(
         lhs = xtx + lam * ptp
         np.multiply(lam, pulled, out=rhs)
         rhs += own
-        for rhs_row, solution in zip(rhs, block):
-            ridge_codistill_solve(lhs, rhs_row, lam, out=solution)
+        # the solves' error policy, held for the block and nothing else
+        token = _extobj_contextvar.set(_RAISE_INVALID)
+        try:
+            for rhs_row, solution in zip(rhs, block):
+                ridge_codistill_solve(lhs, rhs_row, lam, out=solution)
+        finally:
+            _extobj_contextvar.reset(token)
         losses = _losses_from_noise_stats(block, mean, sd, noise_mean, noise_sq_mean)
         if not np.isfinite(losses).all():
             raise NumericError(f"non-finite oracle loss (lambda={lam})")

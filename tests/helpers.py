@@ -5,7 +5,8 @@ package's kernels must match bitwise. These stay deliberately naive and
 separate from the implementation paths they check. Also the Gaussian-blob
 data the tests train on, a reader for the checkpoint files the package
 writes but does not read, the name of the numpy build, and the padded-stack
-products test_numpy_facts checks in fresh interpreters."""
+products and stacked oracle pulls test_numpy_facts checks in fresh
+interpreters."""
 
 import json
 import struct
@@ -16,6 +17,7 @@ import numpy as np
 from fedckt.clustering import LLOYD_MAX_ITERS, LLOYD_TOL
 from fedckt.data import class_means, sample_blobs
 from fedckt.rng import substream
+from fedckt.theory import simplex_grid
 
 
 def blobs(num_classes, dim, samples_per_class, class_separation, seed):
@@ -263,6 +265,34 @@ def padded_stack_mismatches(k, m, client_rows):
             if transposed[g].tobytes() != (rows.T @ g_rows).tobytes():
                 found["transposed"].add(n)
     return {kind: sorted(ns) for kind, ns in found.items()}
+
+
+def stacked_pull_mismatches(shapes, seeds=3):
+    """{"KxdxR": {"stacked": n, "gemm": n}} for each (K, d, R) of `shapes`:
+    of `seeds` draws of the (K, d) estimates W and a Gram matrix ptp = P'P
+    over the alpha grid simplex_grid(K, R), how many give (A, d) pulls from
+    the two stacked matmuls of theory.grid_search_oracle that differ from
+    the per-row ptp @ (alpha @ W), and how many give a plain gemm
+    alpha_grid @ W that differs from the per-row alpha @ W.
+    test_numpy_facts runs this in fresh interpreters, one per BLAS thread
+    count."""
+    report = {}
+    for num_clients, dim, resolution in shapes:
+        alpha_grid = simplex_grid(num_clients, resolution)
+        found = {"stacked": 0, "gemm": 0}
+        for seed in range(seeds):
+            rng = substream(seed, "numpy-facts", "pull", num_clients, dim, resolution)
+            what_all = rng.normal(scale=3.0, size=(num_clients, dim))
+            public = rng.normal(size=(dim, dim))
+            ptp = public.T @ public
+            rows = [alpha @ what_all for alpha in alpha_grid]
+            mixed = np.matmul(alpha_grid[:, None, :], what_all)
+            pulled = np.matmul(ptp, mixed[:, 0, :, None])[:, :, 0]
+            per_row = np.stack([ptp @ row for row in rows])
+            found["stacked"] += pulled.tobytes() != per_row.tobytes()
+            found["gemm"] += (alpha_grid @ what_all).tobytes() != np.stack(rows).tobytes()
+        report[f"{num_clients}x{dim}x{resolution}"] = found
+    return report
 
 
 def solved_into(solution, out):

@@ -1193,6 +1193,36 @@ class TestRunCommand:
         assert captured.out == ""
         assert captured.err == message + "\n"
 
+    @pytest.mark.parametrize("before", ["absent", "present", "written_into"])
+    def test_post_load_refusal_removes_only_the_empty_directories_it_made(
+        self, tmp_path, capsys, monkeypatch, before
+    ):
+        # seven rows per class leave one active client: the population
+        # refuses the run after --out and its missing parents were made
+        text = SMOKE_TOML.replace("samples_per_class = 60", "samples_per_class = 7")
+        cfg = write(tmp_path, "refused.toml", text)
+        out = tmp_path / "made" / "by" / "run"
+        if before == "present":
+            out.mkdir(parents=True)
+        if before == "written_into":
+            # a file lands in the new directory before the refusal
+            def writes_then_refuses(data, models, seed):
+                (out / "stray").write_text("")
+                return build_population(data, models, seed)
+
+            monkeypatch.setattr("fedckt.cli.build_population", writes_then_refuses)
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: {cfg}: [federation] num_selected (2) exceeds the 1 active clients\n"
+        )
+        left = sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*"))
+        kept = {
+            "absent": [],
+            "present": ["made", "made/by", "made/by/run"],
+            "written_into": ["made", "made/by", "made/by/run", "made/by/run/stray"],
+        }[before]
+        assert left == sorted(["refused.toml", *kept])
+
     def test_divergence_prints_no_numpy_warnings(self, tmp_path):
         # a fresh interpreter: pytest records warnings instead of printing them
         text = SMOKE_FILE.read_text().replace("lr = 0.05", "lr = 1e308")
@@ -1371,6 +1401,31 @@ class TestTheoryCheckCommand:
         assert err.startswith(f"numeric error: {message} (lambda=")
         assert len(err.splitlines()) == 1 and "Traceback" not in err
 
+
+    def test_runs_where_numpys_private_modules_are_missing(self, tmp_path, capsys):
+        # a fresh interpreter hides the two private modules theory imports,
+        # as a numpy that moved them would; the public stand-ins must write
+        # the report the private path writes
+        cfg = write(tmp_path, "theory.toml", THEORY_TOML.format(extra=""))
+        argv = ["run", "--config", str(cfg), "--out", str(tmp_path / "public")]
+        code = (
+            "import sys, numpy.linalg; del numpy.linalg._umath_linalg; "
+            "sys.modules['numpy.linalg._umath_linalg'] = None; "
+            "sys.modules['numpy._core._ufunc_config'] = None; "
+            "from fedckt import cli, theory; assert theory._RAISE_INVALID is None; "
+            f"sys.exit(cli.main({argv!r}))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=str(SRC_DIR)),
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "private")]) == 0
+        assert proc.stdout == capsys.readouterr().out
+        report = (tmp_path / "public" / "theory_report.json").read_bytes()
+        assert report == (tmp_path / "private" / "theory_report.json").read_bytes()
 
     def test_config_without_tasks_exits_2(self, tmp_path, capsys):
         text = SMOKE_TOML.replace('algorithm = "perfed_ckt"', 'algorithm = "theory_check"')

@@ -323,21 +323,34 @@ CLIENT_ROWS = [1, 2, 3, 5, 8, 13, 21, 34, 69, 100, 128, 200, 333]
 BLAS_THREADS = [1, 2]
 
 
+# (K, d, R) of every alpha grid the oracle searches: configs/theory_check.toml
+# and the bench theory_oracle workload at full size (A up to 3876) and at
+# the bench's smoke size, the tasks of tests/test_theory.py, tests/test_cli.py
+# and tests/test_golden.py, and criterion 1's
+PULL_SHAPES = [
+    (3, 2, 15), (4, 3, 15), (5, 4, 15),
+    (3, 2, 5), (4, 3, 5), (5, 4, 5),
+    (3, 2, 6), (4, 3, 6), (5, 4, 6), (3, 2, 4), (4, 3, 4), (5, 4, 4),
+    (3, 2, 16), (3, 2, 10), (3, 2, 2), (3, 1, 6), (5, 4, 3),
+]
+
+
 @pytest.fixture(scope="module")
-def padded_reports():
-    """BLAS threads -> {"kxm": padded_stack_mismatches at that layer shape},
-    each from a fresh interpreter started with that many OpenBLAS threads;
-    the two run side by side."""
+def fresh_reports():
+    """BLAS threads -> {"padded": {"kxm": padded_stack_mismatches at that
+    layer shape}, "pull": stacked_pull_mismatches(PULL_SHAPES)}, each from a
+    fresh interpreter started with that many OpenBLAS threads; the two run
+    side by side."""
     tests = Path(__file__).resolve().parent
     path = os.pathsep.join([str(tests.parent / "src"), str(tests)])
     code = (
-        "import json, sys, helpers; rows, shapes = json.loads(sys.argv[1]); "
-        "print(json.dumps({f'{k}x{m}': helpers.padded_stack_mismatches(k, m, rows) "
-        "for k, m in shapes}))"
+        "import json, sys, helpers; rows, shapes, pulls = json.loads(sys.argv[1]); "
+        "print(json.dumps({'padded': {f'{k}x{m}': helpers.padded_stack_mismatches(k, m, rows) "
+        "for k, m in shapes}, 'pull': helpers.stacked_pull_mismatches(pulls)}))"
     )
     procs = {
         threads: subprocess.Popen(
-            [sys.executable, "-c", code, json.dumps([CLIENT_ROWS, LAYER_SHAPES])],
+            [sys.executable, "-c", code, json.dumps([CLIENT_ROWS, LAYER_SHAPES, PULL_SHAPES])],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             text=True,
@@ -351,6 +364,11 @@ def padded_reports():
         assert proc.returncode == 0, err
         reports[threads] = json.loads(out)
     return reports
+
+
+@pytest.fixture(scope="module")
+def padded_reports(fresh_reports):
+    return {threads: report["padded"] for threads, report in fresh_reports.items()}
 
 
 def layer_id(shape):
@@ -399,4 +417,39 @@ def test_zero_padded_weight_gradient_matches_per_client_product(padded_reports, 
     assert not differ, (
         f"zero-padded X.T @ G at ({k}, {m}) differs from the per-client product "
         f"for clients of {differ} rows at {threads} BLAS threads on {build()}"
+    )
+
+
+# the full-size grids of the shipped tasks with K = 4 and 5
+GEMM_DIFFERS = [(4, 3, 15), (5, 4, 15)]
+
+
+def pull_id(shape):
+    return "K{}-d{}-R{}".format(*shape)
+
+
+@pytest.mark.parametrize("threads", BLAS_THREADS)
+@pytest.mark.parametrize("shape", PULL_SHAPES, ids=map(pull_id, PULL_SHAPES))
+def test_stacked_alpha_pull_matches_the_per_row_products(fresh_reports, threads, shape):
+    # theory.grid_search_oracle builds its (A, d) pulls with
+    # matmul(alpha_grid[:, None, :], W), then matmul(ptp, mixed[:, 0, :, None]):
+    # each item is the (1, K) @ (K, d) and (d, d) @ (d, 1) of a per-row
+    # ptp @ (alpha @ W)
+    differ = fresh_reports[threads]["pull"]["{}x{}x{}".format(*shape)]["stacked"]
+    assert differ == 0, (
+        f"stacked alpha pulls at (K, d, R) = {shape} differ from the per-row products "
+        f"in {differ} of 3 draws at {threads} BLAS threads on {build()}"
+    )
+
+
+@pytest.mark.parametrize("threads", BLAS_THREADS)
+@pytest.mark.parametrize("shape", GEMM_DIFFERS, ids=map(pull_id, GEMM_DIFFERS))
+def test_plain_gemm_alpha_mix_differs_from_the_per_row_products(fresh_reports, threads, shape):
+    # expected inequality: one gemm alpha_grid @ W rounds differently from
+    # the per-row alpha @ W at the shipped K = 4 and 5 tasks, which is why
+    # the oracle stacks (1, K) rows instead; a build where this holds
+    # bitwise breaks nothing
+    assert fresh_reports[threads]["pull"]["{}x{}x{}".format(*shape)]["gemm"], (
+        f"plain gemm alpha_grid @ W at (K, d, R) = {shape} matches the per-row "
+        f"products at {threads} BLAS threads on {build()}"
     )

@@ -1,4 +1,6 @@
+import importlib.util
 import itertools
+import sys
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -620,6 +622,34 @@ class TestGridOracle:
         assert got.best_alpha.tobytes() == want.best_alpha.tobytes()
         assert got.best_loss == want.best_loss
 
+    def test_solves_see_raise_invalid_and_the_caller_errstate_returns(self, monkeypatch):
+        # the oracle holds the solves' policy for each lambda block only: its
+        # solves see it, the rest of its work sees the caller's, which is
+        # back on every exit, a singular grid point's included
+        seen = []
+        real_solve1 = theory._solve1
+        zero_lhs = False
+
+        def recording(a, b, out):
+            seen.append(np.geterr())
+            return real_solve1(np.zeros_like(a) if zero_lhs else a, b, out=out)
+
+        monkeypatch.setattr(theory, "_solve1", recording)
+        args = (small_task(seed=32), 0, np.array([0.5, 2.0]), simplex_grid(3, 2), 100, 0)
+        policy = {"invalid": "raise", "over": "ignore", "divide": "ignore", "under": "ignore"}
+        for caller in CALLER_ERRSTATES:
+            with np.errstate(call=lambda kind, flag: None, **caller):
+                before = np.geterr()
+                seen.clear()
+                zero_lhs = False
+                grid_search_oracle(*args)
+                assert seen == [policy] * (2 * 6 + 1)  # the grid, then the closed form
+                assert np.geterr() == before
+                zero_lhs = True
+                with pytest.raises(NumericError, match=r"^singular ridge system \(lambda=0\.5\)$"):
+                    grid_search_oracle(*args)
+                assert np.geterr() == before
+
     def test_overflowing_loss_raises_numeric_error(self, monkeypatch):
         task = small_task(seed=28)
 
@@ -644,6 +674,54 @@ class TestGridOracle:
                     task, 0, lam, alpha, 50_000, seed=11, what_all=what
                 )
                 assert floor <= loss * (1 + 1e-6)
+
+
+@pytest.fixture
+def public_theory(monkeypatch):
+    """A second copy of fedckt.theory, loaded while numpy's private
+    _umath_linalg and _ufunc_config cannot be imported, as under a numpy
+    that moved them; it binds the public stand-ins."""
+    monkeypatch.delattr(np.linalg, "_umath_linalg")
+    monkeypatch.setitem(sys.modules, "numpy.linalg._umath_linalg", None)
+    monkeypatch.setitem(sys.modules, "numpy._core._ufunc_config", None)
+    spec = importlib.util.spec_from_file_location("fedckt.public_theory", theory.__file__)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses look it up
+    spec.loader.exec_module(module)
+    assert module._solve1 is not theory._solve1 and module._RAISE_INVALID is None
+    return module
+
+
+class TestPublicNumpyFallback:
+    @pytest.mark.parametrize("index", [0, 1, 2])
+    def test_oracle_matches_the_private_path_bitwise(self, public_theory, index):
+        task, k, cfg, mc_seed = shipped_task(index)
+        closed = closed_form_lambda_alpha(task, k)
+        lam_grid = lambda_grid_around(closed.lambda_star, 5, cfg.theory.lambda_span)
+        args = (task, k, lam_grid, simplex_grid(task.num_clients, 4), 5_000, mc_seed)
+        with np.errstate(all="ignore"):  # as under the CLI
+            got, want = public_theory.grid_search_oracle(*args), grid_search_oracle(*args)
+        assert got.best_lambda == want.best_lambda
+        assert got.best_alpha.tobytes() == want.best_alpha.tobytes()
+        assert got.best_loss == want.best_loss
+        assert got.closed_form_loss == want.closed_form_loss
+
+    def test_singular_and_non_finite_systems_raise_numeric_error(self, public_theory):
+        # np.linalg.solve sets its own error policy, so a singular system
+        # raises under every caller errstate and leaves it as it was
+        fired = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for policy in CALLER_ERRSTATES:
+                with np.errstate(call=lambda kind, flag: fired.append(kind), **policy):
+                    caller = np.geterr()
+                    with pytest.raises(NumericError, match=r"^singular ridge system \(lambda=0\.5\)$"):
+                        public_theory.ridge_codistill_solve(np.zeros((2, 2)), np.ones(2), 0.5)
+                    assert np.geterr() == caller
+        assert fired == []
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(NumericError, match=r"^non-finite ridge solution \(lambda=1\.0\)$"):
+                public_theory.ridge_codistill_solve(np.eye(2), np.array([np.inf, 1.0]), 1.0)
 
 
 class TestSimplexGrid:
