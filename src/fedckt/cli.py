@@ -13,7 +13,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import shutil
 import sys
+import tempfile
+from contextlib import contextmanager
 from dataclasses import asdict
 from pathlib import Path
 
@@ -21,7 +25,6 @@ import numpy as np
 
 from .errors import ConfigurationError, NumericError
 from .experiment import (
-    _atomic_open,
     build_population,
     run_algorithm,
     summarize_run,
@@ -48,44 +51,54 @@ EXIT_DIVERGED = 3
 EXIT_INTERNAL = 4
 
 
-def _out_dir(args) -> tuple[Path, list[Path]]:
-    """The output directory, made before the run so that an unwritable one
-    fails first, and the directories this call made, deepest first."""
-    path = Path(args.out or ".")
-    made = [d for d in (path, *path.parents) if not d.exists()]
-    path.mkdir(parents=True, exist_ok=True)
-    return path, made
-
-
-def _remove_if_empty(made: list[Path]) -> None:
-    """Removes the directories _out_dir made, deepest first, up to the first
-    one that is no longer empty (or no longer there)."""
-    for directory in made:
-        try:
-            directory.rmdir()
-        except OSError:
-            return
+@contextmanager
+def _output_set(args):
+    """(out, stage): every writer writes into the fresh staging directory
+    `stage` inside `--out`, which is made first, so that an unwritable one
+    fails first. Only when the block returns are the staged entries moved
+    into `--out`, the marker last (`summary.json`, else the lone file) after
+    the old marker is removed, so a present marker means every file beside
+    it comes from the same run. On every exit the staging directory goes,
+    and so do the directories this call made, while they are still empty."""
+    out = Path(args.out or ".")
+    made = [d for d in (out, *out.parents) if not d.exists()]
+    out.mkdir(parents=True, exist_ok=True)
+    stage = Path(tempfile.mkdtemp(prefix=".fedckt-", dir=out))
+    try:
+        yield out, stage
+        names = sorted(os.listdir(stage), key=lambda name: (name == "summary.json", name))
+        (out / names[-1]).unlink(missing_ok=True)
+        for name in names:
+            if (stage / name).is_dir() and (out / name).is_dir():
+                shutil.rmtree(out / name)
+            os.replace(stage / name, out / name)
+    finally:
+        shutil.rmtree(stage, ignore_errors=True)
+        for directory in made:
+            try:
+                directory.rmdir()
+            except OSError:
+                break
 
 
 def cmd_run(args) -> int:
     cfg = load_config(args.config)
-    out, made = _out_dir(args)
-    if cfg.algorithm == "theory_check":
-        return _theory_check(cfg.theory, cfg.seed, out)
-    if cfg.algorithm == "partition_stats":
-        write_partition_stats(out / "partition_stats.json", cfg.data, cfg.seed)
-        print(f"wrote {out / 'partition_stats.json'}")
-        return EXIT_OK
-    try:  # the refusals only the built population can make name the file too
-        records, pool = build_population(cfg.data, cfg.models, cfg.seed)
-        result = run_algorithm(cfg.algorithm, records, pool, cfg.federation)
-    except ConfigurationError as exc:
-        _remove_if_empty(made)  # a refused run leaves no empty --out behind
-        raise ConfigurationError(f"{args.config}: {exc}") from exc
-    write_metrics_csv(out / "metrics.csv", result.metrics)
-    write_summary_json(out / "summary.json", summarize_run(result, config_to_sections(cfg)))
-    write_checkpoints([r for r in records if r.bundle.active], out / "checkpoints")
-    print(f"wrote {out / 'metrics.csv'}, {out / 'summary.json'} and {out / 'checkpoints'}")
+    with _output_set(args) as (out, stage):
+        if cfg.algorithm == "theory_check":
+            return _theory_check(cfg.theory, cfg.seed, stage)
+        if cfg.algorithm == "partition_stats":
+            write_partition_stats(stage / "partition_stats.json", cfg.data, cfg.seed)
+            print(f"wrote {out / 'partition_stats.json'}")
+            return EXIT_OK
+        try:  # the refusals only the built population can make name the file too
+            records, pool = build_population(cfg.data, cfg.models, cfg.seed)
+            result = run_algorithm(cfg.algorithm, records, pool, cfg.federation)
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"{args.config}: {exc}") from exc
+        write_metrics_csv(stage / "metrics.csv", result.metrics)
+        write_summary_json(stage / "summary.json", summarize_run(result, config_to_sections(cfg)))
+        write_checkpoints([r for r in records if r.bundle.active], stage / "checkpoints")
+        print(f"wrote {out / 'metrics.csv'}, {out / 'summary.json'} and {out / 'checkpoints'}")
     if result.diverged:  # a run's error always records its client among them
         why = f"diverged clients (client, round): {result.diverged}"
         raise NumericError(why if result.error is None else f"{result.error}; {why}")
@@ -143,7 +156,7 @@ def _theory_check(theory: TheoryConfig, master_seed: int, out: Path) -> int:
             f"(closed {closed_loss:.6f} vs best {oracle.best_loss:.6f}, "
             f"gap {gap:+.4%}, tol {theory.tolerance:.2%})"
         )
-    with _atomic_open(out / "theory_report.json") as fh:
+    with open(out / "theory_report.json", "w") as fh:
         json.dump({"tasks": reports, "all_passed": bool(all_pass)}, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return EXIT_OK if all_pass else EXIT_CHECK_FAILED
@@ -159,27 +172,27 @@ def cmd_toy(args) -> int:
     if start_seed < 0 or start_seed + num_seeds > 2**64:
         why = f"--seed {start_seed} --num-seeds {num_seeds}: seeds must lie in [0, 2**64)"
         raise ConfigurationError(f"fedckt toy: {why}")
-    out, _ = _out_dir(args)
-    rows = []
-    wins = {0: 0, 1: 0}
-    uniform_beats_fedavg_client2 = 0
-    for seed in range(start_seed, start_seed + num_seeds):
-        true_w, solutions = run_toy_example(seed)
-        dist = [{} for _ in range(3)]
-        for k, true in enumerate(true_w):
-            rows.append(f"{seed},{k},true,{float(true[0])!r},{float(true[1])!r},0.0")
-            for kind, weights in solutions.items():
-                w = weights[k]
-                dist[k][kind] = float(np.linalg.norm(w - true))
-                rows.append(f"{seed},{k},{kind},{float(w[0])!r},{float(w[1])!r},{dist[k][kind]!r}")
-        for client in (0, 1):
-            if dist[client]["clustered_kt"] < dist[client]["uniform_kt"]:
-                wins[client] += 1
-        if dist[2]["uniform_kt"] < dist[2]["fedavg"]:
-            uniform_beats_fedavg_client2 += 1
-    with _atomic_open(out / "toy.csv") as fh:
-        fh.write(TOY_CSV_HEADER + "\n")
-        fh.write("\n".join(rows) + "\n")
+    with _output_set(args) as (_, stage):
+        rows = []
+        wins = {0: 0, 1: 0}
+        uniform_beats_fedavg_client2 = 0
+        for seed in range(start_seed, start_seed + num_seeds):
+            true_w, solutions = run_toy_example(seed)
+            dist = [{} for _ in range(3)]
+            for k, true in enumerate(true_w):
+                rows.append(f"{seed},{k},true,{float(true[0])!r},{float(true[1])!r},0.0")
+                for kind, weights in solutions.items():
+                    w = weights[k]
+                    dist[k][kind] = float(np.linalg.norm(w - true))
+                    rows.append(f"{seed},{k},{kind},{float(w[0])!r},{float(w[1])!r},{dist[k][kind]!r}")
+            for client in (0, 1):
+                if dist[client]["clustered_kt"] < dist[client]["uniform_kt"]:
+                    wins[client] += 1
+            if dist[2]["uniform_kt"] < dist[2]["fedavg"]:
+                uniform_beats_fedavg_client2 += 1
+        with open(stage / "toy.csv", "w") as fh:
+            fh.write(TOY_CSV_HEADER + "\n")
+            fh.write("\n".join(rows) + "\n")
     print(
         f"clustered-vs-uniform win rate: client0 {wins[0] / num_seeds:.2f}, "
         f"client1 {wins[1] / num_seeds:.2f}; "
@@ -222,10 +235,11 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         # numeric failures are reported by the checks that raise
-        # NumericError, not by numpy's RuntimeWarnings;
-        # theory.ridge_codistill_solve swaps in its own prebuilt policy
-        # (invalid="raise") around each solve and restores this one after,
-        # so singular systems still raise
+        # NumericError, not by numpy's RuntimeWarnings; singular systems
+        # still raise, because theory's solves run under their own prebuilt
+        # policy (invalid="raise"): grid_search_oracle holds it per lambda
+        # block, and ridge_codistill_solve swaps it in only for a caller
+        # that does not hold it
         with np.errstate(all="ignore"):
             return args.func(args)
     except ConfigurationError as exc:

@@ -5,9 +5,7 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import sys
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -208,7 +206,7 @@ def write_partition_stats(path, data_cfg: DataConfig, master_seed: int) -> None:
     splits, one entry per client in client order."""
     groups, _ = _population_shards(data_cfg, master_seed)
     summary = partition_summary([s for shards, _ in groups for s in shards])
-    with _atomic_open(path) as fh:
+    with open(path, "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -235,7 +233,7 @@ def write_checkpoints(records: list[ClientRecord], directory) -> None:
     manifest = {"clients": []}
     for rec in records:
         filename = f"client_{rec.id:04d}.params"
-        with _atomic_open(directory / filename, "wb") as fh:
+        with open(directory / filename, "wb") as fh:
             save_params(fh, rec.spec, rec.params)
         manifest["clients"].append(
             {
@@ -250,7 +248,7 @@ def write_checkpoints(records: list[ClientRecord], directory) -> None:
                 "last_selected_round": rec.last_selected_round,
             }
         )
-    with _atomic_open(directory / "manifest.json") as fh:
+    with open(directory / "manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -258,24 +256,8 @@ def write_checkpoints(records: list[ClientRecord], directory) -> None:
 METRICS_HEADER = "round,mean_acc,std_acc,grad_norm,uplink,downlink"
 
 
-@contextmanager
-def _atomic_open(path, mode="w"):
-    """File handle (text unless `mode` is "wb") whose contents appear at
-    `path` only once the block finishes; on any error the partial temp file
-    is removed and `path` keeps whatever it held before."""
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.tmp")
-    try:
-        with open(tmp, mode) as fh:
-            yield fh
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-
-
 def write_metrics_csv(path, metrics: list[RoundMetrics]) -> None:
-    with _atomic_open(path) as fh:
+    with open(path, "w") as fh:
         fh.write(METRICS_HEADER + "\n")
         for row in metrics:
             fh.write(
@@ -308,6 +290,6 @@ def summarize_run(result: RunResult, config_echo: dict) -> dict:
 
 
 def write_summary_json(path, summary: dict) -> None:
-    with _atomic_open(path) as fh:
+    with open(path, "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")

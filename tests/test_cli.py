@@ -519,7 +519,7 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert err.startswith("output error:") and "metrics.csv" in err
         assert len(err.splitlines()) == 1 and "Traceback" not in err
-        assert not (out / ".metrics.csv.tmp").exists()
+        assert not list(out.glob(".fedckt-*"))
 
     def test_divergence_exits_3(self, tmp_path, capsys):
         # a step size at the float ceiling overflows the first update
@@ -1315,6 +1315,120 @@ class TestRunCommand:
         step = 3 * 30 * 3
         assert totals[2] - totals[1] == step
         assert totals[3] - totals[2] == step
+
+
+def tree(directory):
+    """Every entry under `directory`, relative, staging directories included."""
+    return sorted(p.relative_to(directory).as_posix() for p in directory.rglob("*"))
+
+
+FEDERATED_SET = [
+    "checkpoints",
+    "checkpoints/client_0000.params",
+    "checkpoints/client_0001.params",
+    "checkpoints/manifest.json",
+    "metrics.csv",
+    "summary.json",
+]
+
+
+class TestOutputSet:
+    """Every exit leaves a whole output set in --out, its marker included,
+    or nothing new, and no directory it made stays empty."""
+
+    @pytest.mark.parametrize("where", ["fresh", "existing"])
+    @pytest.mark.parametrize(
+        "case, code, written",
+        [
+            pytest.param("ok", 0, FEDERATED_SET, id="ok"),
+            pytest.param("partition_stats", 0, ["partition_stats.json"], id="partition_stats"),
+            pytest.param("toy", 0, ["toy.csv"], id="toy"),
+            pytest.param("theory_fail", 1, ["theory_report.json"], id="theory_fail"),
+            pytest.param("load", 2, [], id="load"),
+            pytest.param("post_load", 2, [], id="post_load"),
+            pytest.param("toy_refused", 2, [], id="toy_refused"),
+            pytest.param("theory_numeric", 3, [], id="theory_numeric"),
+            pytest.param("diverged", 3, FEDERATED_SET, id="diverged"),
+            pytest.param("internal", 4, [], id="internal"),
+        ],
+    )
+    def test_exit_leaves_the_whole_set_or_nothing_new(
+        self, tmp_path, monkeypatch, where, case, code, written
+    ):
+        theory_text = THEORY_TOML.format(extra="")
+        partition_text = PARTITION_FILE.read_text().replace("num_clients = 100", "num_clients = 4")
+        text = {
+            "partition_stats": partition_text,
+            "theory_fail": theory_text,
+            "load": SMOKE_TOML.replace("lr = 0.05", "lr = -1.0"),
+            "post_load": SMOKE_TOML.replace("samples_per_class = 60", "samples_per_class = 7"),
+            "theory_numeric": theory_text.replace("beta = 1.0", "beta = 1e308"),
+            "diverged": SMOKE_TOML.replace("lr = 0.05", "lr = 1e308"),
+        }.get(case, SMOKE_TOML)
+        if case == "theory_fail":
+            true_closed_form = theory.closed_form_lambda_alpha
+
+            def corrupted(task, k):
+                closed = true_closed_form(task, k)
+                return dataclasses.replace(closed, lambda_star=10.0 * closed.lambda_star)
+
+            monkeypatch.setattr(theory, "closed_form_lambda_alpha", corrupted)
+        if case == "internal":  # after metrics.csv is staged
+
+            def broken(result, echo):
+                raise RuntimeError("unexpected state")
+
+            monkeypatch.setattr("fedckt.cli.summarize_run", broken)
+        cfg = write(tmp_path, "run.toml", text)
+        out = tmp_path / ("made/by/out" if where == "fresh" else "out")
+        kept = {}  # files like those bench/run.py keeps beside its child's outputs
+        if where == "existing":
+            kept = {f"out/{name}": name for name in ("stdout.txt", "stderr.txt", "logs/child.json")}
+            for name, content in kept.items():
+                (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+                (tmp_path / name).write_text(content)
+        argv = {
+            "toy": ["toy", "--num-seeds", "1"],
+            "toy_refused": ["toy", "--num-seeds", "0"],
+        }.get(case, ["run", "--config", str(cfg)])
+        assert main([*argv, "--out", str(out)]) == code
+        prefix = out.relative_to(tmp_path)
+        made = [] if not written or where == "existing" else ["made", "made/by", "made/by/out"]
+        dirs = ["out", "out/logs"] if kept else []
+        expected = ["run.toml", *kept, *dirs, *made, *(f"{prefix.as_posix()}/{w}" for w in written)]
+        assert tree(tmp_path) == sorted(expected)
+        assert {name: (tmp_path / name).read_text() for name in kept} == kept
+
+    def test_smaller_rerun_leaves_only_its_own_checkpoints(self, tmp_path):
+        out = tmp_path / "out"
+        four = write(tmp_path, "four.toml", SMOKE_TOML.replace("num_clients = 2", "num_clients = 4"))
+        two = write(tmp_path, "two.toml", SMOKE_TOML)
+        assert main(["run", "--config", str(four), "--out", str(out)]) == 0
+        assert len(list((out / "checkpoints").glob("*.params"))) == 4
+        assert main(["run", "--config", str(two), "--out", str(out)]) == 0
+        manifest = json.loads((out / "checkpoints/manifest.json").read_text())
+        files = sorted(["manifest.json", *(c["file"] for c in manifest["clients"])])
+        assert sorted(p.name for p in (out / "checkpoints").iterdir()) == files
+        assert tree(out) == FEDERATED_SET
+
+    def test_failed_commit_leaves_no_marker(self, tmp_path, capsys, monkeypatch):
+        # the rerun's first entry moves in before the second move fails
+        out = tmp_path / "out"
+        cfg = write(tmp_path, "smoke.toml", SMOKE_TOML)
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        real_replace, moved = os.replace, []
+
+        def second_fails(src, dst):
+            if moved:
+                raise OSError("disk full")
+            moved.append(dst)
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", second_fails)
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.endswith("output error: disk full\n")
+        assert "summary.json" not in tree(out)
+        assert not list(out.glob(".fedckt-*"))
 
 
 class TestArguments:

@@ -1,22 +1,24 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fedckt.cli
 import fedckt.experiment
+from fedckt.cli import main
 from fedckt.data import class_means
 from fedckt.errors import ConfigurationError
 from fedckt.experiment import (
     DataConfig,
     ModelConfig,
     build_population,
+    run_algorithm,
     write_checkpoints,
     write_metrics_csv,
-    write_partition_stats,
-    write_summary_json,
 )
 from fedckt.federation import RoundMetrics
-from fedckt.models import ARCH_MLP, ARCH_SOFTMAX, param_count
+from fedckt.models import ARCH_MLP, ARCH_SOFTMAX, param_count, save_params
 from fedckt.rng import derive_seed, substream
 from fedckt.runconfig import config_from_sections
 
@@ -37,6 +39,29 @@ def small_data_cfg(**kwargs):
     )
     base.update(kwargs)
     return DataConfig(**base)
+
+
+SMOKE = (Path(__file__).resolve().parents[1] / "configs/smoke.toml").read_text()
+RERUN = SMOKE.replace("seed = 42", "seed = 43")  # new params, metrics and summary
+PARTITION = '[run]\nalgorithm = "partition_stats"\nseed = 1\n[data]\n' + "".join(
+    f"{key} = {json.dumps(value)}\n" for key, value in vars(small_data_cfg()).items()
+)
+
+
+def run_into(tmp_path, out, text):
+    """main's exit code for `run` on config `text`, kept beside `out`."""
+    cfg = tmp_path / "run.toml"
+    cfg.write_text(text)
+    return main(["run", "--config", str(cfg), "--out", str(out)])
+
+
+def snapshot(directory):
+    """Every entry under `directory`, staging directories included, with
+    each file's bytes."""
+    return {
+        p.relative_to(directory).as_posix(): p.read_bytes() if p.is_file() else None
+        for p in directory.rglob("*")
+    }
 
 
 class TestBuildPopulation:
@@ -182,54 +207,58 @@ class TestCheckpoints:
             assert np.array_equal(loaded[rec.id], rec.params)
 
     def test_manifest_failure_mid_dump_keeps_previous_manifest(self, tmp_path, monkeypatch):
-        records, _ = build_population(small_data_cfg(), ModelConfig(), master_seed=8)
-        active = [r for r in records if r.bundle.active]
-        write_checkpoints(active, tmp_path / "ckpt")
-        path = tmp_path / "ckpt/manifest.json"
-        before = path.read_bytes()
+        out = tmp_path / "out"
+        assert run_into(tmp_path, out, SMOKE) == 0
+        before = snapshot(out)
         # the first entry's fields are dumped before its param_count raises
         monkeypatch.setattr(fedckt.experiment, "param_count", lambda spec: object())
-        with pytest.raises(TypeError):
-            write_checkpoints(active, tmp_path / "ckpt")
-        assert path.read_bytes() == before
-        assert not (tmp_path / "ckpt/.manifest.json.tmp").exists()
+        assert run_into(tmp_path, out, RERUN) == 4
+        assert snapshot(out) == before
 
     def test_params_failure_mid_write_keeps_previous_files(self, tmp_path, monkeypatch):
-        records, _ = build_population(small_data_cfg(), ModelConfig(), master_seed=9)
-        active = [r for r in records if r.bundle.active]
-        directory = tmp_path / "ckpt"
-        write_checkpoints(active, directory)
-        before = {p.name: p.read_bytes() for p in directory.iterdir()}
+        out = tmp_path / "out"
+        assert run_into(tmp_path, out, SMOKE) == 0
+        before = snapshot(out)
+        written = []
 
-        def broken(fh, spec, params):
-            fh.write(b"FKPV")
-            raise OSError("disk full")
+        def second_fails(fh, spec, params):
+            # the rerun's metrics, summary and first client file are written
+            if written:
+                fh.write(b"FKPV")
+                raise OSError("disk full")
+            written.append(spec)
+            save_params(fh, spec, params)
 
-        monkeypatch.setattr(fedckt.experiment, "save_params", broken)
-        for rec in active:
-            rec.params = rec.params + 1.0
-        with pytest.raises(OSError):
-            write_checkpoints(active, directory)
-        assert {p.name: p.read_bytes() for p in directory.iterdir()} == before
+        monkeypatch.setattr(fedckt.experiment, "save_params", second_fails)
+        assert run_into(tmp_path, out, RERUN) == 2
+        assert snapshot(out) == before
 
 
 class TestAtomicOutputs:
+    """A run's files reach --out together or not at all."""
+
     ROW = RoundMetrics(0, 0.5, 0.1, 1.0, 1.0, 2.0, 3, 4)
 
-    def test_metrics_failure_mid_write_leaves_nothing(self, tmp_path):
-        # the header and first row are written before the second row raises
-        with pytest.raises(AttributeError):
-            write_metrics_csv(tmp_path / "metrics.csv", [self.ROW, None])
-        assert list(tmp_path.iterdir()) == []
+    def test_metrics_failure_mid_write_leaves_nothing(self, tmp_path, monkeypatch):
+        # the header and the run's rows are written before the extra row raises
+        def with_bad_row(*args):
+            result = run_algorithm(*args)
+            result.metrics.append(None)
+            return result
 
-    def test_summary_failure_mid_write_keeps_previous_file(self, tmp_path):
-        path = tmp_path / "summary.json"
-        write_summary_json(path, {"run": 1})
-        before = path.read_bytes()
-        with pytest.raises(TypeError):
-            write_summary_json(path, {"a": list(range(100)), "b": object()})
-        assert path.read_bytes() == before
-        assert list(tmp_path.iterdir()) == [path]
+        monkeypatch.setattr(fedckt.cli, "run_algorithm", with_bad_row)
+        assert run_into(tmp_path, tmp_path / "made/out", SMOKE) == 4
+        assert snapshot(tmp_path) == {"run.toml": SMOKE.encode()}
+
+    def test_summary_failure_mid_write_keeps_previous_file(self, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        assert run_into(tmp_path, out, SMOKE) == 0
+        before = snapshot(out)
+        monkeypatch.setattr(
+            fedckt.cli, "summarize_run", lambda result, echo: {"a": [0] * 100, "b": object()}
+        )
+        assert run_into(tmp_path, out, RERUN) == 4
+        assert snapshot(out) == before
 
     def test_success_writes_only_the_target(self, tmp_path):
         write_metrics_csv(tmp_path / "metrics.csv", [self.ROW])
@@ -238,13 +267,12 @@ class TestAtomicOutputs:
         assert lines[1] == "0,0.5,0.1,1.0,3,4"
 
     def test_partition_stats_failure_mid_write_keeps_previous_file(self, tmp_path, monkeypatch):
-        path = tmp_path / "partition_stats.json"
-        write_partition_stats(path, small_data_cfg(), master_seed=1)
-        before = path.read_bytes()
+        out = tmp_path / "out"
+        assert run_into(tmp_path, out, PARTITION) == 0
+        before = snapshot(out)
+        assert list(before) == ["partition_stats.json"]
         monkeypatch.setattr(
             fedckt.experiment, "partition_summary", lambda shards: {"a": [0] * 100, "b": object()}
         )
-        with pytest.raises(TypeError):
-            write_partition_stats(path, small_data_cfg(), master_seed=1)
-        assert path.read_bytes() == before
-        assert list(tmp_path.iterdir()) == [path]
+        assert run_into(tmp_path, out, PARTITION) == 4
+        assert snapshot(out) == before
