@@ -88,18 +88,19 @@ def cmd_run(args) -> int:
             return _theory_check(cfg.theory, cfg.seed, stage)
         if cfg.algorithm == "partition_stats":
             write_partition_stats(stage / "partition_stats.json", cfg.data, cfg.seed)
-            print(f"wrote {out / 'partition_stats.json'}")
-            return EXIT_OK
-        try:  # the refusals only the built population can make name the file too
-            records, pool = build_population(cfg.data, cfg.models, cfg.seed)
-            result = run_algorithm(cfg.algorithm, records, pool, cfg.federation)
-        except ConfigurationError as exc:
-            raise ConfigurationError(f"{args.config}: {exc}") from exc
-        write_metrics_csv(stage / "metrics.csv", result.metrics)
-        write_summary_json(stage / "summary.json", summarize_run(result, config_to_sections(cfg)))
-        write_checkpoints([r for r in records if r.bundle.active], stage / "checkpoints")
-        print(f"wrote {out / 'metrics.csv'}, {out / 'summary.json'} and {out / 'checkpoints'}")
-    if result.diverged:  # a run's error always records its client among them
+            result, wrote = None, out / "partition_stats.json"
+        else:
+            try:  # the refusals only the built population can make name the file too
+                records, pool = build_population(cfg.data, cfg.models, cfg.seed)
+                result = run_algorithm(cfg.algorithm, records, pool, cfg.federation)
+            except ConfigurationError as exc:
+                raise ConfigurationError(f"{args.config}: {exc}") from exc
+            write_metrics_csv(stage / "metrics.csv", result.metrics)
+            write_summary_json(stage / "summary.json", summarize_run(result, config_to_sections(cfg)))
+            write_checkpoints([r for r in records if r.bundle.active], stage / "checkpoints")
+            wrote = f"{out / 'metrics.csv'}, {out / 'summary.json'} and {out / 'checkpoints'}"
+    print(f"wrote {wrote}")  # only once the set is committed
+    if result is not None and result.diverged:  # a run's error always records its client among them
         why = f"diverged clients (client, round): {result.diverged}"
         raise NumericError(why if result.error is None else f"{result.error}; {why}")
     return EXIT_OK
@@ -235,11 +236,8 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         # numeric failures are reported by the checks that raise
-        # NumericError, not by numpy's RuntimeWarnings; singular systems
-        # still raise, because theory's solves run under their own prebuilt
-        # policy (invalid="raise"): grid_search_oracle holds it per lambda
-        # block, and ridge_codistill_solve swaps it in only for a caller
-        # that does not hold it
+        # NumericError, not by numpy's RuntimeWarnings; theory's solves set
+        # their own error policy, so singular systems still raise
         with np.errstate(all="ignore"):
             return args.func(args)
     except ConfigurationError as exc:

@@ -1,15 +1,15 @@
 """Per-client predictors, the co-distillation objective, and its exact
 stochastic gradient via hand-derived backpropagation.
 
-Two classifier architectures share one flat-parameter interface, both
-trained with cross-entropy:
+Two classifier architectures, trained with cross-entropy, share one
+flat-parameter interface and one output layer; softmax_linear is that layer
+alone, and the MLP puts a tanh hidden layer in front of it:
 
   softmax_linear(d, N)     softmax(X @ W + b)
-  mlp(d, h, N)             softmax(tanh(X @ W1 + b1) @ W2 + b2)
+  mlp(d, h, N)             softmax(tanh(X @ W1 + b1) @ W + b)
 
-The MLP activation is tanh so every classifier is smooth, matching the
-smoothness the convergence monitor relies on. Outputs ("logits" throughout
-the package) are probability rows on the simplex.
+The tanh keeps every classifier smooth, as the convergence monitor needs.
+Outputs ("logits" throughout the package) are probability rows on the simplex.
 """
 
 from __future__ import annotations
@@ -46,35 +46,28 @@ def param_count(spec: ModelSpec) -> int:
 
 
 def init_params(spec: ModelSpec, seed: int) -> np.ndarray:
-    """Weights ~ Uniform(-init_scale, init_scale), biases zero."""
+    """Weights ~ Uniform(-init_scale, init_scale) in layout order, biases zero."""
     rng = substream(seed, "param-init")
     s = spec.init_scale
-    d, n, h = spec.dim, spec.num_classes, spec.hidden
-    if spec.arch == ARCH_SOFTMAX:
-        return np.concatenate([rng.uniform(-s, s, d * n), np.zeros(n)])
-    return np.concatenate(
-        [
-            rng.uniform(-s, s, d * h),
-            np.zeros(h),
-            rng.uniform(-s, s, h * n),
-            np.zeros(n),
-        ]
-    )
+    params = np.zeros(param_count(spec))
+    hidden_layer, w, _ = _unpack(spec, params)
+    if hidden_layer is not None:
+        hidden_layer[0][...] = rng.uniform(-s, s, hidden_layer[0].shape)
+    w[...] = rng.uniform(-s, s, w.shape)
+    return params
 
 
 def _unpack(spec: ModelSpec, params: np.ndarray):
+    """Views of params laid out [W1, b1,] W, b: the MLP's hidden layer (W1, b1)
+    or None, then the output layer w, b every architecture ends with."""
     d, n, h = spec.dim, spec.num_classes, spec.hidden
     if spec.arch == ARCH_SOFTMAX:
-        return params[: d * n].reshape(d, n), params[d * n :]
-    o1 = d * h
-    o2 = o1 + h
-    o3 = o2 + h * n
-    return (
-        params[:o1].reshape(d, h),
-        params[o1:o2],
-        params[o2:o3].reshape(h, n),
-        params[o3:],
-    )
+        hidden_layer, at, width = None, 0, d
+    else:
+        at, width = d * h + h, h
+        hidden_layer = params[: d * h].reshape(d, h), params[d * h : at]
+    end = at + width * n
+    return hidden_layer, params[at:end].reshape(width, n), params[end:]
 
 
 def stable_softmax(scores: np.ndarray) -> np.ndarray:
@@ -95,20 +88,17 @@ def _log_softmax(scores: np.ndarray) -> np.ndarray:
 
 
 def _forward_parts(spec: ModelSpec, params: np.ndarray, inputs: np.ndarray):
-    """Class scores plus what backprop needs of the MLP: its hidden
-    activations and output weights (both None for softmax_linear)."""
-    if spec.arch == ARCH_SOFTMAX:
-        w, b = _unpack(spec, params)
-        scores = inputs @ w
-        scores += b
-        return scores, None, None
-    w1, b1, w2, b2 = _unpack(spec, params)
-    hidden = inputs @ w1
-    hidden += b1
-    np.tanh(hidden, out=hidden)
-    scores = hidden @ w2
-    scores += b2
-    return scores, hidden, w2
+    """Class scores, the features the output layer reads (the inputs, or
+    the MLP's tanh activations) and the output weights: what backprop needs."""
+    hidden_layer, w, b = _unpack(spec, params)
+    features = inputs
+    if hidden_layer is not None:
+        features = inputs @ hidden_layer[0]
+        features += hidden_layer[1]
+        np.tanh(features, out=features)
+    scores = features @ w
+    scores += b
+    return scores, features, w
 
 
 def forward_logits(spec: ModelSpec, params: np.ndarray, inputs: np.ndarray) -> np.ndarray:
@@ -126,35 +116,31 @@ def local_loss(spec: ModelSpec, params: np.ndarray, inputs: np.ndarray, targets:
     return float(-logp[np.arange(len(targets)), targets.astype(np.int64)].mean())
 
 
-def _backprop_scores(spec, params, inputs, hidden, w2, score_grad):
-    """Chain a gradient at the class scores back to a flat parameter
-    gradient, written in place through views laid out as the parameters."""
+def _backprop_scores(spec, params, inputs, features, w, score_grad):
+    """Chain a gradient at the class scores back to a flat parameter gradient,
+    written in place through _unpack's views: the output layer's and any hidden one's."""
     grad = np.empty(params.size)
-    if spec.arch == ARCH_SOFTMAX:
-        gw, gb = _unpack(spec, grad)
-        np.matmul(inputs.T, score_grad, out=gw)
-        np.add.reduce(score_grad, axis=0, out=gb)
-        return grad
-    gw1, gb1, gw2, gb2 = _unpack(spec, grad)
-    d_hidden = score_grad @ w2.T
-    slope = hidden * hidden  # tanh' = 1 - hidden^2, formed in place
-    np.subtract(1.0, slope, out=slope)
-    d_hidden *= slope
-    np.matmul(inputs.T, d_hidden, out=gw1)
-    np.add.reduce(d_hidden, axis=0, out=gb1)
-    np.matmul(hidden.T, score_grad, out=gw2)
-    np.add.reduce(score_grad, axis=0, out=gb2)
+    hidden_grad, gw, gb = _unpack(spec, grad)
+    if hidden_grad is not None:
+        d_hidden = score_grad @ w.T
+        slope = features * features  # tanh' = 1 - features^2, formed in place
+        np.subtract(1.0, slope, out=slope)
+        d_hidden *= slope
+        np.matmul(inputs.T, d_hidden, out=hidden_grad[0])
+        np.add.reduce(d_hidden, axis=0, out=hidden_grad[1])
+    np.matmul(features.T, score_grad, out=gw)
+    np.add.reduce(score_grad, axis=0, out=gb)
     return grad
 
 
 def grad_local(spec: ModelSpec, params: np.ndarray, inputs: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """Exact gradient of local_loss."""
-    scores, hidden, w2 = _forward_parts(spec, params, inputs)
+    scores, features, w = _forward_parts(spec, params, inputs)
     score_grad = stable_softmax(scores)
     n = len(targets)
     score_grad[np.arange(n), targets.astype(np.int64, copy=False)] -= 1.0
     score_grad /= n
-    return _backprop_scores(spec, params, inputs, hidden, w2, score_grad)
+    return _backprop_scores(spec, params, inputs, features, w, score_grad)
 
 
 def distill_penalty(spec: ModelSpec, params: np.ndarray, public_inputs: np.ndarray, sbar_rows: np.ndarray) -> float:
@@ -193,7 +179,7 @@ def grad_phi_stochastic(
     """Exact gradient of objective_phi with respect to the flat parameters."""
     grad = grad_local(spec, params, batch_inputs, batch_targets)
     if lam > 0:
-        scores, hidden, w2 = _forward_parts(spec, params, public_inputs)
+        scores, features, w = _forward_parts(spec, params, public_inputs)
         scale = 2.0 * lam / len(public_inputs)
         probs = stable_softmax(scores)
         diff = probs - sbar_rows
@@ -203,7 +189,7 @@ def grad_phi_stochastic(
         score_grad = probs
         score_grad *= scale
         score_grad *= diff
-        grad += _backprop_scores(spec, params, public_inputs, hidden, w2, score_grad)
+        grad += _backprop_scores(spec, params, public_inputs, features, w, score_grad)
     if not np.isfinite(grad).all():
         raise NumericError("non-finite gradient")
     return grad

@@ -238,7 +238,9 @@ def ridge_codistill_scalar(
 
 
 def closed_form_lambda_alpha(task: BayesLinRegTask, k: int) -> ClosedForm:
-    """Optimal regularization weight and distillation weights for client k."""
+    """Optimal regularization weight and distillation weights for client k.
+    A term that over- or underflows (a non-finite one, or A_k not > 0)
+    raises NumericError: the weights would no longer sum to 1."""
     s2 = task.sigma**2
     beta = task.beta
     u2 = task.upsilon.astype(np.float64) ** 2
@@ -247,6 +249,8 @@ def closed_form_lambda_alpha(task: BayesLinRegTask, k: int) -> ClosedForm:
     b_k = a_k * (s2 + beta * u2[k]) / (s2 + a_k + beta * u2[k])
     lambda_star = s2 / (u2[k] * task.nu)
     alpha_star = b_k / (s2 + beta * u2)
+    if not (np.isfinite([*others, a_k, b_k, lambda_star, *alpha_star]).all() and a_k > 0):
+        raise NumericError(f"closed form out of float range for client {k} (A_k={a_k})")
     return ClosedForm(lambda_star=lambda_star, alpha_star=alpha_star, a_k=a_k, b_k=b_k)
 
 
@@ -264,6 +268,8 @@ def posterior_moments_scalar(
     coef[k] += b / (s2 + b)
     mean = coef @ what_all
     variance = s2 * (closed.a_k + b) / (beta * (s2 + closed.a_k + b))
+    if not variance > 0:  # an underflow: every loss would be the candidate's distance alone
+        raise NumericError(f"posterior variance {variance} is not > 0 for client {k}")
     return mean, variance
 
 

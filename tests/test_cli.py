@@ -1322,6 +1322,20 @@ def tree(directory):
     return sorted(p.relative_to(directory).as_posix() for p in directory.rglob("*"))
 
 
+def degenerate_theory(sigma, beta, upsilon):
+    """One three-client task on a small grid, at the given noise scales."""
+    return (
+        THEORY_TOML.format(extra="")
+        .replace("num_samples = 20000", "num_samples = 2000")
+        .replace("lambda_points = 9", "lambda_points = 3")
+        .replace("alpha_resolution = 10", "alpha_resolution = 3")
+        .replace("n_samples = 6", "n_samples = 8")
+        .replace("sigma = 1.0", f"sigma = {sigma}")
+        .replace("beta = 1.0", f"beta = {beta}")
+        .replace("[1.0, 1.0, 1.0]", upsilon)
+    )
+
+
 FEDERATED_SET = [
     "checkpoints",
     "checkpoints/client_0000.params",
@@ -1348,12 +1362,14 @@ class TestOutputSet:
             pytest.param("post_load", 2, [], id="post_load"),
             pytest.param("toy_refused", 2, [], id="toy_refused"),
             pytest.param("theory_numeric", 3, [], id="theory_numeric"),
+            pytest.param("theory_underflow", 3, [], id="theory_underflow"),
+            pytest.param("theory_overflow", 3, [], id="theory_overflow"),
             pytest.param("diverged", 3, FEDERATED_SET, id="diverged"),
             pytest.param("internal", 4, [], id="internal"),
         ],
     )
     def test_exit_leaves_the_whole_set_or_nothing_new(
-        self, tmp_path, monkeypatch, where, case, code, written
+        self, tmp_path, capsys, monkeypatch, where, case, code, written
     ):
         theory_text = THEORY_TOML.format(extra="")
         partition_text = PARTITION_FILE.read_text().replace("num_clients = 100", "num_clients = 4")
@@ -1363,6 +1379,10 @@ class TestOutputSet:
             "load": SMOKE_TOML.replace("lr = 0.05", "lr = -1.0"),
             "post_load": SMOKE_TOML.replace("samples_per_class = 60", "samples_per_class = 7"),
             "theory_numeric": theory_text.replace("beta = 1.0", "beta = 1e308"),
+            # the posterior variance underflows to 0, and so could the best loss
+            "theory_underflow": degenerate_theory("1e-160", "1e10", "[0.5, 1.0, 2.0]"),
+            # 1/(sigma^2 + beta upsilon_i^2) overflows: every alpha* would be 0
+            "theory_overflow": degenerate_theory("1e-160", "1.0", "[1e-160, 1e-160, 1e-160]"),
             "diverged": SMOKE_TOML.replace("lr = 0.05", "lr = 1e308"),
         }.get(case, SMOKE_TOML)
         if case == "theory_fail":
@@ -1392,6 +1412,11 @@ class TestOutputSet:
             "toy_refused": ["toy", "--num-seeds", "0"],
         }.get(case, ["run", "--config", str(cfg)])
         assert main([*argv, "--out", str(out)]) == code
+        stdout, stderr = capsys.readouterr()
+        # the line is printed once the set is committed, and only then
+        assert ("wrote " in stdout) == (case in ("ok", "partition_stats", "diverged"))
+        if code == 3:
+            assert stderr.startswith("numeric error: ") and stderr.count("\n") == 1
         prefix = out.relative_to(tmp_path)
         made = [] if not written or where == "existing" else ["made", "made/by", "made/by/out"]
         dirs = ["out", "out/logs"] if kept else []
@@ -1410,6 +1435,24 @@ class TestOutputSet:
         files = sorted(["manifest.json", *(c["file"] for c in manifest["clients"])])
         assert sorted(p.name for p in (out / "checkpoints").iterdir()) == files
         assert tree(out) == FEDERATED_SET
+
+    @pytest.mark.parametrize("marker", ["summary.json", "partition_stats.json"])
+    def test_failed_commit_prints_no_wrote_line(self, tmp_path, capsys, marker):
+        # a non-empty directory where the marker goes: its removal fails
+        # before any staged entry moves in
+        text = SMOKE_TOML
+        if marker == "partition_stats.json":
+            text = PARTITION_FILE.read_text().replace("num_clients = 100", "num_clients = 4")
+        cfg = write(tmp_path, "run.toml", text)
+        out = tmp_path / "out"
+        (out / marker).mkdir(parents=True)
+        (out / marker / "kept.txt").write_text("kept")
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        stdout, stderr = capsys.readouterr()
+        assert stdout == ""
+        assert stderr.startswith("output error: ") and stderr.count("\n") == 1
+        assert tree(out) == [marker, f"{marker}/kept.txt"]
+        assert (out / marker / "kept.txt").read_text() == "kept"
 
     def test_failed_commit_leaves_no_marker(self, tmp_path, capsys, monkeypatch):
         # the rerun's first entry moves in before the second move fails

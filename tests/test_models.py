@@ -66,6 +66,24 @@ class TestInit:
     def test_same_seed_identical(self):
         assert np.array_equal(init_params(MLP, seed=4), init_params(MLP, seed=4))
 
+    @pytest.mark.parametrize("init_scale", [0.0, 0.05])
+    @pytest.mark.parametrize(
+        "arch, hidden",
+        [(ARCH_SOFTMAX, 0), (ARCH_MLP, 16), (ARCH_MLP, 24), (ARCH_MLP, 12)],
+        ids=["softmax_linear", "mlp", "heterogeneous_big", "heterogeneous_small"],
+    )
+    def test_matches_the_layout_drawn_in_order(self, arch, hidden, init_scale):
+        d, n, h, s = 8, 10, hidden, init_scale
+        spec = ModelSpec(arch, dim=d, num_classes=n, hidden=h, init_scale=s)
+        for seed in (0, 9):
+            rng = substream(seed, "param-init")
+            if arch == ARCH_SOFTMAX:
+                parts = [rng.uniform(-s, s, d * n), np.zeros(n)]
+            else:
+                parts = [rng.uniform(-s, s, d * h), np.zeros(h), rng.uniform(-s, s, h * n), np.zeros(n)]
+            want = np.concatenate(parts)
+            assert init_params(spec, seed).tobytes() == want.tobytes()
+
     def test_biases_zero_weights_bounded(self):
         spec = ModelSpec(ARCH_MLP, dim=4, num_classes=3, hidden=8, init_scale=0.2)
         params = init_params(spec, seed=1)

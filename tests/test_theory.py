@@ -385,6 +385,19 @@ class TestClosedForm:
         lams = [closed_form_lambda_alpha(task, k).lambda_star for k in range(3)]
         assert lams[0] > lams[1] > lams[2]
 
+    @pytest.mark.parametrize(
+        "sigma, beta, upsilon",
+        [(1e-160, 1.0, (1e-160, 1e-160, 1e-160)), (1.0, 1.0, (1e200, 1.0, 1.0))],
+        ids=["reciprocals_overflow", "own_term_overflows"],
+    )
+    def test_terms_out_of_float_range_raise_numeric_error(self, sigma, beta, upsilon):
+        # the first: 1/(sigma^2 + beta upsilon_i^2) is inf, so A_k = B_k = 0
+        # and every alpha* would be 0; the second: upsilon_0^2 is inf, so B_k is NaN
+        task = small_task(seed=16, upsilon=upsilon, sigma=sigma, beta=beta, n=8)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            with pytest.raises(NumericError, match="closed form out of float range for client 0"):
+                closed_form_lambda_alpha(task, 0)
+
     def test_closed_form_reproduces_posterior_mean(self):
         # the ridge minimizer at (lambda*, alpha*) equals the Bayes mean
         for seed in range(6):
@@ -649,6 +662,17 @@ class TestGridOracle:
                 with pytest.raises(NumericError, match=r"^singular ridge system \(lambda=0\.5\)$"):
                     grid_search_oracle(*args)
                 assert np.geterr() == before
+
+    def test_underflowed_posterior_variance_raises_numeric_error(self):
+        # sigma^2 = 1e-320 over beta = 1e10: the closed form is finite, the
+        # variance rounds to 0, and the best grid loss could be 0
+        task = small_task(seed=29, sigma=1e-160, beta=1e10, n=8)
+        closed_form_lambda_alpha(task, 0)
+        what = all_ols(task)
+        with pytest.raises(NumericError, match="posterior variance 0.0 is not > 0 for client 0"):
+            posterior_moments_scalar(task, 0, what)
+        with pytest.raises(NumericError, match="posterior variance"):
+            grid_search_oracle(task, 0, np.array([1.0, 2.0]), simplex_grid(3, 3), 2000, seed=0)
 
     def test_overflowing_loss_raises_numeric_error(self, monkeypatch):
         task = small_task(seed=28)
