@@ -236,8 +236,9 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         # numeric failures are reported by the checks that raise
-        # NumericError, not by numpy's RuntimeWarnings; theory's solves set
-        # their own error policy, so singular systems still raise
+        # NumericError, not by numpy's RuntimeWarnings; theory holds its own
+        # np.errstate around its solves (invalid="raise", per lambda block in
+        # the oracle), so singular systems still raise
         with np.errstate(all="ignore"):
             return args.func(args)
     except ConfigurationError as exc:

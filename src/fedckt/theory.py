@@ -24,7 +24,6 @@ cross-check.)
 
 from __future__ import annotations
 
-import contextvars
 import itertools
 import math
 from dataclasses import dataclass
@@ -35,14 +34,13 @@ from .errors import NumericError
 from .rng import substream
 
 try:
-    from numpy._core._ufunc_config import _extobj_contextvar, _make_extobj
     from numpy.linalg import _umath_linalg
-except ImportError:  # a numpy that moved them: public stand-ins, the same bits
+except ImportError:  # a numpy that moved it: a public stand-in, the same bits
 
     def _solve1(lhs, rhs, out=None):
         """np.linalg.solve, written into `out` if given. Its singular-matrix
         LinAlgError becomes the FloatingPointError the gufunc raises under
-        the policy below, so ridge_codistill_solve reports it alike."""
+        _SOLVE_POLICY, so ridge_codistill_solve reports it alike."""
         try:
             solution = np.linalg.solve(lhs, rhs)
         except np.linalg.LinAlgError as exc:
@@ -52,24 +50,15 @@ except ImportError:  # a numpy that moved them: public stand-ins, the same bits
         out[...] = solution
         return out
 
-    # np.linalg.solve sets its own error policy, so the one here is a
-    # no-op that always reads as held
-    _extobj_contextvar = contextvars.ContextVar("unused_policy", default=None)
-    _RAISE_INVALID = None
 else:
     # the gufunc np.linalg.solve dispatches to for a 1-D rhs: the same LAPACK
     # gesv on the same float64 operands, without the wrapper's per-call
     # Python validation, which costs more than the solve itself at d <= 4
     _solve1 = _umath_linalg.solve1
 
-    # np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore")
-    # built once: the policy object its __enter__ makes on every call, set and
-    # reset around the solves through the context variable numpy reads it from
-    _RAISE_INVALID = _make_extobj(
-        invalid="raise", over="ignore", divide="ignore", under="ignore"
-    )
-
-_isfinite = math.isfinite  # read per solution entry: a global, no attribute lookup
+# the solves' np.errstate: a singular lhs sets the invalid flag, which
+# raises; the other flags are ignored
+_SOLVE_POLICY = {"invalid": "raise", "over": "ignore", "divide": "ignore", "under": "ignore"}
 
 THETA_BOX = 10.0  # flat-prior stand-in: theta ~ Uniform(-THETA_BOX, THETA_BOX)^d
 
@@ -189,24 +178,25 @@ def ridge_codistill_solve(
     system, for one (d,) float64 `rhs`, written into `out` if given (a (d,)
     float64 view, such as a row of the caller's block); `lam` only names it
     in a NumericError. Bitwise np.linalg.solve(lhs, rhs): float64 operands
-    resolve to solve1's one dd->d loop. A singular lhs sets the invalid
-    flag, raised here whatever the caller's errstate, as np.linalg.solve
-    does; the caller's errstate is restored on every exit. A caller that
-    already holds the policy (grid_search_oracle, per lambda block) pays
-    for no swap. At d <= 4 checking finiteness over Python floats beats a
-    numpy reduction."""
-    held = _extobj_contextvar.get() is _RAISE_INVALID
-    token = None if held else _extobj_contextvar.set(_RAISE_INVALID)
+    resolve to solve1's one dd->d loop. It runs under the caller's errstate
+    and checks nothing more: the caller holds _SOLVE_POLICY, under which a
+    singular lhs raises, and checks that the solution is finite, as
+    grid_search_oracle does once per lambda block and _solve_system once
+    per system."""
     try:
-        solution = _solve1(lhs, rhs, out=out)
+        return _solve1(lhs, rhs, out=out)
     except FloatingPointError as exc:
         raise NumericError(f"singular ridge system (lambda={lam})") from exc
-    finally:
-        if token is not None:
-            _extobj_contextvar.reset(token)
-    for value in solution.tolist():
-        if not _isfinite(value):
-            raise NumericError(f"non-finite ridge solution (lambda={lam})")
+
+
+def _solve_system(lhs: np.ndarray, rhs: np.ndarray, lam: float) -> np.ndarray:
+    """ridge_codistill_solve of one system under _SOLVE_POLICY, whatever the
+    caller's errstate, which is back on every exit, and a NumericError for
+    a singular system or a non-finite solution."""
+    with np.errstate(**_SOLVE_POLICY):
+        solution = ridge_codistill_solve(lhs, rhs, lam)
+    if not np.isfinite(solution).all():
+        raise NumericError(f"non-finite ridge solution (lambda={lam})")
     return solution
 
 
@@ -220,7 +210,7 @@ def ridge_codistill_minimizer(
     xtx = task.designs[k].T @ task.designs[k]
     ptp = task.public_design.T @ task.public_design
     lhs, rhs = ridge_codistill_system(xtx, ptp, what_all[k], lam, alpha, what_all)
-    return ridge_codistill_solve(lhs, rhs, lam)
+    return _solve_system(lhs, rhs, lam)
 
 
 def ridge_codistill_scalar(
@@ -414,8 +404,9 @@ def grid_search_oracle(
     losses read two statistics of the noise, taken block by block
     (_mc_noise_stats), and each lambda's block of A losses updates a
     running best, so neither the (N, d) noise nor an (L, A) loss table is
-    held. Of equal losses the first in lambda-major order wins; a
-    non-finite loss raises NumericError."""
+    held. Of equal losses the first in lambda-major order wins; a singular
+    system, a non-finite solution or a non-finite loss raises NumericError
+    naming its lambda."""
     what_all = all_ols(task)
     mean, variance = posterior_moments_scalar(task, k, what_all)
     sd = float(np.sqrt(variance))
@@ -445,13 +436,13 @@ def grid_search_oracle(
         lhs = xtx + lam * ptp
         np.multiply(lam, pulled, out=rhs)
         rhs += own
-        # the solves' error policy, held for the block and nothing else
-        token = _extobj_contextvar.set(_RAISE_INVALID)
-        try:
+        # the solves' error policy, held for the block and nothing else; the
+        # rows share one lhs, so a singular one raises at the first row
+        with np.errstate(**_SOLVE_POLICY):
             for rhs_row, solution in zip(rhs, block):
                 ridge_codistill_solve(lhs, rhs_row, lam, out=solution)
-        finally:
-            _extobj_contextvar.reset(token)
+        if not np.isfinite(block).all():
+            raise NumericError(f"non-finite ridge solution (lambda={lam})")
         losses = _losses_from_noise_stats(block, mean, sd, noise_mean, noise_sq_mean)
         if not np.isfinite(losses).all():
             raise NumericError(f"non-finite oracle loss (lambda={lam})")
@@ -465,7 +456,7 @@ def grid_search_oracle(
     closed_lhs, closed_rhs = ridge_codistill_system(
         xtx, ptp, what_all[k], closed.lambda_star, closed.alpha_star, what_all
     )
-    closed_candidate = ridge_codistill_solve(closed_lhs, closed_rhs, closed.lambda_star)
+    closed_candidate = _solve_system(closed_lhs, closed_rhs, closed.lambda_star)
     closed_loss = _losses_from_noise_stats(
         closed_candidate[None, :], mean, sd, noise_mean, noise_sq_mean
     )
@@ -523,7 +514,7 @@ def run_toy_example(seed: int, sigmas=TOY_SIGMAS) -> tuple[np.ndarray, dict[str,
 
     def codistilled(k, alpha):
         lhs, rhs = ridge_codistill_system(xtx, ptp, what[k], TOY_LAMBDA, np.array(alpha), what)
-        return ridge_codistill_solve(lhs, rhs, TOY_LAMBDA)
+        return _solve_system(lhs, rhs, TOY_LAMBDA)
 
     return true_w, {
         "fedavg": np.stack([fedavg] * 3),

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -23,6 +24,7 @@ from fedckt.federation import (
     sample_clients,
 )
 from fedckt.models import (
+    ARCH_MLP,
     ARCH_SOFTMAX,
     ModelSpec,
     forward_logits,
@@ -46,8 +48,10 @@ def make_bundle(num_classes=3, dim=2, train=30, val=6, test=30, seed=0, separati
     )
 
 
-def make_population(num_clients=4, num_classes=3, dim=2, seed=0, train=30, arch=ARCH_SOFTMAX):
-    spec = ModelSpec(arch, dim=dim, num_classes=num_classes, init_scale=0.1)
+def make_population(
+    num_clients=4, num_classes=3, dim=2, seed=0, train=30, arch=ARCH_SOFTMAX, hidden=0
+):
+    spec = ModelSpec(arch, dim=dim, num_classes=num_classes, hidden=hidden, init_scale=0.1)
     bundles = assign_data_fractions(
         [make_bundle(num_classes, dim, train=train, seed=seed + i) for i in range(num_clients)]
     )
@@ -231,6 +235,35 @@ class TestClientLocalRound:
             )
             w = w - cfg.lr * g
         assert np.array_equal(params, w)
+
+    @pytest.mark.parametrize("arch, hidden", [(ARCH_SOFTMAX, 0), (ARCH_MLP, 5)])
+    def test_client_round_does_not_depend_on_the_other_clients(self, arch, hidden):
+        # the module's randomness contract: against a fixed target, a
+        # client's params and upload are bitwise the same whether it trains
+        # alone, after k other clients or at any position of a group, and
+        # no client's round writes into the shared pool or target
+        records, pool = make_population(arch=arch, hidden=hidden)
+        cfg = config(local_iters=3, distill_weight=0.5)
+        spec = records[0].spec
+        sbar = forward_logits(spec, init_params(spec, seed=99), pool)
+        pool_bytes, sbar_bytes = pool.tobytes(), sbar.tobytes()
+
+        def run(order):
+            return {
+                i: tuple(
+                    a.tobytes() for a in client_local_round(records[i], sbar, pool, cfg, 1)
+                )
+                for i in order
+            }
+
+        alone = {i: run([i])[i] for i in range(len(records))}
+        for i in alone:
+            others = [j for j in alone if j != i]
+            for k in range(1, len(others) + 1):
+                assert run([*others[:k], i])[i] == alone[i]
+        for group in itertools.permutations(range(3)):
+            assert run(group) == {i: alone[i] for i in group}
+        assert (pool.tobytes(), sbar.tobytes()) == (pool_bytes, sbar_bytes)
 
 
 class TestReductions:

@@ -231,14 +231,23 @@ class TestRidgeMinimizer:
                     caller = np.geterr()
                     for lhs in singular:
                         with pytest.raises(NumericError, match=r"^singular ridge system \(lambda=0\.5\)$"):
-                            theory.ridge_codistill_solve(lhs, np.ones(len(lhs)), 0.5)
+                            theory._solve_system(lhs, np.ones(len(lhs)), 0.5)
                         assert np.geterr() == caller
-                    block = np.empty((3, 2))
-                    got = theory.ridge_codistill_solve(2.0 * np.eye(2), np.ones(2), 0.5, out=block[1])
-                    assert np.shares_memory(got, block[1])
-                    assert block[1].tolist() == [0.5, 0.5]
-                    assert np.geterr() == caller
         assert fired == []
+
+    def test_per_row_solve_under_the_solve_policy(self, public_theory):
+        # what the oracle's per-point call does under the policy it holds
+        # per lambda block: a singular lhs raises, and a regular system is
+        # written into the row it is given, which comes back; the public
+        # stand-in alike
+        for module in (theory, public_theory):
+            with np.errstate(**theory._SOLVE_POLICY):
+                with pytest.raises(NumericError, match=r"^singular ridge system \(lambda=0\.5\)$"):
+                    module.ridge_codistill_solve(np.zeros((2, 2)), np.ones(2), 0.5)
+                block = np.empty((3, 2))
+                got = module.ridge_codistill_solve(2.0 * np.eye(2), np.ones(2), 0.5, out=block[1])
+            assert np.shares_memory(got, block[1])
+            assert block[1].tolist() == [0.5, 0.5]
 
     def test_solver_runs_under_raise_invalid_ignore_the_rest(self, monkeypatch):
         # the policy the gufunc sees is fixed, whatever the caller's
@@ -252,9 +261,9 @@ class TestRidgeMinimizer:
         monkeypatch.setattr(theory, "_solve1", recording)
         for policy in CALLER_ERRSTATES:
             with np.errstate(call=lambda kind, flag: None, **policy):
-                theory.ridge_codistill_solve(np.eye(2), np.ones(2), 1.0)
+                theory._solve_system(np.eye(2), np.ones(2), 1.0)
                 with pytest.raises(NumericError, match="singular ridge system"):
-                    theory.ridge_codistill_solve(np.zeros((2, 2)), np.ones(2), 1.0)
+                    theory._solve_system(np.zeros((2, 2)), np.ones(2), 1.0)
         policy = {"invalid": "raise", "over": "ignore", "divide": "ignore", "under": "ignore"}
         assert seen == [policy] * (2 * len(CALLER_ERRSTATES))
 
@@ -298,7 +307,7 @@ class TestRidgeMinimizer:
     def test_non_finite_rhs_raises_numeric_error(self, bad):
         with np.errstate(invalid="ignore"):
             with pytest.raises(NumericError, match="non-finite ridge solution"):
-                theory.ridge_codistill_solve(np.eye(2), np.array([bad, 1.0]), 1.0)
+                theory._solve_system(np.eye(2), np.array([bad, 1.0]), 1.0)
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
@@ -310,9 +319,9 @@ class TestRidgeMinimizer:
             solution[position] = bad
             monkeypatch.setattr(theory, "_solve1", lambda a, b, out, s=solution: solved_into(s.copy(), out))
             with pytest.raises(NumericError, match="non-finite ridge solution"):
-                theory.ridge_codistill_solve(np.eye(d), np.ones(d), 1.0)
+                theory._solve_system(np.eye(d), np.ones(d), 1.0)
         monkeypatch.undo()
-        finite = theory.ridge_codistill_solve(np.eye(d), np.ones(d), 1.0)
+        finite = theory._solve_system(np.eye(d), np.ones(d), 1.0)
         assert finite.tobytes() == np.ones(d).tobytes()
 
 
@@ -663,6 +672,38 @@ class TestGridOracle:
                     grid_search_oracle(*args)
                 assert np.geterr() == before
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_solution_raises_before_the_block_losses(self, monkeypatch, bad):
+        # a solver that hands back a non-finite entry in the third row of
+        # the second lambda block: the block's one check names that lambda
+        # before any of its losses is computed, under every caller errstate
+        real_solve1, real_losses = theory._solve1, theory._losses_from_noise_stats
+        solves, loss_blocks = [], []
+
+        def poisoning(a, b, out):
+            solves.append(None)
+            real_solve1(a, b, out=out)
+            if len(solves) == 6 + 3:
+                out[-1] = bad
+            return out
+
+        def recording(candidates, *rest):
+            loss_blocks.append(len(candidates))
+            return real_losses(candidates, *rest)
+
+        monkeypatch.setattr(theory, "_solve1", poisoning)
+        monkeypatch.setattr(theory, "_losses_from_noise_stats", recording)
+        args = (small_task(seed=33), 0, np.array([0.5, 2.0]), simplex_grid(3, 2), 100, 0)
+        for caller in CALLER_ERRSTATES:
+            with np.errstate(call=lambda kind, flag: None, **caller):
+                before = np.geterr()
+                solves.clear()
+                loss_blocks.clear()
+                with pytest.raises(NumericError, match=r"^non-finite ridge solution \(lambda=2\.0\)$"):
+                    grid_search_oracle(*args)
+                assert np.geterr() == before
+            assert (len(solves), loss_blocks) == (2 * 6, [6])
+
     def test_underflowed_posterior_variance_raises_numeric_error(self):
         # sigma^2 = 1e-320 over beta = 1e10: the closed form is finite, the
         # variance rounds to 0, and the best grid loss could be 0
@@ -703,8 +744,9 @@ class TestGridOracle:
 @pytest.fixture
 def public_theory(monkeypatch):
     """A second copy of fedckt.theory, loaded while numpy's private
-    _umath_linalg and _ufunc_config cannot be imported, as under a numpy
-    that moved them; it binds the public stand-ins."""
+    _umath_linalg cannot be imported, as under a numpy that moved it; it
+    binds the public stand-in. _ufunc_config is hidden too, which the copy
+    must not need."""
     monkeypatch.delattr(np.linalg, "_umath_linalg")
     monkeypatch.setitem(sys.modules, "numpy.linalg._umath_linalg", None)
     monkeypatch.setitem(sys.modules, "numpy._core._ufunc_config", None)
@@ -712,7 +754,7 @@ def public_theory(monkeypatch):
     module = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses look it up
     spec.loader.exec_module(module)
-    assert module._solve1 is not theory._solve1 and module._RAISE_INVALID is None
+    assert not isinstance(module._solve1, np.ufunc)
     return module
 
 
@@ -740,12 +782,12 @@ class TestPublicNumpyFallback:
                 with np.errstate(call=lambda kind, flag: fired.append(kind), **policy):
                     caller = np.geterr()
                     with pytest.raises(NumericError, match=r"^singular ridge system \(lambda=0\.5\)$"):
-                        public_theory.ridge_codistill_solve(np.zeros((2, 2)), np.ones(2), 0.5)
+                        public_theory._solve_system(np.zeros((2, 2)), np.ones(2), 0.5)
                     assert np.geterr() == caller
         assert fired == []
         with np.errstate(invalid="ignore"):
             with pytest.raises(NumericError, match=r"^non-finite ridge solution \(lambda=1\.0\)$"):
-                public_theory.ridge_codistill_solve(np.eye(2), np.array([np.inf, 1.0]), 1.0)
+                public_theory._solve_system(np.eye(2), np.array([np.inf, 1.0]), 1.0)
 
 
 class TestSimplexGrid:
