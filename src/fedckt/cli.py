@@ -12,7 +12,6 @@ instead of a traceback).
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import shutil
 import sys
@@ -29,6 +28,7 @@ from .experiment import (
     run_algorithm,
     summarize_run,
     write_checkpoints,
+    write_json,
     write_metrics_csv,
     write_partition_stats,
     write_summary_json,
@@ -157,9 +157,7 @@ def _theory_check(theory: TheoryConfig, master_seed: int, out: Path) -> int:
             f"(closed {closed_loss:.6f} vs best {oracle.best_loss:.6f}, "
             f"gap {gap:+.4%}, tol {theory.tolerance:.2%})"
         )
-    with open(out / "theory_report.json", "w") as fh:
-        json.dump({"tasks": reports, "all_passed": bool(all_pass)}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out / "theory_report.json", {"tasks": reports, "all_passed": bool(all_pass)})
     return EXIT_OK if all_pass else EXIT_CHECK_FAILED
 
 

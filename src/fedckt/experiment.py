@@ -205,10 +205,7 @@ def write_partition_stats(path, data_cfg: DataConfig, master_seed: int) -> None:
     """Label histograms and skew metrics of the shards build_population
     splits, one entry per client in client order."""
     groups, _ = _population_shards(data_cfg, master_seed)
-    summary = partition_summary([s for shards, _ in groups for s in shards])
-    with open(path, "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, partition_summary([s for shards, _ in groups for s in shards]))
 
 
 ALGORITHMS = ("perfed_ckt", "fedavg", "local")
@@ -248,9 +245,7 @@ def write_checkpoints(records: list[ClientRecord], directory) -> None:
                 "last_selected_round": rec.last_selected_round,
             }
         )
-    with open(directory / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(directory / "manifest.json", manifest)
 
 
 METRICS_HEADER = "round,mean_acc,std_acc,grad_norm,uplink,downlink"
@@ -289,7 +284,13 @@ def summarize_run(result: RunResult, config_echo: dict) -> dict:
     }
 
 
-def write_summary_json(path, summary: dict) -> None:
+def write_json(path, data: dict) -> None:
+    """Every JSON output's encoding: two-space indent, sorted keys, final newline."""
     with open(path, "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
+        json.dump(data, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def write_summary_json(path, summary: dict) -> None:
+    """write_json under the name the benchmark times as an output writer."""
+    write_json(path, summary)

@@ -26,8 +26,9 @@ from .federation import LR_ROBBINS_MONRO, FederationConfig
 # TOML sections and their lines
 # ---------------------------------------------------------------------------
 
-# a line opening a `[section]` or `[[section]]` table, or setting a bare `key =`
-_LINE_START = re.compile(r"\s*(?:\[\[?([\w.\s-]+)\]|([\w-]+)\s*=)")
+# a line opening a `[section]` or `[[section]]` table, or setting a `key =`,
+# bare or quoted
+_LINE_START = re.compile(r"\s*(?:\[\[?([\w.\s-]+)\]|([\"']?)([\w-]+)\2\s*=)")
 # a string or a comment, from its start: a multi-line one spans lines
 # that open no header or key, and a quote in a comment opens no string
 _STRING_OR_COMMENT = re.compile(
@@ -65,7 +66,7 @@ def parse_flat_toml(
             section = "".join(match[1].split())
             found[section, None] = f"{source}:{lineno}"
         elif match:
-            found[(section, match[2]) if section else (match[2], None)] = f"{source}:{lineno}"
+            found[(section, match[3]) if section else (match[3], None)] = f"{source}:{lineno}"
     sections = dict(doc)
     headers = [name for name, key in found if key is None]
     for name in headers:
@@ -207,24 +208,6 @@ def _check_budgets(budgets, parts: dict) -> None:
             raise _at_largest({k: v for factor in factors for k, v in factor.items()}, why)
 
 
-def _over_budget(factor: int, resolution: int, parts: int) -> bool:
-    """Whether factor * comb(resolution + parts - 1, parts - 1) exceeds
-    MAX_ELEMENTS; the binomial counts the simplex grid's weight vectors.
-
-    The binomial is built one factor at a time over its smaller side, so the
-    running product at least doubles per factor and passes the budget within
-    a few dozen factors, where math.comb with a huge resolution would build
-    an integer with billions of digits."""
-    top = resolution + parts - 1
-    side = min(resolution, parts - 1)
-    count = factor
-    for j in range(1, side + 1):
-        if count > MAX_ELEMENTS:
-            return True
-        count = count * (top - side + j) // j
-    return count > MAX_ELEMENTS
-
-
 # The arrays a run allocates, as products of [data], [models] and
 # [federation] keys: data, pool and logit stack, then model weights, then
 # the hidden activations of a forward pass over the pool, the client data
@@ -286,12 +269,16 @@ def _check_federation(f: FederationConfig, algorithm: str) -> None:
 def _check_task(t: TheoryTaskConfig, name: str, theory: TheoryConfig) -> None:
     _check_budgets(TASK_BUDGETS, {"task": (name, t), "theory": ("theory", theory)})
     # the oracle solves once per (lambda, alpha) point and holds the
-    # (comb, K) alpha grid
-    k = t.num_clients
-    if _over_budget(max(theory.lambda_points, k), theory.alpha_resolution, k):
+    # (comb, K) alpha grid; a binomial whose smaller side is 15 or more is at
+    # least comb(30, 15) > MAX_ELEMENTS, so it is not built: for a huge
+    # resolution it would be a huge integer
+    k, resolution = t.num_clients, theory.alpha_resolution
+    side = min(resolution, k - 1)
+    factor = max(theory.lambda_points, k)
+    if side >= 15 or factor * math.comb(resolution + k - 1, side) > MAX_ELEMENTS:
         why = f"max(lambda_points, K) * comb(alpha_resolution + K - 1, K - 1) with K = {k} "
         why += f"exceeds the budget of {MAX_ELEMENTS} elements"
-        reads = {("theory", "alpha_resolution"): theory.alpha_resolution, (name, "num_clients"): k}
+        reads = {("theory", "alpha_resolution"): resolution, (name, "num_clients"): k}
         raise _at_largest({("theory", "lambda_points"): theory.lambda_points, **reads}, why)
     if len(t.upsilon) != k:
         why = f"upsilon must list one value per client, got {len(t.upsilon)}"

@@ -99,11 +99,6 @@ class OracleResult:
     closed_form_loss: float
 
 
-def _orthonormal_frame(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
-    q, _ = np.linalg.qr(rng.normal(size=(rows, cols)))
-    return q[:, :cols]
-
-
 def gen_task(
     dim: int,
     num_clients: int,
@@ -128,7 +123,7 @@ def gen_task(
     targets = np.empty((num_clients, n_samples))
     for k in range(num_clients):
         targets[k] = designs[k] @ true_w[k] + noise[k]
-    public_design = np.sqrt(nu) * _orthonormal_frame(rng, dim, dim)
+    public_design = np.sqrt(nu) * np.linalg.qr(rng.normal(size=(dim, dim)))[0]
     return BayesLinRegTask(
         dim=dim,
         num_clients=num_clients,

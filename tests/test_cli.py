@@ -4,6 +4,7 @@ import dataclasses
 import functools
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -16,46 +17,16 @@ import pytest
 from fedckt import theory
 from fedckt.cli import main
 from fedckt.experiment import build_population
-from fedckt.runconfig import config_from_sections, load_config, parse_flat_toml
+from fedckt.runconfig import MAX_ELEMENTS, config_from_sections, load_config, parse_flat_toml
 from fedckt.errors import ConfigurationError
 from helpers import solved_into
-
-SMOKE_TOML = """
-[run]
-algorithm = "perfed_ckt"
-seed = 42
-
-[data]
-population = "dirichlet"
-num_classes = 3
-dim = 2
-samples_per_class = 60
-class_separation = 4.0
-alpha = 10.0
-num_clients = 2
-public_pool_size = 30
-public_offset = 1.0
-
-[models]
-kind = "softmax_linear"
-init_scale = 0.05
-
-[federation]
-rounds = 1
-local_iters = 2
-num_selected = 2
-batch_size = 8
-public_batch_size = 8
-distill_weight = 0.5
-num_clusters = 1
-lr = 0.05
-"""
 
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 SMOKE_FILE = Path(__file__).resolve().parents[1] / "configs/smoke.toml"
 THEORY_FILE = Path(__file__).resolve().parents[1] / "configs/theory_check.toml"
 DIRICHLET_FILE = Path(__file__).resolve().parents[1] / "configs/dirichlet_perfed.toml"
 PARTITION_FILE = Path(__file__).resolve().parents[1] / "configs/partition_stats.toml"
+SMOKE_TOML = SMOKE_FILE.read_text()
 
 THEORY_TOML = """
 [run]
@@ -434,6 +405,41 @@ class TestConfig:
         assert err.startswith("config error:")
         assert named in err
         assert not (tmp_path / "t" / "theory_report.json").exists()
+
+
+    def test_oracle_grid_budget_edge(self, tmp_path):
+        # K = 3: 15 * comb(3651, 2) = 99 946 125 points load, and
+        # 15 * comb(3652, 2) = 100 000 890 are refused at their key
+        text = THEORY_TOML.format(extra="").replace("lambda_points = 9", "lambda_points = 15")
+        edge = text.replace("alpha_resolution = 10", "alpha_resolution = 3649")
+        assert load_config(write(tmp_path, "edge.toml", edge)).theory.alpha_resolution == 3649
+        past = write(tmp_path, "past.toml", edge.replace("3649", "3650"))
+        with pytest.raises(ConfigurationError) as refused:
+            load_config(past)
+        assert str(refused.value) == (
+            f"{past}:10: [theory] alpha_resolution = 3650: max(lambda_points, K) * "
+            "comb(alpha_resolution + K - 1, K - 1) with K = 3 exceeds the budget of "
+            f"{MAX_ELEMENTS} elements"
+        )
+
+    @pytest.mark.parametrize("side", range(1, 41))
+    def test_oracle_grid_budget_matches_the_exact_count(self, tmp_path, side):
+        # grids whose binomial has this smaller side; from side 15 on the
+        # budget refuses without counting the grid
+        for resolution, k in ((side, side + 1), (side, 41), (40, side + 1)):
+            text = (
+                THEORY_TOML.format(extra="")
+                .replace("alpha_resolution = 10", f"alpha_resolution = {resolution}")
+                .replace("num_clients = 3", f"num_clients = {k}")
+                .replace("[1.0, 1.0, 1.0]", str([1.0] * k))
+            )
+            path = write(tmp_path, "grid.toml", text)
+            exact = max(9, k) * math.comb(resolution + k - 1, k - 1)
+            if exact <= MAX_ELEMENTS:
+                assert load_config(path).theory.tasks[0].num_clients == k
+                continue
+            with pytest.raises(ConfigurationError, match=f"with K = {k} exceeds the budget"):
+                load_config(path)
 
 
 class TestRunCommand:
@@ -877,6 +883,15 @@ class TestRunCommand:
                 SMOKE_TOML.replace("lr = 0.05", "lr = -1.0"),
                 "config error: range.toml:29: [federation] lr = -1.0: must be >= 0",
             ),
+            # a quoted key is located at its own line, as a bare one is
+            (
+                SMOKE_TOML.replace("lr = 0.05", '"lr" = -1.0'),
+                "config error: range.toml:29: [federation] lr = -1.0: must be >= 0",
+            ),
+            (
+                SMOKE_TOML.replace("seed = 42", "'seed' = -1"),
+                "config error: range.toml:4: [run] seed = -1: must be >= 0",
+            ),
             (
                 SMOKE_TOML.replace("num_clusters = 1", "num_clusters = 50"),
                 "config error: range.toml:28: [federation] num_clusters = 50: "
@@ -1128,6 +1143,8 @@ class TestRunCommand:
         ids=[
             "dim",
             "lr",
+            "lr_quoted_key",
+            "seed_quoted_key",
             "num_clusters",
             "theory_dim",
             "sigma",
