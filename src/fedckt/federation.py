@@ -179,9 +179,11 @@ def grad_norm_monitor(
     pool: np.ndarray | None,
     sbar_rows: np.ndarray | None,
     lam: float,
+    pool_probs: np.ndarray | None = None,
 ) -> float:
     """l2 norm of the deterministic full-batch objective gradient (full
-    train split, full public pool)."""
+    train split, full public pool). `pool_probs`, if given, is the record's
+    own forward_logits on the pool, which the gradient then reuses."""
     train = record.bundle.train
     if lam > 0 and sbar_rows is not None:
         grad = grad_phi_stochastic(
@@ -192,6 +194,7 @@ def grad_norm_monitor(
             pool,
             sbar_rows,
             lam,
+            public_probs=pool_probs,
         )
     else:
         grad = grad_local(record.spec, record.params, train.inputs, train.labels)
@@ -237,11 +240,12 @@ def _metrics_row(round_index, accuracies, grad_norms, ledger) -> RoundMetrics:
     )
 
 
-def _nearest_centroid(rec, pool, centroids) -> np.ndarray:
-    """The centroid nearest the client's own full-pool logits, as target rows."""
+def _nearest_centroid(rec, pool, centroids) -> tuple[np.ndarray, np.ndarray]:
+    """The client's own full-pool logits, and the centroid nearest them as
+    target rows."""
     own = forward_logits(rec.spec, rec.params, pool)
     pick = assign_nearest(own.ravel(), centroids)
-    return centroids.centroids[pick].reshape(len(pool), rec.spec.num_classes)
+    return own, centroids.centroids[pick].reshape(own.shape)
 
 
 def _broadcast_average(active, coeffs, vectors) -> None:
@@ -300,8 +304,10 @@ def run_rounds(
         _broadcast_average(active, weights, [r.params for r in active])
 
     def monitor(r: ClientRecord) -> float:
-        sbar = _nearest_centroid(r, pool, centroids) if perfed else None
-        return grad_norm_monitor(r, pool, sbar, config.distill_weight)
+        if not perfed:
+            return grad_norm_monitor(r, pool, None, config.distill_weight)
+        own, sbar = _nearest_centroid(r, pool, centroids)
+        return grad_norm_monitor(r, pool, sbar, config.distill_weight, own)
 
     ledger = CommLedger()
     metrics: list[RoundMetrics] = []
@@ -339,7 +345,7 @@ def run_rounds(
             for rec in selected:
                 try:
                     if perfed:
-                        sbar = _nearest_centroid(rec, pool, centroids)
+                        _, sbar = _nearest_centroid(rec, pool, centroids)
                         rec.params, upload = client_local_round(rec, sbar, pool, config, t)
                         rows[len(uploaded)] = upload.ravel()
                     else:

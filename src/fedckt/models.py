@@ -70,12 +70,71 @@ def _unpack(spec: ModelSpec, params: np.ndarray):
     return hidden_layer, params[at:end].reshape(width, n), params[end:]
 
 
+# a (rows, N) block at least this many rows per class is "tall": its row
+# sums are cheaper as N - 1 column adds over the transposed copy than as
+# numpy's per-row reduce (the two cost about the same at 32 rows per class)
+_TALL_ROWS_PER_CLASS = 32
+
+
+def _is_tall(block: np.ndarray) -> bool:
+    rows, classes = block.shape
+    return rows >= _TALL_ROWS_PER_CLASS * classes
+
+
+def _pairwise_sum(cols: np.ndarray) -> np.ndarray:
+    """The sum of the rows of cols, added in the order numpy's pairwise_sum
+    adds the N entries of one row: plain adds below 8, eight accumulators
+    up to 128, halves (the first a multiple of 8) above."""
+    n = len(cols)
+    if n < 8:
+        total = cols[0].copy()
+        for col in cols[1:]:
+            total += col
+        return total
+    if n <= 128:
+        end = n - n % 8
+        acc = cols[:8]
+        for start in range(8, end, 8):
+            acc = acc + cols[start : start + 8]
+        total = (acc[0] + acc[1]) + (acc[2] + acc[3])
+        total += (acc[4] + acc[5]) + (acc[6] + acc[7])
+        for col in cols[end:]:
+            total += col
+        return total
+    half = n // 2 - n // 2 % 8
+    return _pairwise_sum(cols[:half]) + _pairwise_sum(cols[half:])
+
+
+def _column_sums(cols: np.ndarray) -> np.ndarray:
+    """np.add.reduce(cols.T, axis=1) from the C-ordered transpose: numpy
+    adds each row's pairwise sum to an output that starts at 0.0 (so a row
+    of -0.0 sums to 0.0). Equal bit for bit, except for the sign of a NaN
+    where two NaNs of opposite sign meet."""
+    total = _pairwise_sum(cols)
+    total += 0.0
+    return total
+
+
+def _row_sums(block: np.ndarray) -> np.ndarray:
+    """np.add.reduce(block, axis=1, keepdims=True), in the layout the
+    block's shape favours."""
+    if _is_tall(block):
+        return _column_sums(block.T.copy())[:, None]
+    return np.add.reduce(block, axis=1, keepdims=True)
+
+
 def stable_softmax(scores: np.ndarray) -> np.ndarray:
     """Row-wise softmax with max-shift stabilization. A row is non-finite
     exactly when its denominator is NaN, and then every entry is NaN; any
     other denominator lies in [1, num_classes]."""
     # a max does not depend on order, and numpy's reduce along the long
     # axis of the transposed copy is several times faster on a tall block
+    if _is_tall(scores):  # the whole softmax on the copy, then back to C order
+        cols = scores.T.copy()
+        cols -= np.maximum.reduce(cols, axis=0)
+        np.exp(cols, out=cols)
+        cols /= _column_sums(cols)
+        return cols.T.copy()
     e = scores - np.maximum.reduce(scores.T.copy(), axis=0)[:, None]
     np.exp(e, out=e)
     e /= np.add.reduce(e, axis=1, keepdims=True)
@@ -87,15 +146,22 @@ def _log_softmax(scores: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
-def _forward_parts(spec: ModelSpec, params: np.ndarray, inputs: np.ndarray):
-    """Class scores, the features the output layer reads (the inputs, or
-    the MLP's tanh activations) and the output weights: what backprop needs."""
+def _features(spec: ModelSpec, params: np.ndarray, inputs: np.ndarray):
+    """The features the output layer reads (the inputs, or the MLP's tanh
+    activations) and that layer's weights w and bias b."""
     hidden_layer, w, b = _unpack(spec, params)
     features = inputs
     if hidden_layer is not None:
         features = inputs @ hidden_layer[0]
         features += hidden_layer[1]
         np.tanh(features, out=features)
+    return features, w, b
+
+
+def _forward_parts(spec: ModelSpec, params: np.ndarray, inputs: np.ndarray):
+    """Class scores, the output layer's features and its weights: what
+    backprop needs."""
+    features, w, b = _features(spec, params, inputs)
     scores = features @ w
     scores += b
     return scores, features, w
@@ -175,19 +241,26 @@ def grad_phi_stochastic(
     public_inputs: np.ndarray,
     sbar_rows: np.ndarray,
     lam: float,
+    public_probs: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Exact gradient of objective_phi with respect to the flat parameters."""
+    """Exact gradient of objective_phi with respect to the flat parameters.
+    `public_probs`, if given, must be forward_logits(spec, params,
+    public_inputs): the public block's output layer and softmax are then
+    skipped (an MLP still recomputes its hidden features). It is only read."""
     grad = grad_local(spec, params, batch_inputs, batch_targets)
     if lam > 0:
-        scores, features, w = _forward_parts(spec, params, public_inputs)
+        if public_probs is None:
+            scores, features, w = _forward_parts(spec, params, public_inputs)
+            probs = stable_softmax(scores)
+        else:
+            features, w, _ = _features(spec, params, public_inputs)
+            probs = public_probs
         scale = 2.0 * lam / len(public_inputs)
-        probs = stable_softmax(scores)
         diff = probs - sbar_rows
         # softmax Jacobian applied to diff: diag(p) - p p^T, row-wise
-        diff -= np.add.reduce(probs * diff, axis=1, keepdims=True)
+        diff -= _row_sums(probs * diff)
         # (scale * p) * diff, in that order: the order fixes the rounding
-        score_grad = probs
-        score_grad *= scale
+        score_grad = probs * scale
         score_grad *= diff
         grad += _backprop_scores(spec, params, public_inputs, features, w, score_grad)
     if not np.isfinite(grad).all():

@@ -26,9 +26,12 @@ from .federation import LR_ROBBINS_MONRO, FederationConfig
 # TOML sections and their lines
 # ---------------------------------------------------------------------------
 
-# a line opening a `[section]` or `[[section]]` table, or setting a `key =`,
-# bare or quoted
-_LINE_START = re.compile(r"\s*(?:\[\[?([\w.\s-]+)\]|([\"']?)([\w-]+)\2\s*=)")
+# one part of a dotted key or table name: bare, "basic" or 'literal'
+_KEY_PART = r"""[\w-]+|"(?:\\.|[^"\\\n])*"|'[^'\n]*'"""
+# a line opening a `[table]` or `[[table]]`, or setting a `key =`, each
+# name a dotted path of parts with optional whitespace around the dots
+_DOTTED = rf"(?:{_KEY_PART})(?:\s*\.\s*(?:{_KEY_PART}))*"
+_LINE_START = re.compile(rf"\s*(?:\[\[?\s*({_DOTTED})\s*\]|({_DOTTED})\s*=)")
 # a string or a comment, from its start: a multi-line one spans lines
 # that open no header or key, and a quote in a comment opens no string
 _STRING_OR_COMMENT = re.compile(
@@ -57,16 +60,17 @@ def parse_flat_toml(
         where = f"{source}:{at[1]}" if at and at[1] else source
         raise ConfigurationError(f"{where}: invalid TOML: {_AT.sub('', str(exc))}") from exc
     found = {} if locations is None else locations
-    section = None
+    table: list[str] = []
     # each line inside a multi-line string starts with "#", as a comment would
     unquoted = _STRING_OR_COMMENT.sub(lambda m: m[0].replace("\n", "\n#"), text)
     for lineno, line in enumerate(unquoted.split("\n"), start=1):
         match = _LINE_START.match(line)
         if match and match[1]:
-            section = "".join(match[1].split())
-            found[section, None] = f"{source}:{lineno}"
+            table = _key_path(match[1])
+            found[".".join(table), None] = f"{source}:{lineno}"
         elif match:
-            found[(section, match[3]) if section else (match[3], None)] = f"{source}:{lineno}"
+            *parents, key = table + _key_path(match[2])
+            found[(".".join(parents), key) if parents else (key, None)] = f"{source}:{lineno}"
     sections = dict(doc)
     headers = [name for name, key in found if key is None]
     for name in headers:
@@ -77,6 +81,14 @@ def parse_flat_toml(
             if not table and parent not in headers:
                 del sections[parent]
     return sections
+
+
+def _key_path(dotted: str) -> list[str]:
+    """The names of a dotted key's parts, quoted parts read as TOML strings."""
+    return [
+        part if part[0] not in "\"'" else tomllib.loads(f"k = {part}")["k"]
+        for part in re.findall(_KEY_PART, dotted)
+    ]
 
 
 # ---------------------------------------------------------------------------

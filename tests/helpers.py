@@ -16,6 +16,7 @@ import numpy as np
 
 from fedckt.clustering import LLOYD_MAX_ITERS, LLOYD_TOL
 from fedckt.data import class_means, sample_blobs
+from fedckt.models import _column_sums
 from fedckt.rng import substream
 from fedckt.theory import simplex_grid
 
@@ -265,6 +266,34 @@ def padded_stack_mismatches(k, m, client_rows):
             if transposed[g].tobytes() != (rows.T @ g_rows).tobytes():
                 found["transposed"].add(n)
     return {kind: sorted(ns) for kind, ns in found.items()}
+
+
+def column_sum_mismatches(widths, rows=64):
+    """The widths N, among `widths`, at which models._column_sums over the
+    C-ordered transpose of a random (rows, N) block differs in any byte
+    from np.add.reduce over its rows. Magnitudes span about 40 decades, and
+    six rows are special: all -0.0; +0.0 and -0.0 alternating; one +inf;
+    one -inf; +inf and -inf (a NaN); one NaN. Each row holds at most one
+    NaN source, so its sum's NaN is that source's: two NaNs of opposite
+    sign meet in an order numpy's C loop leaves to the compiler.
+    test_numpy_facts runs this in fresh interpreters, one per BLAS thread
+    count."""
+    found = []
+    for n in widths:
+        rng = substream(0, "numpy-facts", "column-sum", n)
+        block = rng.normal(size=(rows, n)) * np.exp(rng.normal(0.0, 8.0, size=(rows, n)))
+        block[0] = -0.0
+        block[1] = np.where(np.arange(n) % 2, -0.0, 0.0)
+        block[2, n // 2] = np.inf
+        block[3, n - 1] = -np.inf
+        block[4, [0, n - 1]] = [np.inf, -np.inf]
+        block[5, n // 3] = np.nan
+        with np.errstate(invalid="ignore"):
+            want = np.add.reduce(block, axis=1)
+            got = _column_sums(block.T.copy())
+        if got.tobytes() != want.tobytes():
+            found.append(n)
+    return found
 
 
 def stacked_pull_mismatches(shapes, seeds=3):

@@ -27,6 +27,12 @@ THEORY_FILE = Path(__file__).resolve().parents[1] / "configs/theory_check.toml"
 DIRICHLET_FILE = Path(__file__).resolve().parents[1] / "configs/dirichlet_perfed.toml"
 PARTITION_FILE = Path(__file__).resolve().parents[1] / "configs/partition_stats.toml"
 SMOKE_TOML = SMOKE_FILE.read_text()
+# the smoke config with its [federation] table moved to the top as dotted
+# keys: `federation . rounds = 1`, ...
+_SMOKE_HEAD, _SMOKE_FEDERATION = SMOKE_TOML.split("[federation]\n")
+DOTTED_TOML = (
+    "".join(f"federation . {line}\n" for line in _SMOKE_FEDERATION.splitlines()) + _SMOKE_HEAD
+)
 
 THEORY_TOML = """
 [run]
@@ -343,6 +349,34 @@ class TestParser:
         with pytest.raises(ConfigurationError) as caught:
             config_from_sections(parse_flat_toml(text, "ml.toml", locations), locations)
         assert str(caught.value) == f"ml.toml:{line}: [data] dim = 0: must be >= 1"
+
+    @pytest.mark.parametrize(
+        "text, located",
+        [
+            ('["a"]\nx = 1\n', {("a", None): 1, ("a", "x"): 2}),
+            ("[ 'a' ]\n'x' = 1\n", {("a", None): 1, ("a", "x"): 2}),
+            ('[a . "b"]\nx = 1\n', {("a.b", None): 1, ("a.b", "x"): 2}),
+            ("[[ 'a' ]]\nx = 1\n", {("a", None): 1, ("a", "x"): 2}),
+            ('["\\u0061"]\nx = 1\n', {("a", None): 1, ("a", "x"): 2}),
+            ("a.x = 1\na . 'y' = 2\n", {("a", "x"): 1, ("a", "y"): 2}),
+            ('[a]\nb."c" = 1\n', {("a", None): 1, ("a.b", "c"): 2}),
+            ('"x" = 1\n', {("x", None): 1}),
+        ],
+        ids=[
+            "basic_header",
+            "literal_header_and_key",
+            "dotted_header",
+            "array_of_tables",
+            "escaped_header",
+            "top_level_dotted_keys",
+            "dotted_key_in_table",
+            "quoted_top_level_key",
+        ],
+    )
+    def test_every_header_and_key_spelling_is_located(self, text, located):
+        locations = {}
+        parse_flat_toml(text, "cfg.toml", locations)
+        assert locations == {key: f"cfg.toml:{line}" for key, line in located.items()}
 
     def test_diagnostics_carry_line_numbers(self):
         with pytest.raises(ConfigurationError, match="cfg.toml:3"):
@@ -892,6 +926,17 @@ class TestRunCommand:
                 SMOKE_TOML.replace("seed = 42", "'seed' = -1"),
                 "config error: range.toml:4: [run] seed = -1: must be >= 0",
             ),
+            # a quoted table header, and keys written as dotted paths
+            (
+                SMOKE_TOML.replace("[federation]", '[ "federation" ]').replace(
+                    "lr = 0.05", "lr = -1.0"
+                ),
+                "config error: range.toml:29: [federation] lr = -1.0: must be >= 0",
+            ),
+            (
+                DOTTED_TOML.replace("lr = 0.05", "'lr' = -1.0"),
+                "config error: range.toml:8: [federation] lr = -1.0: must be >= 0",
+            ),
             (
                 SMOKE_TOML.replace("num_clusters = 1", "num_clusters = 50"),
                 "config error: range.toml:28: [federation] num_clusters = 50: "
@@ -1145,6 +1190,8 @@ class TestRunCommand:
             "lr",
             "lr_quoted_key",
             "seed_quoted_key",
+            "lr_quoted_header",
+            "lr_dotted_key",
             "num_clusters",
             "theory_dim",
             "sigma",

@@ -507,6 +507,19 @@ class TestGradNormMonitor:
         medians = np.array([m.grad_norm_median for m in result.metrics])
         assert np.median(medians[-15:]) < np.median(medians[:15])
 
+    @pytest.mark.parametrize("lam", [0.0, 0.7])
+    def test_reused_pool_probabilities_give_the_same_norm(self, lam):
+        # the perfed monitor passes the probabilities its centroid pick
+        # computed; the gradient must not change, nor write into them
+        records, pool = make_population(num_clients=1, seed=44)
+        rec = records[0]
+        sbar = np.full((len(pool), rec.spec.num_classes), 1.0 / rec.spec.num_classes)
+        probs = forward_logits(rec.spec, rec.params, pool)
+        before = probs.copy()
+        norm = grad_norm_monitor(rec, pool, sbar, lam)
+        assert grad_norm_monitor(rec, pool, sbar, lam, probs) == norm
+        assert probs.tobytes() == before.tobytes()
+
     def test_matches_finite_differences(self):
         records, pool = make_population(num_clients=1, seed=44)
         rec = records[0]

@@ -17,6 +17,9 @@ from fedckt.models import (
     param_count,
     save_params,
     stable_softmax,
+    _is_tall,
+    _row_sums,
+    _TALL_ROWS_PER_CLASS,
 )
 from fedckt.rng import substream
 
@@ -251,7 +254,12 @@ class TestReferenceKernels:
     bit, with every input array left as it was."""
 
     def test_softmax_matches_reference(self):
-        for n, k in [(50, 7), (2000, 10)]:  # 2000 x 10: perfed_dirichlet100's pool block
+        # 2000 x 10 is perfed_dirichlet100's pool block; the others sit on
+        # both sides of the tall layout's edge and on it
+        edge = [(_TALL_ROWS_PER_CLASS * k + d, k) for k in (3, 10) for d in (-1, 0, 1)]
+        shapes = [(50, 7), (2000, 10), *edge]
+        assert {_is_tall(np.empty(shape)) for shape in shapes} == {False, True}
+        for n, k in shapes:
             scores = substream(31, n).normal(0.0, 30.0, size=(n, k))
             special = {  # non-finite entries, and +0.0 and -0.0 tied at the max
                 3: [np.inf] + [1.0] * (k - 1),
@@ -277,6 +285,19 @@ class TestReferenceKernels:
             bad = ~np.isfinite(want).all(axis=1)
             assert np.flatnonzero(bad).tolist() == [3, 11, 42, 43]
             assert np.isnan(want[bad]).all()
+
+    @pytest.mark.parametrize("width", [3, 8, 16, 24, 129])
+    def test_row_sums_match_the_row_reduce(self, width):
+        # _row_sums on both sides of the tall edge, at widths that reach each
+        # branch of numpy's pairwise order; a row of -0.0 sums to 0.0
+        for rows in (_TALL_ROWS_PER_CLASS * width - 1, _TALL_ROWS_PER_CLASS * width):
+            block = substream(37, width, rows).normal(0.0, 1e3, size=(rows, width))
+            block[0] = -0.0
+            before = block.copy()
+            got = _row_sums(block)
+            assert got.tobytes() == np.add.reduce(block, axis=1, keepdims=True).tobytes()
+            assert got.shape == (rows, 1)
+            assert block.tobytes() == before.tobytes()
 
     @pytest.mark.parametrize(
         "spec, batch",
@@ -314,18 +335,21 @@ class TestReferenceKernels:
     @pytest.mark.parametrize("label_dtype", [np.int64, np.float64], ids=["int64", "float64"])
     def test_gradients_match_reference(self, spec, lam, label_dtype):
         rng = substream(33, spec.arch, int(lam * 10))
-        for _ in range(5):
-            params, x, y, xp, sbar = random_instance(spec, rng, batch=9, public=7)
+        # five steps' public mini-batches, then the monitor's 2000-row pool;
+        # each without and with the public probabilities the caller holds
+        for batch, public in [(9, 7)] * 5 + [(40, 2000)]:
+            params, x, y, xp, sbar = random_instance(spec, rng, batch=batch, public=public)
             y = y.astype(label_dtype)
-            arrays = [params, x, y, xp, sbar]
+            probs = forward_logits(spec, params, xp)
+            arrays = [params, x, y, xp, sbar, probs]
             before = [a.copy() for a in arrays]
             assert np.array_equal(
                 grad_local(spec, params, x, y), reference_grad_local(spec, params, x, y)
             )
-            assert np.array_equal(
-                grad_phi_stochastic(spec, params, x, y, xp, sbar, lam),
-                reference_grad_phi(spec, params, x, y, xp, sbar, lam),
-            )
+            want = reference_grad_phi(spec, params, x, y, xp, sbar, lam)
+            for given in (None, probs):
+                got = grad_phi_stochastic(spec, params, x, y, xp, sbar, lam, public_probs=given)
+                assert np.array_equal(got, want)
             for arr, old in zip(arrays, before):
                 assert np.array_equal(arr, old)
 

@@ -335,22 +335,29 @@ PULL_SHAPES = [
 ]
 
 
+# the row widths numpy's pairwise row sum is checked at: across its plain
+# adds (below 8), its eight accumulators (up to 128) and its halving above
+COLUMN_SUM_WIDTHS = list(range(2, 301))
+
+
 @pytest.fixture(scope="module")
 def fresh_reports():
     """BLAS threads -> {"padded": {"kxm": padded_stack_mismatches at that
-    layer shape}, "pull": stacked_pull_mismatches(PULL_SHAPES)}, each from a
-    fresh interpreter started with that many OpenBLAS threads; the two run
-    side by side."""
+    layer shape}, "pull": stacked_pull_mismatches(PULL_SHAPES), "columns":
+    column_sum_mismatches(COLUMN_SUM_WIDTHS)}, each from a fresh interpreter
+    started with that many OpenBLAS threads; the two run side by side."""
     tests = Path(__file__).resolve().parent
     path = os.pathsep.join([str(tests.parent / "src"), str(tests)])
     code = (
-        "import json, sys, helpers; rows, shapes, pulls = json.loads(sys.argv[1]); "
+        "import json, sys, helpers; rows, shapes, pulls, widths = json.loads(sys.argv[1]); "
         "print(json.dumps({'padded': {f'{k}x{m}': helpers.padded_stack_mismatches(k, m, rows) "
-        "for k, m in shapes}, 'pull': helpers.stacked_pull_mismatches(pulls)}))"
+        "for k, m in shapes}, 'pull': helpers.stacked_pull_mismatches(pulls), "
+        "'columns': helpers.column_sum_mismatches(widths)}))"
     )
+    arguments = [CLIENT_ROWS, LAYER_SHAPES, PULL_SHAPES, COLUMN_SUM_WIDTHS]
     procs = {
         threads: subprocess.Popen(
-            [sys.executable, "-c", code, json.dumps([CLIENT_ROWS, LAYER_SHAPES, PULL_SHAPES])],
+            [sys.executable, "-c", code, json.dumps(arguments)],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             text=True,
@@ -452,4 +459,16 @@ def test_plain_gemm_alpha_mix_differs_from_the_per_row_products(fresh_reports, t
     assert fresh_reports[threads]["pull"]["{}x{}x{}".format(*shape)]["gemm"], (
         f"plain gemm alpha_grid @ W at (K, d, R) = {shape} matches the per-row "
         f"products at {threads} BLAS threads on {build()}"
+    )
+
+
+@pytest.mark.parametrize("threads", BLAS_THREADS)
+def test_pairwise_column_sum_matches_the_row_reduce(fresh_reports, threads):
+    # models sums the rows of a tall block as N - 1 column adds over its
+    # transposed copy, in numpy's own pairwise order; a plain left-to-right
+    # column sum differs from 8 entries on (see ROADMAP.md)
+    differ = fresh_reports[threads]["columns"]
+    assert not differ, (
+        f"the pairwise column sum differs from np.add.reduce over rows of widths "
+        f"{differ} at {threads} BLAS threads on {build()}"
     )
