@@ -1,14 +1,18 @@
 """Experiment configuration: a TOML file of sections, or JSON of the same.
 
-TOML is parsed by the standard library's `tomllib`. Each `[theory.taskN]`
-table becomes a section of its own named "theory.taskN", the spelling a
-JSON config uses for it, so the config echoed into a run's summary can be
-re-fed verbatim.
+`tomllib` is the one reader of TOML text. Each table under `[theory]`,
+however TOML spells it, becomes a section of its own named "theory.<name>",
+the spelling a JSON config uses for it, so the config echoed into a run's
+summary can be re-fed verbatim. A refused config's line is found only once
+it is refused, by asking `tomllib` which prefixes of the text hold the
+refused key.
 """
 
 from __future__ import annotations
 
+import bisect
 import codecs
+import functools
 import json
 import math
 import operator
@@ -23,72 +27,66 @@ from .federation import LR_ROBBINS_MONRO, FederationConfig
 
 
 # ---------------------------------------------------------------------------
-# TOML sections and their lines
+# TOML sections, and the lines of refused keys
 # ---------------------------------------------------------------------------
 
-# one part of a dotted key or table name: bare, "basic" or 'literal'
-_KEY_PART = r"""[\w-]+|"(?:\\.|[^"\\\n])*"|'[^'\n]*'"""
-# a line opening a `[table]` or `[[table]]`, or setting a `key =`, each
-# name a dotted path of parts with optional whitespace around the dots
-_DOTTED = rf"(?:{_KEY_PART})(?:\s*\.\s*(?:{_KEY_PART}))*"
-_LINE_START = re.compile(rf"\s*(?:\[\[?\s*({_DOTTED})\s*\]|({_DOTTED})\s*=)")
-# a string or a comment, from its start: a multi-line one spans lines
-# that open no header or key, and a quote in a comment opens no string
-_STRING_OR_COMMENT = re.compile(
-    r'"""(?:\\.|[^\\])*?"""(?!")|\'\'\'.*?\'\'\'(?!\')|"(?:\\.|[^"\\\n])*"|\'[^\'\n]*\'|#[^\n]*',
-    re.S,
-)
 # where a tomllib error message says the error is
 _AT = re.compile(r" \((?:at line (\d+), column \d+|at end of document)\)$")
 
 
-def parse_flat_toml(
-    text: str, source: str = "<config>", locations: dict | None = None
-) -> dict[str, dict]:
-    """The sections of a TOML config, each dotted table such as
-    `[theory.task1]` lifted out of its parent as section "theory.task1".
+def parse_flat_toml(text: str, source: str = "<config>") -> dict[str, dict]:
+    """The sections of a TOML config: its top-level entries, each table
+    under "theory", however spelt, lifted out as section "theory.<name>".
     Invalid TOML raises with file:line where tomllib names the line, a
-    repeated section header included. `locations`, if given, receives the
-    "file:line" of each `key =` line under (section, key) and of each section
-    header under (section, None); a key above the first header is located
-    under (key, None), as the top-level entry it is. A line inside a
-    multi-line string is text and locates nothing."""
+    repeated section header included; so does a quoted top-level table that
+    holds a lifted name, such as `["theory.task1"]` beside `[theory.task1]`."""
     try:
         doc = tomllib.loads(text)
     except ValueError as exc:  # a TOMLDecodeError, or an integer past the int digit limit
         at = _AT.search(str(exc))
         where = f"{source}:{at[1]}" if at and at[1] else source
         raise ConfigurationError(f"{where}: invalid TOML: {_AT.sub('', str(exc))}") from exc
-    found = {} if locations is None else locations
-    table: list[str] = []
-    # each line inside a multi-line string starts with "#", as a comment would
-    unquoted = _STRING_OR_COMMENT.sub(lambda m: m[0].replace("\n", "\n#"), text)
-    for lineno, line in enumerate(unquoted.split("\n"), start=1):
-        match = _LINE_START.match(line)
-        if match and match[1]:
-            table = _key_path(match[1])
-            found[".".join(table), None] = f"{source}:{lineno}"
-        elif match:
-            *parents, key = table + _key_path(match[2])
-            found[(".".join(parents), key) if parents else (key, None)] = f"{source}:{lineno}"
-    sections = dict(doc)
-    headers = [name for name, key in found if key is None]
-    for name in headers:
-        parent, _, last = name.rpartition(".")
-        table = sections.get(parent)
-        if isinstance(table, dict) and isinstance(table.get(last), dict):
-            sections[name] = table.pop(last)
-            if not table and parent not in headers:
-                del sections[parent]
-    return sections
+    theory = doc["theory"] if isinstance(doc.get("theory"), dict) else {}
+    tables = {f"theory.{k}": v for k, v in theory.items() if isinstance(v, dict)}
+    if tables:
+        doc["theory"] = {k: v for k, v in theory.items() if not isinstance(v, dict)}
+    for name in [name for name in tables if name in doc]:
+        where = f"{source}:{_line(text, [(name,)])}"
+        raise ConfigurationError(f'{where}: ["{name}"]: the same section as [{name}]')
+    return doc | tables
 
 
-def _key_path(dotted: str) -> list[str]:
-    """The names of a dotted key's parts, quoted parts read as TOML strings."""
-    return [
-        part if part[0] not in "\"'" else tomllib.loads(f"k = {part}")["k"]
-        for part in re.findall(_KEY_PART, dotted)
-    ]
+@functools.lru_cache(maxsize=64)
+def _parsed(text: str) -> dict | None:
+    """The document of TOML `text`, or None if it does not parse; callers
+    only read it. Locating keys parses the same prefixes again: of one text
+    for each path tried, and of texts that share their first lines."""
+    try:
+        return tomllib.loads(text)
+    except ValueError:
+        return None
+
+
+def _line(text: str, paths: list[tuple]) -> int | None:
+    """The line on which the statement setting the first of the document
+    `paths` that TOML `text` holds starts, or None. A line-prefix that does
+    not parse ends inside a multi-line value, so it holds what the shortest
+    longer prefix that parses holds: the prefixes holding a path are then a
+    tail, the first ending on the first line of the statement setting it."""
+    lines = text.split("\n")
+
+    def holds(path: tuple, end: int) -> bool:
+        while (node := _parsed("\n".join(lines[:end]) + "\n")) is None and end < len(lines):
+            end += 1
+        for part in path:  # TOML has no null, so None is absent
+            node = node.get(part) if isinstance(node, dict) else None
+        return node is not None
+
+    for path in paths:
+        start = bisect.bisect_left(range(len(lines) + 1), True, key=lambda n: holds(path, n))
+        if start <= len(lines):
+            return start
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -368,23 +366,26 @@ def _config(sections: dict) -> RunConfig:
     return cfg
 
 
-def config_from_sections(
-    sections: dict, locations: dict | None = None, source: str | None = None
-) -> RunConfig:
+def config_from_sections(sections: dict, source=None, text=None) -> RunConfig:
     """The run configuration the parsed `sections` describe. An error about a
     value reads `WHERE: [section] key = value: why`, and an error about a
-    whole section `WHERE: [section]: why`. WHERE is the first that exists:
-    the `locations` entry (see parse_flat_toml) of the first key the broken
-    rule reads, the reported one first; that of the section's header; the
-    bare `source`; none. The error's `keys` are the (section, key) pairs the
-    rule reads, the reported first."""
+    whole section `WHERE: [section]: why`. WHERE is `source`, or none; given
+    the TOML `text` the sections were parsed from, it is `source:LINE` at the
+    first key the broken rule reads that the text sets, the reported one
+    first, else at the section (see _line). The error's `keys` are the
+    (section, key) pairs the rule reads, the reported first."""
     try:
         return _config(sections)
     except _Rejected as exc:
         section, key, value, why, *reads = exc.args
         keys = ((section, key), *reads)
-        found = locations or {}
-        where = next((found[k] for k in keys if k in found), found.get((section, None), source))
+        paths = []
+        for s, k in (*keys, (section, None)):
+            # a "theory.X" section was lifted from [theory], or quoted whole
+            heads = [("theory", s[len("theory.") :]), (s,)] if s.startswith("theory.") else [(s,)]
+            paths += [head if k is None else (*head, k) for head in heads]
+        line = None if text is None else _line(text, paths)
+        where = source if line is None else f"{source}:{line}"
         # JSON has no dates or times, so TOML's print as strings
         shown = json.dumps(value, default=str)
         subject = f"[{section}]" if key is None else f"[{section}] {key} = {shown}"
@@ -417,7 +418,6 @@ def load_config(path) -> RunConfig:
     except UnicodeDecodeError as exc:
         line = data[: exc.start].count(b"\n") + 1
         raise ConfigurationError(f"{path}:{line}: not UTF-8 text") from exc
-    locations: dict = {}
     if str(path).endswith(".json") or text.lstrip().startswith("{"):
         try:
             sections = json.loads(text, object_pairs_hook=_unique_keys)
@@ -427,9 +427,8 @@ def load_config(path) -> RunConfig:
             raise ConfigurationError(f"{path}: invalid JSON: {exc}") from exc
         if not isinstance(sections, dict):
             raise ConfigurationError(f"{path}: top-level JSON must be an object")
-    else:
-        sections = parse_flat_toml(text, str(path), locations)
-    return config_from_sections(sections, locations, str(path))
+        return config_from_sections(sections, str(path))
+    return config_from_sections(parse_flat_toml(text, str(path)), str(path), text)
 
 
 def config_to_sections(cfg: RunConfig) -> dict:

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fedckt import theory
+from fedckt import runconfig, theory
 from fedckt.cli import main
 from fedckt.experiment import build_population
 from fedckt.runconfig import MAX_ELEMENTS, config_from_sections, load_config, parse_flat_toml
@@ -102,22 +102,37 @@ def text_mutations(text):
 
 def load_text(text, source):
     """What load_config makes of TOML `text` read from `source`, without the
-    file: (the RunConfig or the exception raised, the sections or None,
-    parse_flat_toml's locations)."""
-    locations, sections = {}, None
+    file: (the RunConfig or the exception raised, the sections or None)."""
+    sections = None
     try:
-        sections = parse_flat_toml(text, source, locations)
-        return config_from_sections(sections, locations, source), sections, locations
+        sections = parse_flat_toml(text, source)
+        return config_from_sections(sections, source, text), sections
     except Exception as exc:  # noqa: BLE001 - refusal_problem reports an escape
-        return exc, sections, locations
+        return exc, sections
 
 
-def refusal_problem(loaded, source, locations, line=None):
+def plain_lines(text):
+    """{(section, key): line} of each `key = ` line of `text`, and {(section,
+    None): line} of each `[section]` header: the lines of a config written,
+    as every shipped config and mutation base is, in those two spellings
+    only."""
+    lines, section = {}, None
+    for number, line in enumerate(text.splitlines(), start=1):
+        header, key = re.fullmatch(r"\[([\w.]+)\]", line), re.match(r"(\w+) = ", line)
+        if header:
+            section = header[1]
+        if header or key:
+            lines[section, key and key[1]] = number
+    return lines
+
+
+def refusal_problem(loaded, source, lines=None, line=None):
     """How `loaded`, load_text's result from `source`, breaks the location
     contract, or None. A refusal is a ConfigurationError of one line, which
     starts with `FILE:LINE: ` or a bare `FILE: `. With `line`, the line of a
-    mutated key, the broken rule reads that key and the message starts with
-    the FILE:LINE of a key the rule reads."""
+    mutated key, and `lines`, the plain_lines of the text mutated, the broken
+    rule reads that key and the message starts with the FILE:LINE of a key
+    the rule reads."""
     if not isinstance(loaded, Exception):
         return None
     if not isinstance(loaded, ConfigurationError):
@@ -128,10 +143,10 @@ def refusal_problem(loaded, source, locations, line=None):
     if line is None:
         located = re.match(rf"{re.escape(source)}(:\d+)?: ", message)
         return None if located else f"names no FILE: {message}"
-    mutated = next(k for k, at in locations.items() if at == f"{source}:{line}")
+    mutated = next(k for k, at in lines.items() if at == line)
     if mutated not in loaded.keys:
         return f"the rule does not read {mutated}: {message}"
-    if not any(message.startswith(f"{locations[k]}: ") for k in loaded.keys if k in locations):
+    if not any(message.startswith(f"{source}:{lines[k]}: ") for k in loaded.keys if k in lines):
         return f"not at the FILE:LINE of a key the rule reads: {message}"
     return None
 
@@ -181,6 +196,22 @@ def theory_task2_with(old, new):
     return f"{head}[theory.task2]{body.replace(old, new)}[theory.task3]{tail}"
 
 
+def theory_tasks_spelt(spelling):
+    """configs/theory_check.toml with each [theory.taskN] table written under
+    [theory] instead: as `taskN.key = value` dotted keys, or as one
+    `taskN = {...}` inline table."""
+    head, *tasks = THEORY_FILE.read_text().split("[theory.")
+    lines = []
+    for task in tasks:
+        name, _, body = task.partition("]\n")
+        pairs = [pair for pair in body.splitlines() if pair]
+        if spelling == "dotted":
+            lines += [f"{name}.{pair}" for pair in pairs]
+        else:
+            lines.append(f"{name} = {{{', '.join(pairs)}}}")
+    return head + "\n".join(lines) + "\n"
+
+
 def write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text)
@@ -198,14 +229,14 @@ class TestConfigErrorContract:
         problems = []
         total = refused = prefixed = 0
         for path in SHIPPED_CONFIGS:
-            source = str(tmp_path / path.name)
+            source, lines = str(tmp_path / path.name), plain_lines(path.read_text())
             for line, value, text in single_key_mutations(path.read_text(), LOAD_VALUES):
                 total += 1
-                loaded, _, locations = load_text(text, source)
+                loaded, _ = load_text(text, source)
                 if isinstance(loaded, Exception):
                     refused += 1
                     prefixed += bool(re.match(rf"{re.escape(source)}:\d+: ", str(loaded)))
-                problem = refusal_problem(loaded, source, locations, line)
+                problem = refusal_problem(loaded, source, lines, line)
                 problems += [f"{path.name}:{line} = {value}: {problem}"] if problem else []
         located = refused - len(problems)
         print(
@@ -222,18 +253,18 @@ class TestConfigErrorContract:
             source = str(tmp_path / path.name)
             for what, text in text_mutations(path.read_text()):
                 total += 1
-                problem = refusal_problem(load(text, source)[0], source, {})
+                problem = refusal_problem(load(text, source)[0], source)
                 problems += [f"{path.name}: {what}: {problem}"] if problem else []
         # main skips a mutation that parses to the sections of one already run
         for name, base in MUTATION_BASES.items():
             config = tmp_path / name
             for i, (what, text) in enumerate(text_mutations(base)):
-                loaded, sections, _ = load(text, str(config))
+                loaded, sections = load(text, str(config))
                 if sections is not None and repr(sections) in seen:
                     skipped += 1
                     continue
                 seen.add(repr(sections))
-                problem = refusal_problem(loaded, str(config), {})
+                problem = refusal_problem(loaded, str(config))
                 problems += [f"{name}: {what}: {problem}"] if problem else []
                 problem, code = run_problem(text, config, tmp_path / f"{i}-{name}", loaded)
                 problems += [f"{name}: {what}: {problem}"] if problem else []
@@ -249,10 +280,13 @@ class TestConfigErrorContract:
 class TestParser:
     def test_sections_and_types(self):
         sections = parse_flat_toml(
-            '[a]\nx = 1\ny = 2.5\nz = "s"\nflag = true\narr = [1, 2, 3]\n[b.c]\nk = -4\n'
+            '[a]\nx = 1\ny = 2.5\nz = "s"\nflag = true\narr = [1, 2, 3]\n[theory.c]\nk = -4\n'
+            "[b.c]\nk = 5\n"
         )
         assert sections["a"] == {"x": 1, "y": 2.5, "z": "s", "flag": True, "arr": [1, 2, 3]}
-        assert sections["b.c"] == {"k": -4}
+        # only a table under [theory] is lifted into a section of its own
+        assert sections["theory.c"] == {"k": -4}
+        assert sections["b"] == {"c": {"k": 5}}
 
     def test_comments_and_blanks(self):
         sections = parse_flat_toml("# top\n[a]\nx = 1  # trailing\n\n")
@@ -313,9 +347,8 @@ class TestParser:
         ],
     )
     def test_malformed_lines_diagnosed(self, text, message):
-        locations = {}
         with pytest.raises(ConfigurationError) as caught:
-            config_from_sections(parse_flat_toml(text, "cfg.toml", locations), locations)
+            config_from_sections(parse_flat_toml(text, "cfg.toml"), "cfg.toml", text)
         assert str(caught.value) == message
 
     @pytest.mark.parametrize(
@@ -345,22 +378,32 @@ class TestParser:
     def test_multi_line_strings_hold_no_locations(self, text, line):
         # a header or key line inside a multi-line string is text, so the
         # value it spells must not move a location
-        locations = {}
         with pytest.raises(ConfigurationError) as caught:
-            config_from_sections(parse_flat_toml(text, "ml.toml", locations), locations)
+            config_from_sections(parse_flat_toml(text, "ml.toml"), "ml.toml", text)
         assert str(caught.value) == f"ml.toml:{line}: [data] dim = 0: must be >= 1"
 
     @pytest.mark.parametrize(
         "text, located",
         [
-            ('["a"]\nx = 1\n', {("a", None): 1, ("a", "x"): 2}),
-            ("[ 'a' ]\n'x' = 1\n", {("a", None): 1, ("a", "x"): 2}),
-            ('[a . "b"]\nx = 1\n', {("a.b", None): 1, ("a.b", "x"): 2}),
-            ("[[ 'a' ]]\nx = 1\n", {("a", None): 1, ("a", "x"): 2}),
-            ('["\\u0061"]\nx = 1\n', {("a", None): 1, ("a", "x"): 2}),
-            ("a.x = 1\na . 'y' = 2\n", {("a", "x"): 1, ("a", "y"): 2}),
-            ('[a]\nb."c" = 1\n', {("a", None): 1, ("a.b", "c"): 2}),
-            ('"x" = 1\n', {("x", None): 1}),
+            ('["a"]\nx = 1\n', {("a",): 1, ("a", "x"): 2}),
+            ("[ 'a' ]\n'x' = 1\n", {("a",): 1, ("a", "x"): 2}),
+            ('[a . "b"]\nx = 1\n', {("a", "b"): 1, ("a", "b", "x"): 2}),
+            # an array of tables is refused as a whole, so its keys are not located
+            ("[[ 'a' ]]\nx = 1\n", {("a",): 1, ("a", "x"): None}),
+            ('["\\u0061"]\nx = 1\n', {("a",): 1, ("a", "x"): 2}),
+            # a table made only of dotted keys is located at its first key
+            ("a.x = 1\na . 'y' = 2\n", {("a",): 1, ("a", "x"): 1, ("a", "y"): 2}),
+            ('[a]\nb."c" = 1\n', {("a",): 1, ("a", "b"): 2, ("a", "b", "c"): 2}),
+            ('"x" = 1\n', {("x",): 1}),
+            # a quoted name is one key
+            ('["a.b"]\nx = 1\n', {("a.b",): 1, ("a.b", "x"): 2, ("a", "b"): None}),
+            # a value that spans lines is located at its statement's first line
+            (
+                theory_task2_with(
+                    "upsilon = [0.5, 0.8, 2.0, 4.0]", "upsilon = [\n  0.0,\n  0.8,\n  2.0,\n  4.0,\n]"
+                ),
+                {("theory", "task2", "upsilon"): 29, ("theory", "task2", "n_samples"): 35},
+            ),
         ],
         ids=[
             "basic_header",
@@ -371,12 +414,13 @@ class TestParser:
             "top_level_dotted_keys",
             "dotted_key_in_table",
             "quoted_top_level_key",
+            "quoted_dotted_header",
+            "multi_line_value",
         ],
     )
     def test_every_header_and_key_spelling_is_located(self, text, located):
-        locations = {}
-        parse_flat_toml(text, "cfg.toml", locations)
-        assert locations == {key: f"cfg.toml:{line}" for key, line in located.items()}
+        # each document path at the line its statement starts on, None if unlocated
+        assert {path: runconfig._line(text, [path]) for path in located} == located
 
     def test_diagnostics_carry_line_numbers(self):
         with pytest.raises(ConfigurationError, match="cfg.toml:3"):
@@ -424,22 +468,36 @@ class TestConfig:
         assert [t.n_samples for t in cfg.theory.tasks] == [6, 7, 9]
 
     @pytest.mark.parametrize(
-        "sections,named",
+        "extra,sections,named",
         [
-            ("[theory.taskfoo]\n", "[theory.taskfoo]"),
-            ("[theory.task]\n", "[theory.task]"),
-            ("[theory.task01]\n", "[theory.task01]"),
+            ("", "[theory.taskfoo]\n", "[theory.taskfoo]"),
+            ("", "[theory.task]\n", "[theory.task]"),
+            ("", "[theory.task01]\n", "[theory.task01]"),
+            # a quoted name beside the task it spells would hide one of them
+            ("", '["theory.task1"]\nn_samples = 99\n', '["theory.task1"]'),
+            ("taskfoo.dim = 2\n", "", "[theory.taskfoo]"),
+            ("taskfoo = {dim = 2}\n", "", "[theory.taskfoo]"),
         ],
-        ids=["word", "empty", "same_number"],
+        ids=["word", "empty", "same_number", "quoted_twice", "dotted_word", "inline_word"],
     )
-    def test_bad_task_section_exits_2(self, tmp_path, capsys, sections, named):
-        cfg = write(tmp_path, "theory.toml", THEORY_TOML.format(extra="") + sections)
+    def test_bad_task_section_exits_2(self, tmp_path, capsys, extra, sections, named):
+        # `extra` lands in [theory], `sections` after the file
+        cfg = write(tmp_path, "theory.toml", THEORY_TOML.format(extra=extra) + sections)
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "t")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:")
         assert named in err
         assert not (tmp_path / "t" / "theory_report.json").exists()
 
+    def test_theory_tasks_in_every_toml_spelling_run_alike(self, tmp_path):
+        # tasks as headers, dotted keys or inline tables are the same tables
+        reports = []
+        for spelling in ("header", "dotted", "inline"):
+            text = THEORY_FILE.read_text() if spelling == "header" else theory_tasks_spelt(spelling)
+            cfg = write(tmp_path, f"{spelling}.toml", text)
+            assert main(["run", "--config", str(cfg), "--out", str(tmp_path / spelling)]) == 0
+            reports.append((tmp_path / spelling / "theory_report.json").read_bytes())
+        assert reports[1:] == reports[:1] * 2
 
     def test_oracle_grid_budget_edge(self, tmp_path):
         # K = 3: 15 * comb(3651, 2) = 99 946 125 points load, and
@@ -804,11 +862,11 @@ class TestRunCommand:
         # test_huge_size_exits_2_before_allocating
         problems, codes = [], collections.Counter()
         for name, base in MUTATION_BASES.items():
-            config = tmp_path / name
+            config, lines = tmp_path / name, plain_lines(base)
             mutations = single_key_mutations(base, MUTATION_VALUES)
             for i, (line, value, text) in enumerate(mutations):
-                loaded, _, locations = load_text(text, str(config))
-                problem = refusal_problem(loaded, str(config), locations, line)
+                loaded, _ = load_text(text, str(config))
+                problem = refusal_problem(loaded, str(config), lines, line)
                 problems += [f"{name}:{line} = {value}: {problem}"] if problem else []
                 problem, code = run_problem(text, config, tmp_path / f"{i}-{name}", loaded)
                 problems += [f"{name}:{line} = {value}: {problem}"] if problem else []
@@ -1184,6 +1242,11 @@ class TestRunCommand:
                 "integer string conversion: value has 5001 digits; "
                 "use sys.set_int_max_str_digits() to increase the limit",
             ),
+            # a task written as dotted keys under [theory] is located at its key
+            (
+                theory_tasks_spelt("dotted").replace("task2.sigma = 1.5", "task2.sigma = 0.0"),
+                "config error: range.toml:23: [theory.task2] sigma = 0.0: must be > 0",
+            ),
         ],
         ids=[
             "dim",
@@ -1245,6 +1308,7 @@ class TestRunCommand:
             "nested_array",
             "key_above_header",
             "int_digits",
+            "dotted_task_sigma",
         ],
     )
     def test_range_error_names_its_section(self, tmp_path, capsys, monkeypatch, text, message):
