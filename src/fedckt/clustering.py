@@ -11,6 +11,11 @@ from .rng import substream
 
 LLOYD_MAX_ITERS = 100
 LLOYD_TOL = 1e-8
+# numpy's einsum("ij,ij->") over a C-contiguous array adds the products of
+# one block of this many entries of its ravel at a time, then that block's
+# sum to a total from 0.0, whatever np.setbufsize says
+# (tests/test_numpy_facts.py pins it); _objective streams blocks this long
+EINSUM_BLOCK = 8192
 
 
 def _sq_norms(rows: np.ndarray) -> np.ndarray:
@@ -80,6 +85,8 @@ def cmeans_fit(points: np.ndarray, c: int, seed: int) -> tuple[CentroidSet, np.n
     own centroid (drawn from a cluster with at least two members), which
     keeps the objective non-increasing across iterations. The returned
     arrays share no memory with `points`, which the caller may overwrite.
+    Besides `points` a fit holds (c, L) and (m, c) arrays and one
+    EINSUM_BLOCK buffer: no (m, L) array.
     """
     m = len(points)
     rng = substream(seed, "cmeans")
@@ -108,7 +115,11 @@ def cmeans_fit(points: np.ndarray, c: int, seed: int) -> tuple[CentroidSet, np.n
         for i, j in enumerate(assign.tolist()):
             new_centroids[j] += points[i]
         new_centroids /= counts[:, None]
-        move = float(np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max())
+        # the shift in the outgoing centroids' buffer (k-means++'s copy or
+        # the last pass's update, both dead here); x * x is numpy's square
+        np.subtract(new_centroids, centroids, out=centroids)
+        centroids *= centroids
+        move = float(np.sqrt(centroids.sum(axis=1)).max())
         centroids = new_centroids
         trace.append(float(_objective(points, centroids, assign)))
         if move <= LLOYD_TOL:
@@ -126,7 +137,36 @@ def assign_nearest(logit_vec: np.ndarray, centroids: CentroidSet) -> int:
 
 
 def _objective(points: np.ndarray, centroids: np.ndarray, assign: np.ndarray) -> float:
-    diffs = centroids[assign]  # the one (m, L) temporary, overwritten below
-    np.subtract(points, diffs, out=diffs)
-    return float(np.einsum("ij,ij->", diffs, diffs))
-
+    """sum((points - centroids[assign]) ** 2) as the one einsum over the
+    (m, L) differences sums it, bit for bit, without forming them: each
+    EINSUM_BLOCK-entry block of their ravel is written into one reusable
+    buffer (the rest of a row, whole rows against a gather of at most a
+    block, the start of a row) and summed by its own einsum, and the block
+    sums are added in order to a total from 0.0."""
+    m, width = points.shape
+    size = m * width
+    if size <= EINSUM_BLOCK:  # one block: the gathered rows are the buffer
+        diffs = centroids[assign]
+        np.subtract(points, diffs, out=diffs)
+        return float(np.einsum("ij,ij->", diffs, diffs))
+    buf = np.empty(EINSUM_BLOCK)
+    total = 0.0
+    for start in range(0, size, EINSUM_BLOCK):
+        block = buf[: min(EINSUM_BLOCK, size - start)]
+        row, col = divmod(start, width)
+        head = min(width - col, len(block)) if col else 0
+        rows = (len(block) - head) // width
+        tail = len(block) - head - rows * width
+        if head:
+            own = centroids[assign[row]]
+            np.subtract(points[row, col : col + head], own[col : col + head], out=block[:head])
+            row += 1
+        if rows:
+            whole = block[head : head + rows * width].reshape(rows, width)
+            np.subtract(points[row : row + rows], centroids[assign[row : row + rows]], out=whole)
+            row += rows
+        if tail:
+            own = centroids[assign[row]]
+            np.subtract(points[row, :tail], own[:tail], out=block[len(block) - tail :])
+        total += np.einsum("i,i->", block, block)
+    return float(total)

@@ -204,7 +204,8 @@ def grad_norm_monitor(
 def accuracy_on(spec: ModelSpec, params: np.ndarray, dataset) -> float:
     """Argmax-class accuracy."""
     probs = forward_logits(spec, params, dataset.inputs)
-    return float((probs.argmax(axis=1) == dataset.labels).mean())
+    hits = probs.argmax(axis=1) == dataset.labels
+    return np.count_nonzero(hits) / len(hits)
 
 
 def _per_client(fn, records: list[ClientRecord]) -> list:
@@ -276,7 +277,9 @@ def run_rounds(
       bootstrap sample's initial models, uncharged. The logits live in one
       (m, |P|·N) buffer: once a round's fit has read it (cmeans_fit's
       centroids share no memory with their points), each upload overwrites
-      the next row, and the next fit reads the filled rows.
+      the next row, and the next fit reads the filled rows. Last round's
+      centroid set, target and upload are dropped before the fit, so the
+      buffer is the only pool-sized array one round leaves to the next.
     - fedavg averages the returned parameters by data share and broadcasts
       them: every active record holds the global model throughout.
     - local does nothing and charges nothing.
@@ -328,6 +331,9 @@ def run_rounds(
             eval_round = t % config.eval_interval == 0 or t == config.rounds - 1
             if perfed:
                 models_down = min(config.num_clusters, len(stack))
+                # last round's centroids, last target and last upload die
+                # before the fit: only the logit buffer outlives a round
+                centroids = sbar = upload = None
                 centroids, _ = cmeans_fit(
                     stack, models_down, seed=derive_seed(config.seed, "cluster-seed", t)
                 )
@@ -345,7 +351,7 @@ def run_rounds(
             for rec in selected:
                 try:
                     if perfed:
-                        _, sbar = _nearest_centroid(rec, pool, centroids)
+                        sbar = _nearest_centroid(rec, pool, centroids)[1]
                         rec.params, upload = client_local_round(rec, sbar, pool, config, t)
                         rows[len(uploaded)] = upload.ravel()
                     else:

@@ -184,18 +184,21 @@ def local_loss(spec: ModelSpec, params: np.ndarray, inputs: np.ndarray, targets:
 
 def _backprop_scores(spec, params, inputs, features, w, score_grad):
     """Chain a gradient at the class scores back to a flat parameter gradient,
-    written in place through _unpack's views: the output layer's and any hidden one's."""
+    written in place through _unpack's views: the output layer's and any hidden one's.
+    An MLP's `features` (its tanh activations) are overwritten."""
     grad = np.empty(params.size)
     hidden_grad, gw, gb = _unpack(spec, grad)
+    np.matmul(features.T, score_grad, out=gw)
+    np.add.reduce(score_grad, axis=0, out=gb)
     if hidden_grad is not None:
         d_hidden = score_grad @ w.T
-        slope = features * features  # tanh' = 1 - features^2, formed in place
+        # tanh' = 1 - features^2 in the features' own buffer, read last;
+        # softmax_linear's features are the caller's inputs, never written
+        slope = np.multiply(features, features, out=features)
         np.subtract(1.0, slope, out=slope)
         d_hidden *= slope
         np.matmul(inputs.T, d_hidden, out=hidden_grad[0])
         np.add.reduce(d_hidden, axis=0, out=hidden_grad[1])
-    np.matmul(features.T, score_grad, out=gw)
-    np.add.reduce(score_grad, axis=0, out=gb)
     return grad
 
 

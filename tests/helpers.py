@@ -6,10 +6,11 @@ separate from the implementation paths they check. Also the Gaussian-blob
 data the tests train on, a reader for the checkpoint files the package
 writes but does not read, the name of the numpy build, and the padded-stack
 products and stacked oracle pulls test_numpy_facts checks in fresh
-interpreters."""
+interpreters, and the traced peak memory of a call."""
 
 import json
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -182,11 +183,17 @@ def reference_cmeans_fit(points, c, seed=0):
             new_centroids[j] = points[assign == j].mean(axis=0)
         move = float(np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max())
         centroids = new_centroids
-        diffs = points - centroids[assign]
-        trace.append(float(np.einsum("ij,ij->", diffs, diffs)))
+        trace.append(reference_objective(points, centroids, assign))
         if move <= LLOYD_TOL:
             break
     return centroids, assign, tuple(trace)
+
+
+def reference_objective(points, centroids, assign):
+    """The Lloyd objective as one einsum over the gathered (m, L)
+    differences: the bitwise reference for clustering._objective."""
+    diffs = points - centroids[assign]
+    return float(np.einsum("ij,ij->", diffs, diffs))
 
 
 def reference_assign_nearest(vec, centroids):
@@ -332,6 +339,17 @@ def solved_into(solution, out):
         return solution
     out[...] = solution
     return out
+
+
+def traced_peak(fn, *args, **kwargs):
+    """The peak of tracemalloc's traced memory, in bytes, while fn(*args,
+    **kwargs) runs; allocations made before the call are not counted."""
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def read_params(path):

@@ -1,7 +1,6 @@
 import importlib.util
 import itertools
 import sys
-import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -29,7 +28,7 @@ from fedckt.theory import (
     simplex_grid,
 )
 
-from helpers import posterior_mean_brute_force, solved_into
+from helpers import posterior_mean_brute_force, solved_into, traced_peak
 
 
 def small_task(seed=0, upsilon=(0.5, 1.0, 2.0), sigma=1.0, beta=1.0, nu=1.0, d=2, n=6):
@@ -600,12 +599,7 @@ class TestGridOracle:
         task = small_task(seed=30, upsilon=(0.3, 0.7, 1.5, 2.5, 5.0), d=d, n=8)
         args = (task, 0, np.array([0.5, 1.0, 2.0]), simplex_grid(5, 3))
         grid_search_oracle(*args, 100, seed=12)  # first-call imports and caches
-        tracemalloc.start()
-        try:
-            grid_search_oracle(*args, num_samples, seed=12)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(grid_search_oracle, *args, num_samples, seed=12)
         assert peak < num_samples * d * 8, peak
 
     def test_duplicated_alpha_row_tie_goes_to_first_index(self):
