@@ -19,6 +19,7 @@ else it ends the run, which keeps its outputs so far.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -183,7 +184,8 @@ def grad_norm_monitor(
 ) -> float:
     """l2 norm of the deterministic full-batch objective gradient (full
     train split, full public pool). `pool_probs`, if given, is the record's
-    own forward_logits on the pool, which the gradient then reuses."""
+    own forward_logits on the pool, which the gradient then reuses. A norm
+    that is not finite, even of a finite gradient, raises NumericError."""
     train = record.bundle.train
     if lam > 0 and sbar_rows is not None:
         grad = grad_phi_stochastic(
@@ -198,7 +200,10 @@ def grad_norm_monitor(
         )
     else:
         grad = grad_local(record.spec, record.params, train.inputs, train.labels)
-    return float(np.linalg.norm(grad))
+    norm = float(np.linalg.norm(grad))
+    if not math.isfinite(norm):
+        raise NumericError(f"non-finite gradient norm {norm}")
+    return norm
 
 
 def accuracy_on(spec: ModelSpec, params: np.ndarray, dataset) -> float:
@@ -376,9 +381,11 @@ def run_rounds(
                 )
 
             if eval_round:
+                # evaluation first: an overflowing model fails its forward
+                # check there before the monitor reads a non-finite norm
+                accuracies = evaluate_clients(active)
                 if not perfed:
                     grad_norms = _per_client(monitor, active)
-                accuracies = evaluate_clients(active)
                 metrics.append(_metrics_row(t, accuracies, grad_norms, ledger))
     except NumericError as exc:
         diverged.append((exc.client_id, t))

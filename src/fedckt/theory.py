@@ -295,35 +295,53 @@ def _mc_noise(num_samples: int, dim: int, seed: int) -> np.ndarray:
     return substream(seed, "mc-noise").normal(size=(num_samples, dim))
 
 
-# rows of Monte-Carlo noise drawn at a time by _mc_noise_stats: at d <= 4 a
-# block takes at most 64 KiB; 8192-row blocks read 0.7 MB more peak RSS on
-# configs/theory_check.toml
+# the most rows of Monte-Carlo noise _mc_noise_stats draws at a time: at
+# d <= 4 a block takes at most 64 KiB; 8192-row blocks read 0.7 MB more
+# peak RSS on configs/theory_check.toml
 _MC_BLOCK_ROWS = 2048
+
+
+def _pairwise_total(rows: int, leaf) -> np.ndarray:
+    """leaf(n) of each run of n consecutive rows numpy's pairwise_sum splits
+    `rows` values into, down to runs of at most _MC_BLOCK_ROWS, added back up
+    the same tree, left to right. pairwise_sum halves a run of more than 128
+    values, the first half rounded down to a multiple of 8, so a leaf that
+    returns its run's np.add.reduce gives the whole reduce's bits less its
+    0.0 start (pinned in tests/test_numpy_facts.py)."""
+    if rows <= _MC_BLOCK_ROWS:
+        return leaf(rows)
+    half = rows // 2 - rows // 2 % 8
+    return _pairwise_total(half, leaf) + _pairwise_total(rows - half, leaf)
 
 
 def _mc_noise_stats(num_samples: int, dim: int, seed: int) -> tuple[np.ndarray, float]:
     """noise.mean(axis=0) and the mean of noise's row dots for
-    noise = _mc_noise(num_samples, dim, seed), bitwise, without holding
-    noise: the same stream drawn _MC_BLOCK_ROWS rows at a time. For d >= 2
-    numpy sums the columns row by row, so each block's reduce starts from
-    the column sum so far as its first row; a lone column (d = 1) numpy
-    sums pairwise, so it is kept whole."""
+    noise = _mc_noise(num_samples, dim, seed), bitwise, holding neither
+    noise nor anything num_samples long: the same stream drawn one pairwise
+    subtree (_pairwise_total) at a time. The row dots, and a lone column
+    (d = 1), which numpy also sums pairwise, keep one sum per subtree. For
+    d >= 2 numpy sums the columns row by row, so each block's reduce starts
+    from the column sum so far as its first row."""
     rng = substream(seed, "mc-noise")
-    dots = np.empty(num_samples)
-    column = np.empty((num_samples, 1)) if dim == 1 else None
+    dots = np.empty(_MC_BLOCK_ROWS)
     carried = np.empty((_MC_BLOCK_ROWS + 1, dim))  # row 0: the column sum so far
-    for start in range(0, num_samples, _MC_BLOCK_ROWS):
-        stop = min(start + _MC_BLOCK_ROWS, num_samples)
-        block = rng.normal(size=(stop - start, dim))
-        np.einsum("ij,ij->i", block, block, out=dots[start:stop])
-        if column is not None:
-            column[start:stop] = block
-        else:
-            carried[1 : stop - start + 1] = block
-            # the first block has no sum so far
-            carried[0] = np.add.reduce(carried[0 if start else 1 : stop - start + 1], axis=0)
-    total = np.add.reduce(column, axis=0) if column is not None else carried[0]
-    return total / num_samples, float(np.mean(dots))
+    drawn = 0
+
+    def leaf(rows: int) -> np.ndarray:
+        nonlocal drawn
+        block = rng.normal(size=(rows, dim))
+        np.einsum("ij,ij->i", block, block, out=dots[:rows])
+        if dim == 1:
+            return np.array([np.add.reduce(dots[:rows]), np.add.reduce(block[:, 0])])
+        carried[1 : rows + 1] = block
+        # the first block has no sum so far
+        carried[0] = np.add.reduce(carried[0 if drawn else 1 : rows + 1], axis=0)
+        drawn += rows
+        return np.add.reduce(dots[:rows], keepdims=True)
+
+    sums = 0.0 + _pairwise_total(num_samples, leaf)  # numpy's reduce starts from 0.0
+    total = sums[1:] if dim == 1 else carried[0]
+    return total / num_samples, float(sums[0] / num_samples)
 
 
 def expected_loss_mc(
@@ -359,8 +377,10 @@ def _losses_from_noise_stats(
 ) -> np.ndarray:
     """The sample-average loss of each (A, d) candidate row, via the expansion
     mean_s ||delta - sd eps_s||^2 = ||delta||^2 - 2 sd delta.mean(eps) + sd^2 mean||eps||^2.
-    Stacked matmuls give each row the value a per-row dot product would."""
-    delta = candidates - mean
+    delta = candidates - mean is written into `candidates`, which the
+    callers do not read again. Stacked matmuls give each row the value a
+    per-row dot product would."""
+    delta = np.subtract(candidates, mean, out=candidates)
     dd = np.matmul(delta[:, None, :], delta[:, :, None])[:, 0, 0]
     dn = np.matmul(delta[:, None, :], noise_mean[:, None])[:, 0, 0]
     return dd - 2.0 * sd * dn + sd * sd * noise_sq_mean
@@ -396,12 +416,14 @@ def grid_search_oracle(
 ) -> OracleResult:
     """Exhaustive MC loss evaluation over the (lambda, alpha) product grid
     with common random numbers, compared against the closed form. The
-    losses read two statistics of the noise, taken block by block
-    (_mc_noise_stats), and each lambda's block of A losses updates a
-    running best, so neither the (N, d) noise nor an (L, A) loss table is
-    held. Of equal losses the first in lambda-major order wins; a singular
-    system, a non-finite solution or a non-finite loss raises NumericError
-    naming its lambda."""
+    losses read two statistics of the noise, summed one pairwise subtree
+    at a time (_mc_noise_stats), and each lambda's block of A losses
+    updates a running best, so nothing N long and no (L, A) loss table is
+    held. The (A, d) arrays held are the alpha pulls, one rhs block and one
+    solution block per lambda, in which its losses are formed. Of equal
+    losses the first in lambda-major order wins; a singular system, a
+    non-finite solution or a non-finite loss raises NumericError naming its
+    lambda."""
     what_all = all_ols(task)
     mean, variance = posterior_moments_scalar(task, k, what_all)
     sd = float(np.sqrt(variance))
@@ -420,6 +442,7 @@ def grid_search_oracle(
     own = xtx @ what_all[k]
     mixed = np.matmul(alpha_grid[:, None, :], what_all)
     pulled = np.matmul(ptp, mixed[:, 0, :, None])[:, :, 0]
+    del mixed
     rhs = np.empty_like(pulled)
 
     # one solve per grid point, written straight into an (A, d) block per

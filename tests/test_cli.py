@@ -638,6 +638,26 @@ class TestRunCommand:
             "numeric error: non-finite gradient; diverged clients (client, round): [(0, 0)]\n"
         )
 
+    @pytest.mark.parametrize("algorithm", ["perfed_ckt", "fedavg"])
+    def test_overflowing_gradient_norm_exits_3(self, tmp_path, capsys, algorithm):
+        # a finite gradient whose norm overflows ends the run before its
+        # round's metrics, so no inf reaches metrics.csv or summary.json
+        text = (
+            SMOKE_TOML.replace("perfed_ckt", algorithm)
+            .replace("class_separation = 4.0", "class_separation = 1e160")
+            .replace("lr = 0.05", "lr = 1e-200")
+        )
+        cfg = write(tmp_path, "norm.toml", text)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "numeric error: non-finite gradient norm inf; diverged clients (client, round): [(0, 0)]\n"
+        )
+        for name in ("metrics.csv", "summary.json"):
+            text = (out / name).read_text()
+            assert "inf" not in text and "Infinity" not in text, name
+        assert json.loads((out / "summary.json").read_text())["diverged_events"] == [[0, 0]]
+
     def test_degenerate_dirichlet_draw_exits_3(self, tmp_path, capsys):
         cfg = write(tmp_path, "flat.toml", SMOKE_TOML.replace("alpha = 10.0", "alpha = 1e308"))
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3

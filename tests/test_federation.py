@@ -48,11 +48,21 @@ def make_bundle(num_classes=3, dim=2, train=30, val=6, test=30, seed=0, separati
 
 
 def make_population(
-    num_clients=4, num_classes=3, dim=2, seed=0, train=30, arch=ARCH_SOFTMAX, hidden=0
+    num_clients=4,
+    num_classes=3,
+    dim=2,
+    seed=0,
+    train=30,
+    arch=ARCH_SOFTMAX,
+    hidden=0,
+    separation=4.0,
 ):
     spec = ModelSpec(arch, dim=dim, num_classes=num_classes, hidden=hidden, init_scale=0.1)
     bundles = assign_data_fractions(
-        [make_bundle(num_classes, dim, train=train, seed=seed + i) for i in range(num_clients)]
+        [
+            make_bundle(num_classes, dim, train=train, seed=seed + i, separation=separation)
+            for i in range(num_clients)
+        ]
     )
     records = [
         ClientRecord(id=i, spec=spec, params=init_params(spec, seed=100 + i), bundle=b)
@@ -551,6 +561,21 @@ class TestDivergence:
         assert result.diverged, "exploding step size must be detected"
         assert result.error is None, "caught in training, not in evaluation"
         assert np.all(np.isfinite(records[0].params))
+
+
+    @pytest.mark.parametrize("algorithm", ["perfed_ckt", "fedavg", "local"])
+    def test_overflowing_gradient_norm_ends_the_run(self, algorithm):
+        # inputs near 1e160 keep every gradient entry finite while its
+        # squares overflow, and a tiny step keeps the parameters finite, so
+        # the monitor's norm is the first value to leave float range
+        records, pool = make_population(num_clients=2, seed=47, separation=1e160)
+        cfg = config(rounds=2, lr=1e-200)
+        with np.errstate(all="ignore"):
+            result = run_rounds(algorithm, records, pool, cfg)
+        assert str(result.error) == "non-finite gradient norm inf"
+        assert result.diverged == [(0, 0)]
+        assert result.metrics == []
+        assert all(np.isfinite(r.params).all() for r in records)
 
 
 class TestLogitBuffer:

@@ -145,15 +145,38 @@ def test_add_reduce_over_a_stacked_axis_matches_per_item_reduce(shape, axis):
 
 
 # theory._mc_noise_stats: (N, d) Monte-Carlo noise at the sample counts of
-# the tests and of configs/theory_check.toml, drawn in blocks of
-# _MC_BLOCK_ROWS rows; neither count is a multiple of it, so each ends
-# in a remainder block
+# the tests and of configs/theory_check.toml, drawn one pairwise subtree of
+# at most _MC_BLOCK_ROWS rows at a time; neither count splits into equal
+# leaves
 NOISE_ROWS = [20_000, 100_000]
+# both sides of pairwise_sum's 128-value leaf and of the subtree cap, and
+# counts whose halves are rounded down to a multiple of 8
+SUBTREE_ROWS = [1, 7, 8, 127, 128, 129, 2047, 2048, 2049, 20_000, 65_537, 99_991, 100_000]
+
+
+def split(n):
+    """The first half numpy's pairwise_sum gives a run of n > 128 values:
+    n // 2 rounded down to a multiple of 8."""
+    return n // 2 - n // 2 % 8
+
+
+def subtree_rows(n):
+    """Rows of each subtree of at most _MC_BLOCK_ROWS, in order."""
+    if n <= _MC_BLOCK_ROWS:
+        return [n]
+    return subtree_rows(split(n)) + subtree_rows(n - split(n))
+
+
+def subtree_total(values):
+    """Each subtree's np.add.reduce, added back up the tree in order."""
+    if len(values) <= _MC_BLOCK_ROWS:
+        return np.add.reduce(values)
+    return subtree_total(values[: split(len(values))]) + subtree_total(values[split(len(values)) :])
 
 
 def noise_blocks(n, d, seed):
     rng = substream(seed, "mc-noise")
-    return [rng.normal(size=(min(_MC_BLOCK_ROWS, n - a), d)) for a in range(0, n, _MC_BLOCK_ROWS)]
+    return [rng.normal(size=(rows, d)) for rows in subtree_rows(n)]
 
 
 def carried_column_sum(blocks):
@@ -164,13 +187,30 @@ def carried_column_sum(blocks):
     return total
 
 
-@pytest.mark.parametrize("n", NOISE_ROWS)
+@pytest.mark.parametrize("n", SUBTREE_ROWS)
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_block_drawn_normal_matches_one_draw(d, n):
     whole = substream(7, "mc-noise").normal(size=(n, d))
     assert np.concatenate(noise_blocks(n, d, 7)).tobytes() == whole.tobytes(), (
-        f"normal drawn in blocks of {_MC_BLOCK_ROWS} rows differs from one draw on {build()}"
+        f"normal drawn in pairwise subtree blocks differs from one draw on {build()}"
     )
+
+
+@pytest.mark.parametrize("n", SUBTREE_ROWS)
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_subtree_reduces_added_up_the_tree_match_one_reduce(d, n):
+    # a 1-D float64 reduce is 0.0 plus numpy's pairwise_sum, which halves
+    # every run of more than 128 values, so its subtrees can be reduced
+    # one at a time: the noise's row dots, and a lone column (d = 1)
+    noise = substream(10, "mc-noise").normal(size=(n, d))
+    dots = np.einsum("ij,ij->i", noise, noise)
+    pairs = [(np.add.reduce(dots), dots)]
+    if d == 1:
+        pairs.append((np.add.reduce(noise, axis=0)[0], noise[:, 0]))
+    for whole, values in pairs:
+        assert np.float64(0.0 + subtree_total(values)).tobytes() == whole.tobytes(), (
+            f"subtree reduces added up numpy's pairwise tree differ from one reduce on {build()}"
+        )
 
 
 @pytest.mark.parametrize("n", NOISE_ROWS)
@@ -178,7 +218,7 @@ def test_block_drawn_normal_matches_one_draw(d, n):
 def test_per_block_einsum_into_out_matches_the_full_einsum(d, n):
     blocks = noise_blocks(n, d, 8)
     dots = np.empty(n)
-    for a, block in zip(range(0, n, _MC_BLOCK_ROWS), blocks):
+    for a, block in zip(np.cumsum([0, *subtree_rows(n)]), blocks):
         np.einsum("ij,ij->i", block, block, out=dots[a : a + len(block)])
     whole = np.concatenate(blocks)
     assert dots.tobytes() == np.einsum("ij,ij->i", whole, whole).tobytes(), (
@@ -201,8 +241,8 @@ def test_carried_row_block_reduce_matches_mean_over_rows(d, n):
 @pytest.mark.parametrize("n", NOISE_ROWS)
 def test_carried_row_block_reduce_differs_for_a_lone_column(n):
     # expected inequality: numpy sums a lone contiguous column pairwise, so
-    # _mc_noise_stats keeps it whole; a build where this holds bitwise
-    # breaks nothing
+    # _mc_noise_stats sums it by subtrees, not through the carried row; a
+    # build where this holds bitwise breaks nothing
     differ = []
     for seed in range(5):
         blocks = noise_blocks(n, 1, seed)

@@ -569,7 +569,12 @@ class TestGridOracle:
     def test_matches_per_point_loop_bitwise_at_seed_1(self, index):
         assert_matches_per_point_loop(index, master_seed=1)
 
-    @pytest.mark.parametrize("num_samples", [1, BLOCK - 1, BLOCK, BLOCK + 1, 20_000])
+    # both sides of numpy's pairwise leaf (128 values) and of the subtree
+    # cap, counts that split into uneven halves, and configs/theory_check.toml's
+    @pytest.mark.parametrize(
+        "num_samples",
+        [1, 7, 8, 127, 128, 129, BLOCK - 1, BLOCK, BLOCK + 1, 20_000, 65_537, 99_991, 100_000],
+    )
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     def test_noise_stats_match_the_whole_draw_bitwise(self, d, num_samples):
         # a last-bit change in the noise mean can round away in every loss,
@@ -593,14 +598,16 @@ class TestGridOracle:
         assert got.closed_form_loss == want.closed_form_loss
 
     def test_peak_memory_stays_below_the_noise_array(self):
-        # the oracle reads two statistics of its (N, d) noise, drawn in
-        # blocks, and keeps a running best, so it never holds N * d floats
-        num_samples, d = 100_000, 4
-        task = small_task(seed=30, upsilon=(0.3, 0.7, 1.5, 2.5, 5.0), d=d, n=8)
-        args = (task, 0, np.array([0.5, 1.0, 2.0]), simplex_grid(5, 3))
-        grid_search_oracle(*args, 100, seed=12)  # first-call imports and caches
-        peak = traced_peak(grid_search_oracle, *args, num_samples, seed=12)
-        assert peak < num_samples * d * 8, peak
+        # the oracle reads two statistics of its (N, d) noise, summed one
+        # pairwise subtree at a time, and keeps a running best, so it never
+        # holds N floats, not even the noise's row dots or a lone column
+        num_samples = 100_000
+        for d in (1, 4):
+            task = small_task(seed=30, upsilon=(0.3, 0.7, 1.5, 2.5, 5.0), d=d, n=8)
+            args = (task, 0, np.array([0.5, 1.0, 2.0]), simplex_grid(5, 3))
+            grid_search_oracle(*args, 100, seed=12)  # first-call imports and caches
+            peak = traced_peak(grid_search_oracle, *args, num_samples, seed=12)
+            assert peak < num_samples * 8, (d, peak)
 
     def test_duplicated_alpha_row_tie_goes_to_first_index(self):
         # the two rows differ only in the sign of a zero weight, so their
