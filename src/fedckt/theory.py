@@ -402,7 +402,10 @@ def simplex_grid(num_weights: int, resolution: int) -> np.ndarray:
 
 
 def lambda_grid_around(center: float, points: int, span: float) -> np.ndarray:
-    """Geometric grid of `points` values covering [center/span, center*span]."""
+    """Geometric grid of `points` values covering [center/span, center*span],
+    symmetric about center; a one-point grid is [center]."""
+    if points == 1:
+        return np.array([center], dtype=np.float64)
     return center * np.exp(np.linspace(-np.log(span), np.log(span), points))
 
 

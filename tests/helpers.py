@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from fedckt.clustering import LLOYD_MAX_ITERS, LLOYD_TOL
+from fedckt.clustering import LLOYD_MAX_ITERS, LLOYD_TOL, OBJECTIVE_CHUNK
 from fedckt.data import class_means, sample_blobs
 from fedckt.models import _column_sums
 from fedckt.rng import substream
@@ -190,10 +190,16 @@ def reference_cmeans_fit(points, c, seed=0):
 
 
 def reference_objective(points, centroids, assign):
-    """The Lloyd objective as one einsum over the gathered (m, L)
-    differences: the bitwise reference for clustering._objective."""
+    """The Lloyd objective from the gathered (m, L) differences: one einsum
+    per chunk of max(1, OBJECTIVE_CHUNK // L) whole rows, added in row
+    order from 0.0. The bitwise reference for clustering._objective."""
     diffs = points - centroids[assign]
-    return float(np.einsum("ij,ij->", diffs, diffs))
+    rows = max(1, OBJECTIVE_CHUNK // diffs.shape[1])
+    total = 0.0
+    for start in range(0, len(diffs), rows):
+        chunk = diffs[start : start + rows]
+        total += np.einsum("ij,ij->", chunk, chunk)
+    return float(total)
 
 
 def reference_assign_nearest(vec, centroids):

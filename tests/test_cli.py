@@ -1664,6 +1664,15 @@ class TestTheoryCheckCommand:
         assert {"closed_form_loss", "relative_gap", "oracle", "closed_form"} <= set(task)
         assert np.isclose(task["closed_form"]["alpha_sum"], 1.0)
 
+    def test_one_lambda_point_searches_lambda_star(self, tmp_path, capsys):
+        text = THEORY_TOML.format(extra="").replace("lambda_points = 9", "lambda_points = 1")
+        cfg = write(tmp_path, "theory.toml", text)
+        out = tmp_path / "t"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        capsys.readouterr()
+        for task in json.loads((out / "theory_report.json").read_text())["tasks"]:
+            assert task["oracle"]["best_lambda"] == task["closed_form"]["lambda_star"]
+
     def test_corrupted_lambda_fails(self, tmp_path, capsys, monkeypatch):
         # the oracle scores a closed form with lambda off by 10x; the grid
         # stays centred on the true lambda*, so the check must fail

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fedckt.clustering import EINSUM_BLOCK, CentroidSet, _objective, assign_nearest, cmeans_fit
+from fedckt.clustering import OBJECTIVE_CHUNK, CentroidSet, _objective, assign_nearest, cmeans_fit
 from fedckt.rng import substream
 
 from helpers import (
@@ -62,6 +62,21 @@ class TestFit:
             centroids, _ = cmeans_fit(stack, c, seed=int(rng.integers(2**31)))
             trace = centroids.objective_trace
             assert all(a >= b - 1e-12 for a, b in zip(trace, trace[1:]))
+
+    @pytest.mark.parametrize("m, pool", [(10, 2000), (30, 200), (10, 30)])
+    def test_objective_trace_monotone_on_logit_stacks(self, m, pool):
+        # the bench's widths 20000, 2000 and 300: an objective chunk holds
+        # one row, four rows or 27 rows. Each client uploads a blend of
+        # three Dirichlet probability blocks, so some fits take several passes
+        rng = substream(219, m, pool)
+        lengths = []
+        for seed in range(8):
+            blocks = logit_stack(rng, 3, pool)
+            stack = rng.dirichlet(np.ones(3), size=m) @ blocks
+            trace = cmeans_fit(stack, 3, seed=seed)[0].objective_trace
+            assert all(a >= b - 1e-12 * a for a, b in zip(trace, trace[1:])), (seed, trace)
+            lengths.append(len(trace))
+        assert max(lengths) >= 3, lengths
 
     def test_centroid_mean_identity(self):
         rng = substream(203)
@@ -222,13 +237,15 @@ class TestReference:
         "m, width",
         [
             (1, 150), (10, 150), (1, 20000), (10, 20000),  # the bench stacks' shapes
-            (1, EINSUM_BLOCK), (1, EINSUM_BLOCK + 1), (2, EINSUM_BLOCK - 1),
-            (3, EINSUM_BLOCK // 2), (5, 3001), (7, 5), (12, 8193), (40, 1),
+            (1, OBJECTIVE_CHUNK), (1, OBJECTIVE_CHUNK + 1), (2, OBJECTIVE_CHUNK - 1),
+            (3, OBJECTIVE_CHUNK // 2), (5, 3001), (7, 5), (12, 8193), (40, 1),
+            (9, 2000), (100, 150),
         ],
     )
     def test_streamed_objective_matches_reference(self, m, width):
-        # blocks that end inside a row, on a row's end, or hold one row's
-        # middle; magnitudes over 20 binades make the order of the adds show
+        # rows longer than, as long as and shorter than a chunk; a last
+        # chunk with fewer rows than the others (3, 5, 9 and 100 rows);
+        # magnitudes over 20 binades make the order of the adds show
         rng = substream(218, m, width)
         for c in sorted({1, min(3, m), m}):
             points = rng.normal(size=(m, width)) * 2.0 ** rng.integers(-10, 10, size=(m, width))
@@ -281,9 +298,9 @@ class TestMemory:
     def test_fit_holds_no_second_copy_of_the_stack(self):
         # perfed_dirichlet100's shape, the stack allocated before tracing
         # starts. A fit holds (c, L) arrays and (m, c) distances, and the
-        # objective one block of EINSUM_BLOCK entries: 0.64x. Gathering
-        # the objective's (m, L) centroids as one array (1.30x) or copying
-        # a cluster's rows in the update (1.50x at seed 2) fails
+        # objective one chunk of whole rows (here one row): 0.64x.
+        # Gathering the objective's (m, L) centroids as one array (1.30x)
+        # or copying a cluster's rows in the update (1.50x at seed 2) fails
         rng = substream(216)
         for seed in range(3):
             stack = logit_stack(rng, 10, 2000)

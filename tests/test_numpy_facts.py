@@ -19,7 +19,6 @@ import numpy as np
 import pytest
 from numpy.linalg import _umath_linalg
 
-from fedckt.clustering import EINSUM_BLOCK
 from fedckt.rng import substream
 from fedckt.theory import _MC_BLOCK_ROWS
 from helpers import build
@@ -249,71 +248,6 @@ def test_carried_row_block_reduce_differs_for_a_lone_column(n):
         mean = np.concatenate(blocks).mean(axis=0)
         differ.append((carried_column_sum(blocks) / n).tobytes() != mean.tobytes())
     assert any(differ), f"carried-row block reduce matches the pairwise column sum on {build()}"
-
-
-# clustering._objective's (m, L) stacks: up to 12 clients of
-# perfed_converge10's width 150, perfed_dirichlet100's 20000, and widths
-# whose rows end just before, on and just after an einsum block
-OBJECTIVE_SHAPES = [
-    (m, width) for m in range(1, 13) for width in (150, 8191, 8192, 8193, 20000)
-]
-
-
-def objective_diffs(m, width, seed):
-    """An (m, L) block of differences over 20 binades, so that the order
-    of the adds shows in the total."""
-    rng = substream(seed, "numpy-facts", "objective", m, width)
-    return rng.normal(size=(m, width)) * 2.0 ** rng.integers(-10, 10, size=(m, width))
-
-
-def block_einsum_mismatches(shapes, block, seed=12):
-    """How many of the shapes' einsum("ij,ij->") totals differ from the
-    in-order sum, from 0.0, of einsum("i,i->") over consecutive `block`-entry
-    chunks of the ravel."""
-    differ = 0
-    for m, width in shapes:
-        diffs = objective_diffs(m, width, seed)
-        flat = diffs.ravel()
-        total = 0.0
-        for start in range(0, flat.size, block):
-            chunk = flat[start : start + block]
-            total += np.einsum("i,i->", chunk, chunk)
-        differ += np.einsum("ij,ij->", diffs, diffs).tobytes() != np.float64(total).tobytes()
-    return differ
-
-
-@pytest.mark.parametrize("bufsize", [4096, 8192, 16384])
-def test_einsum_total_is_the_in_order_sum_of_its_block_einsums(bufsize):
-    # clustering._objective streams the (m, L) differences in EINSUM_BLOCK
-    # chunks; numpy's block does not follow np.setbufsize
-    old = np.setbufsize(bufsize)
-    try:
-        differ = block_einsum_mismatches(OBJECTIVE_SHAPES, EINSUM_BLOCK)
-    finally:
-        np.setbufsize(old)
-    assert differ == 0, (
-        f"einsum('ij,ij->') differs from its {EINSUM_BLOCK}-entry block sums on {differ} "
-        f"of {len(OBJECTIVE_SHAPES)} stacks under bufsize {bufsize} on {build()}"
-    )
-
-
-def test_einsum_block_sums_hold_at_random_shapes():
-    rng = substream(13, "numpy-facts", "objective-shapes")
-    shapes = [(int(rng.integers(1, 40)), int(rng.integers(1, 12_000))) for _ in range(40)]
-    differ = block_einsum_mismatches(shapes, EINSUM_BLOCK)
-    assert differ == 0, (
-        f"einsum('ij,ij->') differs from its {EINSUM_BLOCK}-entry block sums on {differ} "
-        f"of {len(shapes)} random stacks on {build()}"
-    )
-
-
-@pytest.mark.parametrize("block", [EINSUM_BLOCK // 2, 2 * EINSUM_BLOCK])
-def test_einsum_block_sums_differ_at_another_block(block):
-    # expected inequality: the block is numpy's, not any chunking's; a
-    # build where this holds bitwise breaks nothing
-    assert block_einsum_mismatches(OBJECTIVE_SHAPES, block), (
-        f"einsum('ij,ij->') matches its {block}-entry block sums on every stack on {build()}"
-    )
 
 
 # gen_task's (d, K, n): configs/theory_check.toml's tasks, then the shapes

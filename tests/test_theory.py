@@ -816,6 +816,20 @@ class TestSimplexGrid:
                 assert grid.tobytes() == expected.tobytes()
 
 
+class TestLambdaGrid:
+    def test_one_point_is_the_center(self):
+        # np.linspace(-a, a, 1) is [-a], which would make the grid [center / span]
+        for center, span in [(4.0, 4.0), (0.37, 3.0), (1e-3, 1.5)]:
+            assert lambda_grid_around(center, 1, span).tolist() == [center]
+
+    @pytest.mark.parametrize("points", [2, 3, 5, 15])
+    def test_symmetric_about_the_center(self, points):
+        center, span = 0.37, 3.0
+        grid = lambda_grid_around(center, points, span)
+        assert np.allclose(grid * grid[::-1], center * center, rtol=1e-14, atol=0.0)
+        assert np.isclose(grid[0], center / span) and np.isclose(grid[-1], center * span)
+
+
 class TestToy:
     def test_no_heterogeneity_collapses_to_theta(self):
         true_w, solutions = run_toy_example(seed=0, sigmas=(0.0, 0.0, 0.0))
